@@ -41,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bid:
-    """One submitted offer: willing to pay ``price`` $/MWh for ``quantity`` kW."""
+    """One offer: willing to pay ``price`` $/MWh for ``quantity`` kW.
+
+    The scalar reference form of a bid (see ``make_bid``); the simulation
+    passes a whole population's bids to the market as two arrays.
+    """
 
     tcl_id: int
     price: float

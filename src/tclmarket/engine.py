@@ -23,9 +23,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bidding import Bid, bid_prices, predict_temperatures
+from .bidding import bid_prices, predict_temperatures
 from .market import DEFAULT_PRICE_TICK, ClearingResult, build_demand_curve, clear
-from .population import Population, TclParams, TclState, aggregate_power
+from .population import Population, aggregate_power
 
 __all__ = [
     "ScenarioError",
@@ -249,6 +249,23 @@ class PopulationSpec:
             errs.append("population.subgroups must be >= 1")
         if not 0 <= self.subgroup_rel_width < 1:
             errs.append("population.subgroup_rel_width must be in [0, 1)")
+        elif self.subgroups >= 2 and self.count >= 1:
+            # Members jitter their group's anchor p0 and p_cap by up to ±w
+            # relative, so p0 <= p_cap needs p0_anchor*(1+w) <= p_cap_anchor*
+            # (1-w) in every group that is drawn (all K unless K > count).
+            K, n, w = self.subgroups, self.count, self.subgroup_rel_width
+            groups = np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
+            p0_anchor = _subgroup_anchors(self.p0_range, groups, K)
+            cap_anchor = _subgroup_anchors(self.p_cap_range, groups, K)
+            clash = np.flatnonzero(p0_anchor * (1.0 + w) > cap_anchor * (1.0 - w))
+            if len(clash):
+                g = clash[0]
+                errs.append(
+                    f"population.subgroup_rel_width {w} lets p0 exceed p_cap in "
+                    f"{len(clash)} of {len(groups)} subgroups (first: subgroup "
+                    f"{groups[g]}, p0 anchor {p0_anchor[g]:.6g}*(1+w) > "
+                    f"p_cap anchor {cap_anchor[g]:.6g}*(1-w))"
+                )
         # Reject parameter draws that could stall a thermostat outright.
         gain_min = (
             self.p_mean * (1 - self.p_rel_width) * self.r_mean * (1 - self.r_rel_width)
@@ -385,6 +402,17 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
+def _subgroup_labels(n: int, K: int) -> np.ndarray:
+    """Subgroup of each of n TCLs: K contiguous blocks of (nearly) equal size."""
+    return (np.arange(n) * K) // n
+
+
+def _subgroup_anchors(value_range, groups: np.ndarray, K: int) -> np.ndarray:
+    """Anchor value of each subgroup, spread evenly across ``value_range``."""
+    lo, hi = value_range
+    return lo + (groups + 0.5) / K * (hi - lo)
+
+
 def _dataclass_from_dict(cls, d, where: str, **overrides):
     """Build a dataclass from a mapping, rejecting unknown keys."""
     if not isinstance(d, dict):
@@ -440,36 +468,17 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
         gamma2 = g.uniform(spec.gamma_range[0], spec.gamma_range[1], n)
     else:
         K = spec.subgroups
-        subgroup = (np.arange(n) * K) // n
-        anchor_frac = (subgroup + 0.5) / K
+        subgroup = _subgroup_labels(n, K)
         w = spec.subgroup_rel_width
 
-        def group_values(lo: float, hi: float) -> np.ndarray:
-            anchors = lo + anchor_frac * (hi - lo)
+        def group_values(value_range: tuple[float, float]) -> np.ndarray:
+            anchors = _subgroup_anchors(value_range, subgroup, K)
             return anchors * (1.0 + w * g.uniform(-1.0, 1.0, n))
 
-        p0 = group_values(*spec.p0_range)
-        p_cap = group_values(*spec.p_cap_range)
-        gamma1 = group_values(*spec.gamma_range)
+        p0 = group_values(spec.p0_range)
+        p_cap = group_values(spec.p_cap_range)
+        gamma1 = group_values(spec.gamma_range)
         gamma2 = gamma1.copy()
-
-    params = [
-        TclParams(
-            id=i,
-            C=float(C[i]),
-            R=float(R[i]),
-            P=float(P[i]),
-            eta=float(eta[i]),
-            theta_set=float(theta_set[i]),
-            deadband=spec.deadband,
-            p0=float(p0[i]),
-            p_cap=float(p_cap[i]),
-            gamma1=float(gamma1[i]),
-            gamma2=float(gamma2[i]),
-            noise_std=spec.noise_std,
-        )
-        for i in range(n)
-    ]
 
     g_init = np.random.default_rng(init_seed)
     theta_min = theta_set - spec.deadband / 2.0
@@ -477,11 +486,24 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     theta0 = g_init.uniform(theta_min, theta_max)
     duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
     m0 = (g_init.uniform(0.0, 1.0, n) < duty).astype(np.int8)
-    states = [
-        TclState(theta=float(theta0[i]), m=int(m0[i]), v=1) for i in range(n)
-    ]
     return Population(
-        params, states, theta_ambient=spec.theta_ambient, rng_seed=seed, subgroup=subgroup
+        C=C,
+        R=R,
+        P=P,
+        eta=eta,
+        theta_set=theta_set,
+        deadband=np.full(n, spec.deadband, dtype=np.float64),
+        p0=p0,
+        p_cap=p_cap,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        noise_std=np.full(n, spec.noise_std, dtype=np.float64),
+        theta=theta0,
+        m=m0,
+        v=np.ones(n, dtype=np.int8),
+        theta_ambient=spec.theta_ambient,
+        rng_seed=seed,
+        subgroup=subgroup,
     )
 
 
@@ -617,11 +639,7 @@ def run(scenario: Scenario) -> Trace:
     for t in range(n_intervals):
         theta_bid = predict_temperatures(pop, scenario.lookahead_s, h)
         prices = bid_prices(pop, theta_bid)
-        bids = [
-            Bid(tcl_id=p.id, price=float(prices[i]), quantity=float(quantities[i]))
-            for i, p in enumerate(pop.params)
-        ]
-        curve = build_demand_curve(bids)
+        curve = build_demand_curve(prices, quantities)
         pi_base = price_signal_value(
             scenario.price_signal, t, scenario.market_interval_min, n_intervals
         )

@@ -1,12 +1,13 @@
 """Feeder-constrained market clearing over an aggregate demand curve.
 
-The coordinator gathers anonymous (price, quantity) bids, stacks them into
-a descending-price step function, and settles at the broadcast base price
-whenever the demand at that price fits under the feeder capacity. When it
-does not fit, the clearing price rises to the cheapest bid level whose
-cumulative demand still respects the limit, and everyone below that level
-is priced out. Supply below the cap is treated as unlimited — the feeder
-is the only constraint, and no network structure is modeled.
+The coordinator gathers anonymous (price, quantity) bids as two aligned
+arrays, sorts them into a descending-price step function, and settles at
+the broadcast base price whenever the demand at that price fits under the
+feeder capacity. When it does not fit, the clearing price rises to the
+cheapest bid level whose cumulative demand still respects the limit, and
+everyone below that level is priced out. Supply below the cap is treated
+as unlimited — the feeder is the only constraint, and no network structure
+is modeled.
 
 Dispatch downstream is all-or-nothing per price level (a device consumes
 iff its bid is at or above the clearing price), so a marginal group of
@@ -14,19 +15,18 @@ equal-price bids that would overshoot the limit is excluded as a whole.
 The feeder limit is therefore never exceeded, at the cost of occasionally
 leaving headroom unused.
 
-Cumulative quantities are accumulated exactly (error-free float
-transformation, rounded once per breakpoint), so `cleared_demand <=
+A float running sum only locates the candidate level. Every quantity the
+market reports or compares against the limit is the exact sum of the bids
+involved, rounded once (``math.fsum``), so `cleared_demand <=
 feeder_limit` and its downstream comparisons hold without tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
-from .bidding import Bid
+import numpy as np
 
 __all__ = ["DemandCurve", "ClearingResult", "build_demand_curve", "clear"]
 
@@ -34,67 +34,44 @@ __all__ = ["DemandCurve", "ClearingResult", "build_demand_curve", "clear"]
 DEFAULT_PRICE_TICK = 0.01
 
 
-def _add_partial(partials: list[float], x: float) -> None:
-    # Shewchuk error-free accumulation: after adding every term, the
-    # partials sum to the exact (unrounded) total.
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandCurve:
-    """Aggregate demand as descending-price breakpoints.
+    """Aggregate demand as descending-price levels over the sorted bids.
 
-    ``points`` is a sequence of (price $/MWh, cumulative quantity kW):
-    cumulative quantity is the total bid volume at or above that price.
-    Prices strictly decrease, cumulative quantities never decrease.
+    ``prices`` holds the distinct bid prices, strictly decreasing.
+    ``quantities`` holds every bid quantity, sorted by price descending,
+    and ``ends[k]`` is the number of bids priced at or above
+    ``prices[k]``. ``approx_cumulative[k]`` is the float running sum of
+    those bids: close to, but not always equal to, the exact demand.
     """
 
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        prices = [p for p, _ in self.points]
-        cums = [q for _, q in self.points]
-        if any(b >= a for a, b in zip(prices, prices[1:])):
-            raise ValueError("breakpoint prices must be strictly decreasing")
-        if any(p < 0 for p in prices):
-            raise ValueError("breakpoint prices must be >= 0")
-        if any(b < a for a, b in zip(cums, cums[1:])):
-            raise ValueError("cumulative quantities must be non-decreasing")
-        if cums and cums[0] <= 0:
-            raise ValueError("cumulative quantities must be positive")
+    prices: np.ndarray
+    quantities: np.ndarray
+    ends: np.ndarray
+    approx_cumulative: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.prices)
+
+    def cumulative(self, levels: int) -> float:
+        """Exact demand of the top ``levels`` price levels, rounded once, kW."""
+        if levels == 0:
+            return 0.0
+        return math.fsum(memoryview(self.quantities[: self.ends[levels - 1]]))
 
     @property
     def total_quantity(self) -> float:
         """Demand at price zero: the whole bid volume, kW."""
-        return self.points[-1][1] if self.points else 0.0
+        return self.cumulative(len(self))
 
     @property
     def max_price(self) -> float:
         """Highest bid price on the curve; 0.0 for an empty curve."""
-        return self.points[0][0] if self.points else 0.0
+        return float(self.prices[0]) if len(self) else 0.0
 
     def demand(self, price: float) -> float:
         """Total quantity bid at or above ``price``, kW (non-increasing)."""
-        if not self.points:
-            return 0.0
-        ascending = [p for p, _ in reversed(self.points)]
-        n_at_or_above = len(ascending) - bisect_left(ascending, price)
-        if n_at_or_above == 0:
-            return 0.0
-        return self.points[n_at_or_above - 1][1]
+        return self.cumulative(len(self) - int(np.count_nonzero(self.prices < price)))
 
 
 @dataclass(frozen=True)
@@ -107,30 +84,39 @@ class ClearingResult:
     base_demand: float
 
 
-def build_demand_curve(bids: Iterable[Bid]) -> DemandCurve:
-    """Stack bids into a demand curve.
+def build_demand_curve(prices, quantities) -> DemandCurve:
+    """Stack bids, given as aligned price and quantity arrays, into a curve.
 
-    Bids are sorted by price descending, equal-price bids merge into one
-    breakpoint, and cumulative quantities accumulate exactly. Zero-price
-    bids stay on the curve (they clear only at a clearing price of zero).
+    Bids are sorted by price descending and equal-price bids merge into one
+    level. Zero-price bids stay on the curve (they clear only at a clearing
+    price of zero). A bad bid is reported by its index, which is the
+    bidding TCL's id.
     """
-    bids = list(bids)
-    for bid in bids:
-        if not math.isfinite(bid.price) or bid.price < 0:
-            raise ValueError(f"bid from TCL {bid.tcl_id}: price must be finite and >= 0")
-        if not math.isfinite(bid.quantity) or bid.quantity <= 0:
-            raise ValueError(f"bid from TCL {bid.tcl_id}: quantity must be finite and > 0")
-    bids.sort(key=lambda b: b.price, reverse=True)
-    points: list[tuple[float, float]] = []
-    partials: list[float] = []
-    i = 0
-    while i < len(bids):
-        price = bids[i].price
-        while i < len(bids) and bids[i].price == price:
-            _add_partial(partials, bids[i].quantity)
-            i += 1
-        points.append((price, math.fsum(partials)))
-    return DemandCurve(points=tuple(points))
+    prices = np.asarray(prices, dtype=np.float64)
+    quantities = np.asarray(quantities, dtype=np.float64)
+    if prices.shape != quantities.shape or prices.ndim != 1:
+        raise ValueError(
+            f"prices {prices.shape} and quantities {quantities.shape} "
+            "must be aligned 1-D arrays"
+        )
+    bad_price = ~(np.isfinite(prices) & (prices >= 0))
+    bad_quantity = ~(np.isfinite(quantities) & (quantities > 0))
+    bad = bad_price | bad_quantity
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_price[i]:
+            raise ValueError(f"bid from TCL {i}: price must be finite and >= 0")
+        raise ValueError(f"bid from TCL {i}: quantity must be finite and > 0")
+    order = np.argsort(-prices)
+    sorted_prices = prices[order]
+    sorted_quantities = quantities[order]
+    ends = np.flatnonzero(np.diff(sorted_prices, append=-np.inf)) + 1
+    return DemandCurve(
+        prices=sorted_prices[ends - 1],
+        quantities=sorted_quantities,
+        ends=ends,
+        approx_cumulative=np.cumsum(sorted_quantities)[ends - 1],
+    )
 
 
 def clear(
@@ -161,15 +147,21 @@ def clear(
             constrained=False,
             base_demand=base_demand,
         )
-    feasible: tuple[float, float] | None = None
-    for price, cum in curve.points:
-        if price <= base_price:
+    above_base = len(curve) - int(np.count_nonzero(curve.prices <= base_price))
+    # The float running sum picks the candidate level; the exact sums
+    # decide, stepping down past levels it let through and up past levels
+    # it held back.
+    levels = int(np.count_nonzero(curve.approx_cumulative[:above_base] <= feeder_limit))
+    cleared = curve.cumulative(levels)
+    while levels > 0 and cleared > feeder_limit:
+        levels -= 1
+        cleared = curve.cumulative(levels)
+    while levels < above_base:
+        deeper = curve.cumulative(levels + 1)
+        if not deeper <= feeder_limit:
             break
-        if cum <= feeder_limit:
-            feasible = (price, cum)
-        else:
-            break
-    if feasible is None:
+        levels, cleared = levels + 1, deeper
+    if levels == 0:
         return ClearingResult(
             clearing_price=curve.max_price + price_tick,
             cleared_demand=0.0,
@@ -177,8 +169,8 @@ def clear(
             base_demand=base_demand,
         )
     return ClearingResult(
-        clearing_price=feasible[0],
-        cleared_demand=feasible[1],
+        clearing_price=float(curve.prices[levels - 1]),
+        cleared_demand=cleared,
         constrained=True,
         base_demand=base_demand,
     )

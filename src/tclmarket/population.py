@@ -7,17 +7,20 @@ dispatch flag ``v`` (set by the clearing outcome, held for a whole
 market interval). A TCL draws electrical power only while ``m`` and
 ``v`` are both 1.
 
-Scalar reference operations (``hysteresis_update``, ``thermal_step``)
-define the per-device semantics; :class:`Population` carries the same
-state in numpy arrays and advances all devices at once. The vectorized
-path is required to be bit-identical to evaluating the scalar operations
-in index order, which the test suite pins.
+Scalar reference objects and operations (``TclParams``, ``TclState``,
+``hysteresis_update``, ``thermal_step``) define the per-device semantics.
+:class:`Population` holds the same parameters and state as numpy arrays,
+indexed by TCL id, and advances all devices at once; it is built straight
+from arrays, and ``Population.from_devices`` unpacks scalar objects for
+tests and small examples. The vectorized path is required to be
+bit-identical to evaluating the scalar operations in index order, which
+the test suite pins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -159,77 +162,149 @@ def thermal_step(
     return replace(state, theta=theta)
 
 
+#: Per-TCL parameter arrays of a :class:`Population`, named as in TclParams.
+PARAM_FIELDS = tuple(f.name for f in fields(TclParams) if f.name != "id")
+
+
 class Population:
     """A fixed roster of TCLs sharing one ambient temperature.
 
-    Parameters are immutable after construction; the thermal/switch state
-    lives in numpy arrays (float64 ``theta``, int8 ``m`` and ``v``) indexed
-    like ``params``. ``rng_seed`` identifies the noise stream owner; the
-    population itself never draws noise, callers pass samples in.
+    Every per-TCL quantity is a numpy array indexed by TCL id: the
+    parameters (float64, named as the fields of :class:`TclParams`) are
+    immutable after construction, the thermal/switch state (float64
+    ``theta``, int8 ``m`` and ``v``) evolves. The arrays are validated
+    with the same rules, and the same message for the first offending TCL,
+    as :class:`TclParams` and :class:`TclState`. ``rng_seed`` identifies
+    the noise stream owner; the population itself never draws noise,
+    callers pass samples in.
     """
 
     def __init__(
         self,
-        params: Sequence[TclParams],
-        states: Sequence[TclState],
+        *,
+        C,
+        R,
+        P,
+        eta,
+        theta_set,
+        deadband,
+        p0,
+        p_cap,
+        gamma1,
+        gamma2,
+        noise_std,
+        theta,
+        m,
+        v,
         theta_ambient: float,
         rng_seed: int = 0,
         subgroup: Optional[np.ndarray] = None,
     ):
-        if len(params) != len(states):
-            raise ValueError(
-                f"params ({len(params)}) and states ({len(states)}) "
-                "must have the same length"
-            )
-        if len(params) == 0:
+        self.C = np.asarray(C, dtype=np.float64)
+        self.R = np.asarray(R, dtype=np.float64)
+        self.P = np.asarray(P, dtype=np.float64)
+        self.eta = np.asarray(eta, dtype=np.float64)
+        self.theta_set = np.asarray(theta_set, dtype=np.float64)
+        self.deadband = np.asarray(deadband, dtype=np.float64)
+        self.p0 = np.asarray(p0, dtype=np.float64)
+        self.p_cap = np.asarray(p_cap, dtype=np.float64)
+        self.gamma1 = np.asarray(gamma1, dtype=np.float64)
+        self.gamma2 = np.asarray(gamma2, dtype=np.float64)
+        self.noise_std = np.asarray(noise_std, dtype=np.float64)
+        self.theta = np.array(theta, dtype=np.float64)
+        m = np.asarray(m)
+        v = np.asarray(v)
+        per_tcl = {name: getattr(self, name) for name in PARAM_FIELDS}
+        per_tcl.update(theta=self.theta, m=m, v=v)
+        lengths = {name: a.shape for name, a in per_tcl.items()}
+        if len(set(lengths.values())) != 1 or self.theta.ndim != 1:
+            raise ValueError(f"per-TCL arrays must be 1-D of one length, got {lengths}")
+        if len(self.theta) == 0:
             raise ValueError("population must contain at least one TCL")
-        self.params = tuple(params)
         self.theta_ambient = float(theta_ambient)
         self.rng_seed = int(rng_seed)
-
-        self.theta = np.array([s.theta for s in states], dtype=np.float64)
-        self.m = np.array([s.m for s in states], dtype=np.int8)
-        self.v = np.array([s.v for s in states], dtype=np.int8)
-
-        self.C = np.array([p.C for p in params])
-        self.R = np.array([p.R for p in params])
-        self.P = np.array([p.P for p in params])
-        self.eta = np.array([p.eta for p in params])
-        self.theta_set = np.array([p.theta_set for p in params])
-        self.deadband = np.array([p.deadband for p in params])
-        self.p0 = np.array([p.p0 for p in params])
-        self.p_cap = np.array([p.p_cap for p in params])
-        self.gamma1 = np.array([p.gamma1 for p in params])
-        self.gamma2 = np.array([p.gamma2 for p in params])
-        self.noise_std = np.array([p.noise_std for p in params])
 
         self.theta_min = self.theta_set - self.deadband / 2.0
         self.theta_max = self.theta_set + self.deadband / 2.0
         self.theta_gain = self.P * self.R
         self.elec_power = self.P / self.eta
 
+        # Exact negations of the TclParams/TclState checks (NaN compares the
+        # same way), so the scalar object built for the first offending TCL
+        # raises that TCL's message.
+        bad_params = (
+            (self.C <= 0) | (self.R <= 0) | (self.P <= 0) | (self.eta <= 0)
+            | (self.deadband <= 0)
+            | ~((0.0 <= self.p0) & (self.p0 <= self.p_cap))
+            | (self.gamma1 < 0) | (self.gamma2 < 0)
+            | (self.noise_std < 0)
+            | (self.theta_gain <= self.deadband)
+        )
+        if bad_params.any():
+            self._device_params(int(np.argmax(bad_params)))
+        bad_states = ((m != 0) & (m != 1)) | ((v != 0) & (v != 1))
+        if bad_states.any():
+            i = int(np.argmax(bad_states))
+            TclState(float(self.theta[i]), m[i].item(), v[i].item())
+        self.m = m.astype(np.int8)
+        self.v = v.astype(np.int8)
+
         if self.theta_ambient <= self.theta_set.max():
             raise ValueError(
                 "theta_ambient must exceed every set-point "
                 "(cooling-load regime)"
             )
-        if subgroup is not None and len(subgroup) != len(params):
-            raise ValueError("subgroup labels must align with params")
+        if subgroup is not None and len(subgroup) != len(self.theta):
+            raise ValueError("subgroup labels must align with the TCLs")
         self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
         self._decay_cache: dict[float, np.ndarray] = {}
 
+    @classmethod
+    def from_devices(
+        cls,
+        params: Sequence[TclParams],
+        states: Sequence[TclState],
+        theta_ambient: float,
+        rng_seed: int = 0,
+        subgroup: Optional[np.ndarray] = None,
+    ) -> "Population":
+        """Unpack scalar TCL objects, in index order, into a Population.
+
+        The ids of ``params`` are not kept: in a Population the id of a TCL
+        is its index.
+        """
+        return cls(
+            **{name: [getattr(p, name) for p in params] for name in PARAM_FIELDS},
+            theta=[s.theta for s in states],
+            m=[s.m for s in states],
+            v=[s.v for s in states],
+            theta_ambient=theta_ambient,
+            rng_seed=rng_seed,
+            subgroup=subgroup,
+        )
+
     def __len__(self) -> int:
-        return len(self.params)
+        return len(self.theta)
 
     @property
     def size(self) -> int:
-        return len(self.params)
+        return len(self.theta)
 
     @property
     def capacity_kw(self) -> float:
         """Total electrical draw if every TCL consumed at once."""
         return math.fsum(self.elec_power.tolist())
+
+    def _device_params(self, i: int) -> TclParams:
+        return TclParams(
+            id=i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
+        )
+
+    @property
+    def params(self) -> tuple[TclParams, ...]:
+        """Materialize the parameters as scalar objects (id = index)."""
+        return tuple(self._device_params(i) for i in range(self.size))
 
     @property
     def states(self) -> list[TclState]:
@@ -248,7 +323,7 @@ class Population:
         cached = self._decay_cache.get(h)
         if cached is None:
             cached = np.array(
-                [math.exp(-h / (c * r * 3600.0)) for c, r in zip(self.C, self.R)]
+                [math.exp(-h / (c * r * 3600.0)) for c, r in zip(self.C.tolist(), self.R.tolist())]
             )
             self._decay_cache[h] = cached
         return cached
@@ -307,11 +382,9 @@ def apply_dispatch(population: Population, clearing_price: float, bids) -> Popul
             f"got {len(bids)} bids for {population.size} TCLs; "
             "bid list must align with the population"
         )
-    for bid, params in zip(bids, population.params):
-        if bid.tcl_id != params.id:
-            raise ValueError(
-                f"bid for TCL {bid.tcl_id} out of place (expected {params.id})"
-            )
+    for i, bid in enumerate(bids):
+        if bid.tcl_id != i:
+            raise ValueError(f"bid for TCL {bid.tcl_id} out of place (expected {i})")
     prices = np.array([b.price for b in bids])
     population.set_dispatch(prices, clearing_price)
     return population

@@ -170,7 +170,8 @@ def test_criterion_02_clearing_matches_bruteforce_oracle():
         ]
         base = rng.choice([0.0, 5.0, 9.0, 10.0, 20.0, 31.0, 50.0, 60.0])
         feeder = rng.uniform(0.05, 25.0)
-        got = clear(build_demand_curve(bids), base, feeder)
+        curve = build_demand_curve([b.price for b in bids], [b.quantity for b in bids])
+        got = clear(curve, base, feeder)
         want = _oracle_clear(bids, base, feeder)
         if (got.clearing_price, got.cleared_demand, got.constrained, got.base_demand) != want:
             mismatches += 1

@@ -130,7 +130,7 @@ def _random_population(n=40, seed=7):
     ]
     states = [TclState(float(rng.uniform(19.0, 21.0)), int(rng.integers(2)),
                        int(rng.integers(2))) for _ in range(n)]
-    return Population(params, states, theta_ambient=32.0)
+    return Population.from_devices(params, states, theta_ambient=32.0)
 
 
 def test_predict_temperatures_matches_scalar_bit_for_bit():

@@ -125,6 +125,23 @@ def test_invalid_scenario_refuses_to_run(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+def test_subgroup_jitter_past_p_cap_is_rejected_not_crashed(tmp_path, capsys):
+    # every bound is fine on its own, but ±50% jitter around anchors near
+    # 30 $/MWh lets a member's p0 land above its p_cap
+    path = tmp_path / "jitter.json"
+    path.write_text(json.dumps({
+        "population": {"count": 50, "p0_range": [29, 30], "p_cap_range": [30, 31],
+                       "subgroups": 2, "subgroup_rel_width": 0.5},
+        "horizon_min": 10,
+    }))
+    assert main(["--scenario", str(path), "--validate-only"]) == 1
+    out = capsys.readouterr().out
+    assert "violation: population.subgroup_rel_width" in out
+    assert "OK" not in out
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "invalid scenario: population.subgroup_rel_width" in capsys.readouterr().err
+
+
 def test_repeat_runs_are_byte_identical(small_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--scenario", small_file, "--out", str(out1)]) == 0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tclmarket.bidding import Bid
 from tclmarket.engine import (
     PopulationSpec,
     PriceSignal,
@@ -15,6 +16,7 @@ from tclmarket.engine import (
     price_signal_value,
     run,
 )
+from tclmarket.population import PARAM_FIELDS, Population, TclParams, TclState
 
 
 # ------------------------------------------------------------- price signals
@@ -98,6 +100,22 @@ def test_population_spec_bid_range_ordering():
     assert PopulationSpec(p_mean=0.1, r_mean=2.0, deadband=0.5).violations()
 
 
+def test_population_spec_bounds_subgroup_jitter_by_p_cap():
+    ranges = dict(p0_range=(29.0, 30.0), p_cap_range=(30.0, 31.0), subgroups=2)
+    errs = PopulationSpec(count=50, subgroup_rel_width=0.5, **ranges).violations()
+    assert len(errs) == 1 and "subgroup_rel_width" in errs[0]
+    # at zero width each group's anchors alone decide, and they are ordered
+    tight = PopulationSpec(count=50, subgroup_rel_width=0.0, **ranges)
+    assert tight.violations() == []
+    generate_population(tight, seed=0)
+    # group 1 (anchors 29.75 and 30.75) allows w up to 1/60.5 = 0.01653
+    edge = PopulationSpec(count=400, subgroup_rel_width=0.0165, **ranges)
+    assert edge.violations() == []
+    pop = generate_population(edge, seed=0)
+    assert np.all(pop.p0 <= pop.p_cap)
+    assert PopulationSpec(count=400, subgroup_rel_width=0.0166, **ranges).violations()
+
+
 def test_degenerate_widths_give_identical_tcls():
     spec = PopulationSpec(
         count=5,
@@ -158,6 +176,42 @@ def test_zero_width_draws_do_not_reshuffle_other_parameters():
     assert [p.gamma1 for p in wide.params] == [p.gamma1 for p in slim.params]
     assert all(p.C == 10.0 for p in slim.params)
     assert any(p.C != 10.0 for p in wide.params)
+
+
+@pytest.mark.parametrize("subgroups", [1, 4])
+def test_generated_arrays_match_from_devices_bit_for_bit(subgroups):
+    spec = PopulationSpec(
+        count=200, c_rel_width=0.1, r_rel_width=0.05, p_rel_width=0.05,
+        eta_rel_width=0.05, theta_set_width=0.5, noise_std=0.01,
+        subgroups=subgroups, subgroup_rel_width=0.01,
+    )
+    pop = generate_population(spec, seed=11)
+    again = Population.from_devices(
+        pop.params, pop.states, pop.theta_ambient, pop.rng_seed, pop.subgroup
+    )
+    names = PARAM_FIELDS + ("theta", "m", "v", "theta_min", "theta_max",
+                            "theta_gain", "elec_power")
+    for name in names:
+        a, b = getattr(pop, name), getattr(again, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [p.id for p in pop.params] == list(range(200))
+    if subgroups > 1:
+        assert again.subgroup.tobytes() == pop.subgroup.tobytes()
+
+
+def test_run_builds_no_per_load_objects(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the run path")
+
+    for cls in (Bid, TclParams, TclState):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    scenario = Scenario(
+        population=PopulationSpec(count=200, noise_std=0.01, subgroups=2),
+        price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
+        horizon_min=45.0,
+    )
+    trace = run(scenario)
+    assert trace.constrained.any() and not trace.constrained.all()
 
 
 def test_generate_population_rejects_invalid_spec():

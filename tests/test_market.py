@@ -6,7 +6,10 @@ describes. The production code must match it exactly, price and quantity.
 """
 
 import math
+from bisect import bisect_left
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,49 +17,65 @@ from tclmarket.bidding import Bid
 from tclmarket.market import (
     DEFAULT_PRICE_TICK,
     ClearingResult,
-    DemandCurve,
     build_demand_curve,
     clear,
 )
 
 
+def curve_of(bids):
+    """The demand curve of a bid list; bid i sits at array index i."""
+    return build_demand_curve([b.price for b in bids], [b.quantity for b in bids])
+
+
+def points(curve):
+    """(price, cumulative demand) per price level, highest price first."""
+    return tuple((float(p), curve.demand(p)) for p in curve.prices)
+
+
 # ----------------------------------------------------------------- the curve
 
 def test_curve_from_three_distinct_bids():
-    curve = build_demand_curve([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
-    assert curve.points == ((50.0, 2.0), (30.0, 4.0), (10.0, 6.0))
+    curve = curve_of([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
+    assert points(curve) == ((50.0, 2.0), (30.0, 4.0), (10.0, 6.0))
+    assert len(curve) == 3
 
 
 def test_curve_from_empty_bid_list():
-    curve = build_demand_curve([])
-    assert curve.points == ()
+    curve = curve_of([])
+    assert points(curve) == ()
     for p in (0.0, 10.0, 100.0):
         assert curve.demand(p) == 0.0
 
 
 def test_curve_merges_equal_prices():
-    curve = build_demand_curve([Bid(0, 30.0, 2.0), Bid(1, 30.0, 3.0)])
-    assert curve.points == ((30.0, 5.0),)
+    curve = curve_of([Bid(0, 30.0, 2.0), Bid(1, 30.0, 3.0)])
+    assert points(curve) == ((30.0, 5.0),)
+    assert len(curve) == 1
 
 
 def test_curve_order_independent():
     bids = [Bid(0, 10.0, 1.0), Bid(1, 50.0, 2.5), Bid(2, 30.0, 0.5), Bid(3, 30.0, 1.5)]
-    a = build_demand_curve(bids)
-    b = build_demand_curve(list(reversed(bids)))
-    assert a.points == b.points
+    a = curve_of(bids)
+    b = curve_of(list(reversed(bids)))
+    assert points(a) == points(b)
 
 
 def test_curve_rejects_bad_bids():
-    with pytest.raises(ValueError, match="TCL 7"):
-        build_demand_curve([Bid(7, -1.0, 2.0)])
-    with pytest.raises(ValueError, match="TCL 3"):
-        build_demand_curve([Bid(3, 10.0, 0.0)])
-    with pytest.raises(ValueError, match="TCL 9"):
-        build_demand_curve([Bid(9, float("nan"), 2.0)])
+    def bids_with(i, price, quantity):
+        return [Bid(k, 10.0, 2.0) for k in range(i)] + [Bid(i, price, quantity)]
+
+    with pytest.raises(ValueError, match="TCL 7: price"):
+        curve_of(bids_with(7, -1.0, 2.0))
+    with pytest.raises(ValueError, match="TCL 3: quantity"):
+        curve_of(bids_with(3, 10.0, 0.0))
+    with pytest.raises(ValueError, match="TCL 9: price"):
+        curve_of(bids_with(9, float("nan"), 2.0))
+    with pytest.raises(ValueError, match="aligned"):
+        build_demand_curve([10.0, 20.0], [2.0])
 
 
 def test_demand_lookup_steps_at_breakpoints():
-    curve = build_demand_curve([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
+    curve = curve_of([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
     assert curve.demand(60.0) == 0.0
     assert curve.demand(50.0) == 2.0   # at-price bids count
     assert curve.demand(49.0) == 2.0
@@ -67,36 +86,29 @@ def test_demand_lookup_steps_at_breakpoints():
     assert curve.max_price == 50.0
 
 
-def test_demand_curve_validates_invariants():
-    with pytest.raises(ValueError):
-        DemandCurve(points=((30.0, 4.0), (50.0, 6.0)))   # prices must descend
-    with pytest.raises(ValueError):
-        DemandCurve(points=((50.0, 4.0), (30.0, 3.0)))   # cumulative must grow
-
-
 # ----------------------------------------------------------------- clearing
 
 def test_clear_unconstrained_settles_at_base():
-    curve = build_demand_curve([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
+    curve = curve_of([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
     assert clear(curve, 20.0, 4.0) == ClearingResult(20.0, 4.0, False, 4.0)
 
 
 def test_clear_constrained_excludes_whole_tie_group():
-    curve = build_demand_curve([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
+    curve = curve_of([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
     assert clear(curve, 20.0, 3.0) == ClearingResult(50.0, 2.0, True, 4.0)
 
 
 def test_clear_no_bids_at_base():
-    curve = build_demand_curve([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
+    curve = curve_of([Bid(0, 50.0, 2.0), Bid(1, 30.0, 2.0), Bid(2, 10.0, 2.0)])
     assert clear(curve, 60.0, 6.0) == ClearingResult(60.0, 0.0, False, 0.0)
 
 
 def test_clear_empty_curve():
-    assert clear(build_demand_curve([]), 20.0, 5.0) == ClearingResult(20.0, 0.0, False, 0.0)
+    assert clear(curve_of([]), 20.0, 5.0) == ClearingResult(20.0, 0.0, False, 0.0)
 
 
 def test_clear_everything_exceeds_limit():
-    curve = build_demand_curve([Bid(0, 50.0, 4.0), Bid(1, 30.0, 2.0)])
+    curve = curve_of([Bid(0, 50.0, 4.0), Bid(1, 30.0, 2.0)])
     out = clear(curve, 20.0, 3.0)
     assert out.clearing_price == 50.0 + DEFAULT_PRICE_TICK
     assert out.cleared_demand == 0.0
@@ -104,7 +116,7 @@ def test_clear_everything_exceeds_limit():
 
 
 def test_clear_validates_preconditions():
-    curve = build_demand_curve([Bid(0, 30.0, 2.0)])
+    curve = curve_of([Bid(0, 30.0, 2.0)])
     with pytest.raises(ValueError):
         clear(curve, 20.0, 0.0)
     with pytest.raises(ValueError):
@@ -115,7 +127,7 @@ def test_cleared_demand_never_exceeds_limit_even_with_many_summands():
     # 10000 quantities of 0.1 sum to a hair over 1000 in naive float; the
     # exact accumulation must still respect the limit
     bids = [Bid(i, 30.0, 0.1) for i in range(10000)]
-    curve = build_demand_curve(bids)
+    curve = curve_of(bids)
     out = clear(curve, 20.0, 1000.0)
     assert out.cleared_demand <= 1000.0
 
@@ -158,7 +170,7 @@ def test_clear_matches_bruteforce_oracle_randomized():
         bids = random_bid_set(rng)
         base = rng.choice([0.0, 5.0, 9.0, 20.0, 31.0, 50.0])
         feeder = rng.uniform(0.5, 25.0)
-        got = clear(build_demand_curve(bids), base, feeder)
+        got = clear(curve_of(bids), base, feeder)
         want = oracle_clear(bids, base, feeder)
         assert (got.clearing_price, got.cleared_demand,
                 got.constrained, got.base_demand) == want, (bids, base, feeder)
@@ -176,10 +188,63 @@ def test_clear_properties_hold_for_arbitrary_bids(data):
     ]
     base = data.draw(st.floats(0.0, 60.0))
     feeder = data.draw(st.floats(0.1, 40.0))
-    curve = build_demand_curve(bids)
+    curve = curve_of(bids)
     out = clear(curve, base, feeder)
     assert out.cleared_demand <= feeder
     assert out.clearing_price >= base
     assert out.constrained == (out.clearing_price > base)
     # the settled quantity is exactly the curve evaluated at the settle price
     assert out.cleared_demand == curve.demand(out.clearing_price)
+
+
+# ------------------------------------------------- exact clearing at large n
+
+def test_clear_is_exact_at_large_n_near_the_limit():
+    # 12,000 bids at distinct prices with quantities 0.1, 1/3 and jittered
+    # values, none exactly representable. The float running sum drifts off
+    # the exact cumulative demand, so a feeder limit set exactly at an exact
+    # prefix sum, or one ulp either side of it, decides the outcome only if
+    # the exact correction works. The reference sums in rationals.
+    rng = np.random.default_rng(2017)
+    n = 12_000
+    prices = 1.0 + rng.permutation(n) * 0.005
+    quantities = rng.choice([0.1, 1 / 3], n)
+    jittered = rng.random(n) < 1 / 3
+    quantities[jittered] *= rng.uniform(0.5, 1.5, jittered.sum())
+    curve = build_demand_curve(prices, quantities)
+    assert len(curve) == n
+
+    levels = sorted(prices.tolist(), reverse=True)
+    by_price = dict(zip(prices.tolist(), quantities.tolist()))
+    cums, total = [], Fraction(0)
+    for p in levels:
+        total += Fraction(by_price[p])
+        cums.append(float(total))
+    ascending = levels[::-1]
+
+    def reference_clear(base_price, feeder_limit):
+        def demand_at(p):
+            k = n - bisect_left(ascending, p)   # levels at or above p
+            return cums[k - 1] if k else 0.0
+
+        base_demand = demand_at(base_price)
+        if base_demand <= feeder_limit:
+            return (base_price, base_demand, False, base_demand)
+        feasible = [j for j in range(n) if levels[j] > base_price and cums[j] <= feeder_limit]
+        if feasible:
+            j = max(feasible)
+            return (levels[j], cums[j], True, base_demand)
+        return (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand)
+
+    probes = rng.choice(n, 100, replace=False)
+    drifted = sum(curve.approx_cumulative[j] != cums[j] for j in probes)
+    assert drifted > 0, "the float running sum never left the exact sum"
+    for probe, j in enumerate(probes):
+        base = 0.0 if probe % 2 else levels[n // 2]
+        for feeder in (math.nextafter(cums[j], -math.inf), cums[j],
+                       math.nextafter(cums[j], math.inf)):
+            got = clear(curve, base, feeder)
+            want = reference_clear(base, feeder)
+            assert (got.clearing_price, got.cleared_demand,
+                    got.constrained, got.base_demand) == want, (j, base, feeder)
+            assert got.cleared_demand <= feeder

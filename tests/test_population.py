@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tclmarket.population import (
+    PARAM_FIELDS,
     Population,
     TclParams,
     TclState,
@@ -143,7 +144,7 @@ def test_thermal_step_contracts_toward_equilibrium(theta, m, v):
 
 def _pop(states, n=3):
     params = [TclParams(id=i) for i in range(n)]
-    return Population(params, states, theta_ambient=32.0)
+    return Population.from_devices(params, states, theta_ambient=32.0)
 
 
 def test_aggregate_power_all_off_is_zero():
@@ -172,7 +173,7 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
     ]
     states = [TclState(float(rng.uniform(19.0, 21.0)), int(rng.integers(2)),
                        int(rng.integers(2))) for _ in range(n)]
-    pop = Population(params, states, theta_ambient=32.0)
+    pop = Population.from_devices(params, states, theta_ambient=32.0)
     mirror = list(states)
     for _ in range(25):
         pop.step_physics(10.0)
@@ -186,13 +187,34 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
 def test_population_rejects_mismatched_lengths():
     params = [TclParams(id=i) for i in range(3)]
     with pytest.raises(ValueError):
-        Population(params, [TclState(20.0)], theta_ambient=32.0)
+        Population.from_devices(params, [TclState(20.0)], theta_ambient=32.0)
+
+
+def _device_arrays(n=6):
+    pop = _pop([TclState(20.0, 1, 1) for _ in range(n)], n)
+    return {name: getattr(pop, name).copy() for name in PARAM_FIELDS + ("theta", "m", "v")}
+
+
+def test_invalid_per_load_array_raises_the_tclparams_message():
+    for field, value in [("p0", 50.0), ("C", 0.0), ("gamma2", -1.0), ("P", 0.1),
+                         ("noise_std", float("-inf"))]:
+        arrays = _device_arrays()
+        arrays[field][[3, 5]] = value   # only the first offender is reported
+        with pytest.raises(ValueError) as scalar:
+            TclParams(id=3, **{name: float(arrays[name][3]) for name in PARAM_FIELDS})
+        with pytest.raises(ValueError) as vector:
+            Population(**arrays, theta_ambient=32.0)
+        assert str(vector.value) == str(scalar.value)
+    arrays = _device_arrays()
+    arrays["v"][4] = 2
+    with pytest.raises(ValueError, match="m and v must be 0 or 1, got m=1, v=2"):
+        Population(**arrays, theta_ambient=32.0)
 
 
 def test_population_requires_ambient_above_setpoints():
     params = [TclParams(id=0, theta_set=33.0)]
     with pytest.raises(ValueError):
-        Population(params, [TclState(20.0)], theta_ambient=32.0)
+        Population.from_devices(params, [TclState(20.0)], theta_ambient=32.0)
 
 
 def test_set_dispatch_grants_at_or_above_clearing_price():
