@@ -150,7 +150,8 @@ def clear(
     above_base = len(curve) - int(np.count_nonzero(curve.prices <= base_price))
     # The float running sum picks the candidate level; the exact sums
     # decide, stepping down past levels it let through and up past levels
-    # it held back.
+    # it held back. Comparisons count rather than bisect so that a NaN
+    # limit admits no level and a NaN base excludes none.
     levels = int(np.count_nonzero(curve.approx_cumulative[:above_base] <= feeder_limit))
     cleared = curve.cumulative(levels)
     while levels > 0 and cleared > feeder_limit:
