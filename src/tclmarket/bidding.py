@@ -113,11 +113,11 @@ def predict_temperatures(population: Population, lookahead: float, h: float) -> 
     Bit-identical to calling the scalar operation per TCL in index order.
     """
     steps = _lookahead_steps(lookahead, h)
-    a = population.decay(h)
-    mv_gain = population.m * population.v * population.theta_gain
+    a, off, on = population.step_terms(h)
+    forcing = np.where(population.consuming(), on, off)
     theta = population.theta
     for _ in range(steps):
-        theta = a * theta + (1.0 - a) * (population.theta_ambient - mv_gain)
+        theta = a * theta + forcing
     return theta
 
 

@@ -32,7 +32,6 @@ from .engine import (
     Scenario,
     ScenarioError,
     Trace,
-    _seed_children,
     run,
 )
 from .metrics import MetricsReport, compute_metrics
@@ -42,7 +41,6 @@ __all__ = ["main", "builtin_scenario", "load_scenario", "BUILTIN_SCENARIOS"]
 ENV_OUT = "TCLMARKET_OUT"
 EMIT_CHOICES = ("trace", "metrics", "bids", "steps")
 DEFAULT_EMIT = "trace,metrics,bids"
-N_BID_SAMPLES = 20
 
 
 def _stepprice() -> Scenario:
@@ -245,16 +243,12 @@ def write_windows_csv(path: str, report: MetricsReport) -> None:
 
 
 def write_bids_csv(path: str, trace: Trace) -> None:
-    """Bid-price evolution for a fixed random sample of TCLs."""
-    n = trace.population.size
-    k = min(N_BID_SAMPLES, n)
-    sample_rng = np.random.default_rng(_seed_children(trace.scenario.seed)[3])
-    chosen = np.sort(sample_rng.choice(n, size=k, replace=False))
+    """Bid-price evolution for the TCLs the trace sampled."""
     header = ["interval", "time_min"] + [
-        f"tcl{int(i)}_bid_usd_per_mwh" for i in chosen
+        f"tcl{int(i)}_bid_usd_per_mwh" for i in trace.bid_sample_ids
     ]
     rows = (
-        [t, trace.time_min[t]] + list(trace.bid_price_by_interval[t, chosen])
+        [t, trace.time_min[t]] + list(trace.bid_sample[t])
         for t in range(trace.n_intervals)
     )
     _write_csv(path, header, rows)

@@ -17,8 +17,8 @@ bit-identical traces.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
@@ -38,6 +38,9 @@ __all__ = [
     "generate_population",
     "run",
 ]
+
+#: Number of TCLs whose bid prices a Trace keeps in full (bids_sample.csv).
+N_BID_SAMPLES = 20
 
 
 class ScenarioError(ValueError):
@@ -60,7 +63,7 @@ class PriceSignal:
               (t + offset) mod period < period/2, starting at t=0).
     series:   explicit per-interval ``values``.
 
-    All levels are $/MWh and must be >= 0.
+    All levels are $/MWh and must be >= 0 (NaN is not a price).
     """
 
     kind: str
@@ -100,7 +103,7 @@ class PriceSignal:
         if self.kind not in self.KINDS:
             return [f"price_signal.kind must be one of {self.KINDS}, got {self.kind!r}"]
         if self.kind == "constant":
-            if self.level is None or self.level < 0:
+            if self.level is None or not self.level >= 0:
                 errs.append("price_signal.level must be a price >= 0")
         elif self.kind == "step":
             if not self.schedule:
@@ -111,7 +114,7 @@ class PriceSignal:
                     errs.append("price_signal.schedule must start at time 0")
                 if any(b <= a for a, b in zip(times, times[1:])):
                     errs.append("price_signal.schedule times must strictly increase")
-                if any(p < 0 for _, p in self.schedule):
+                if not all(p >= 0 for _, p in self.schedule):
                     errs.append("price_signal.schedule levels must be >= 0")
                 if any(t % interval_minutes != 0 for t in times):
                     errs.append(
@@ -119,7 +122,7 @@ class PriceSignal:
                         f"market-interval boundaries ({interval_minutes} min)"
                     )
         elif self.kind == "square":
-            if self.low is None or self.high is None or self.low < 0 or self.high < 0:
+            if self.low is None or self.high is None or not (self.low >= 0 and self.high >= 0):
                 errs.append("price_signal.low/high must be prices >= 0")
             if self.period_min is None or self.period_min <= 0:
                 errs.append("price_signal.period_min must be > 0")
@@ -140,7 +143,7 @@ class PriceSignal:
                         f"price_signal.values covers {len(self.values)} intervals "
                         f"but the horizon has {n_intervals}"
                     )
-                if any(v < 0 for v in self.values):
+                if not all(v >= 0 for v in self.values):
                     errs.append("price_signal.values must all be >= 0")
         return errs
 
@@ -221,8 +224,8 @@ class PopulationSpec:
         for name in ("c", "r", "p", "eta"):
             mean = getattr(self, f"{name}_mean")
             width = getattr(self, f"{name}_rel_width")
-            if mean <= 0:
-                errs.append(f"population.{name}_mean must be > 0")
+            if not 0 < mean < math.inf:
+                errs.append(f"population.{name}_mean must be finite and > 0")
             if not 0 <= width < 1:
                 errs.append(f"population.{name}_rel_width must be in [0, 1)")
         if self.theta_set_width < 0:
@@ -535,10 +538,13 @@ class Trace:
 
     Per market interval: prices, cleared/base demand, the interval-average
     realized demand, the dispatched count, end-of-interval temperature/
-    switch snapshots and the full bid-price vector. Per physics step:
-    instantaneous aggregate power, consuming fraction and temperature
-    summary. ``population`` carries the final state plus the per-TCL
-    parameter arrays used by the metrics.
+    switch snapshots, the min/mean/max of the bid prices, and the bid
+    prices of a fixed sample of TCLs (``bid_sample[t, j]`` is the bid of
+    TCL ``bid_sample_ids[j]``; at most ``N_BID_SAMPLES`` of them, drawn
+    from the output-sampling seed stream). Per physics step: instantaneous
+    aggregate power, consuming fraction and temperature summary.
+    ``population`` carries the final state plus the per-TCL parameter
+    arrays used by the metrics.
     """
 
     scenario: Scenario
@@ -560,7 +566,11 @@ class Trace:
     step_theta_std: np.ndarray
     theta_by_interval: np.ndarray
     m_by_interval: np.ndarray
-    bid_price_by_interval: np.ndarray
+    bid_price_min: np.ndarray
+    bid_price_mean: np.ndarray
+    bid_price_max: np.ndarray
+    bid_sample_ids: np.ndarray
+    bid_sample: np.ndarray
 
     @property
     def n_intervals(self) -> int:
@@ -568,7 +578,6 @@ class Trace:
 
     def frames(self) -> Iterator[TraceFrame]:
         for t in range(self.n_intervals):
-            prices = self.bid_price_by_interval[t]
             yield TraceFrame(
                 interval=t,
                 time_min=float(self.time_min[t]),
@@ -579,18 +588,36 @@ class Trace:
                 constrained=bool(self.constrained[t]),
                 avg_demand_kw=float(self.avg_demand_kw[t]),
                 n_dispatched=int(self.n_dispatched[t]),
-                bid_price_min=float(prices.min()),
-                bid_price_mean=float(prices.mean()),
-                bid_price_max=float(prices.max()),
+                bid_price_min=float(self.bid_price_min[t]),
+                bid_price_mean=float(self.bid_price_mean[t]),
+                bid_price_max=float(self.bid_price_max[t]),
             )
 
 
 def _exact_mean(values: list[float]) -> float:
-    """Correctly rounded arithmetic mean (exact rational accumulation)."""
-    total = Fraction(0)
-    for x in values:
-        total += Fraction(x)
-    return float(total / len(values))
+    """Correctly rounded arithmetic mean (exact rational accumulation).
+
+    Every float is a fraction with a power-of-two denominator, so the
+    numerators are summed over the largest of those denominators as one
+    Python integer, and one integer division rounds the mean.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    denominator = max(d for _, d in ratios)
+    total = sum(num * (denominator // d) for num, d in ratios)
+    return total / (denominator * len(values))
+
+
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std()`` from one sum of x.
+
+    The same operations, in the same order, as numpy's own ``mean`` and
+    ``std`` (pairwise sum over the length; squared deviations from that
+    mean summed the same way), so both results are bit-identical to them.
+    """
+    mean = x.sum() / len(x)
+    deviation = x - mean
+    np.multiply(deviation, deviation, out=deviation)
+    return mean, np.sqrt(deviation.sum() / len(x))
 
 
 # --------------------------------------------------------------------------
@@ -618,6 +645,7 @@ def run(scenario: Scenario) -> Trace:
     if np.any(pop.noise_std > 0):
         noise_rng = np.random.default_rng(_seed_children(scenario.seed)[2])
 
+    n_steps = n_intervals * steps_per
     time_min = np.arange(n_intervals) * scenario.market_interval_min
     base_price = np.empty(n_intervals)
     clearing_price = np.empty(n_intervals)
@@ -626,14 +654,19 @@ def run(scenario: Scenario) -> Trace:
     constrained = np.zeros(n_intervals, dtype=bool)
     avg_demand = np.empty(n_intervals)
     n_dispatched = np.empty(n_intervals, dtype=np.int64)
-    step_time = np.empty(n_intervals * steps_per)
-    step_power = np.empty(n_intervals * steps_per)
-    step_on_fraction = np.empty(n_intervals * steps_per)
-    step_theta_mean = np.empty(n_intervals * steps_per)
-    step_theta_std = np.empty(n_intervals * steps_per)
+    step_time = np.arange(1, n_steps + 1) * h / 60.0
+    step_power = np.empty(n_steps)
+    step_on_fraction = np.empty(n_steps)
+    step_theta_mean = np.empty(n_steps)
+    step_theta_std = np.empty(n_steps)
     theta_by_interval = np.empty((n_intervals, n))
     m_by_interval = np.empty((n_intervals, n), dtype=np.int8)
-    bid_matrix = np.empty((n_intervals, n))
+    bid_min = np.empty(n_intervals)
+    bid_mean = np.empty(n_intervals)
+    bid_max = np.empty(n_intervals)
+    sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
+    sample_ids = np.sort(sample_rng.choice(n, size=min(N_BID_SAMPLES, n), replace=False))
+    bid_sample = np.empty((n_intervals, len(sample_ids)))
 
     quantities = pop.elec_power
     for t in range(n_intervals):
@@ -646,31 +679,29 @@ def run(scenario: Scenario) -> Trace:
         result: ClearingResult = clear(curve, pi_base, feeder_limit, scenario.price_tick)
         pop.set_dispatch(prices, result.clearing_price)
 
-        interval_powers: list[float] = []
-        for k in range(steps_per):
+        first = t * steps_per
+        for idx in range(first, first + steps_per):
             noise = None
             if noise_rng is not None:
                 noise = noise_rng.standard_normal(n) * pop.noise_std
             pop.step_physics(h, noise)
-            idx = t * steps_per + k
-            power = aggregate_power(pop)
-            interval_powers.append(power)
-            step_time[idx] = (idx + 1) * h / 60.0
-            step_power[idx] = power
-            step_on_fraction[idx] = pop.consuming().mean()
-            step_theta_mean[idx] = pop.theta.mean()
-            step_theta_std[idx] = pop.theta.std()
+            step_power[idx] = aggregate_power(pop)
+            step_on_fraction[idx] = np.count_nonzero(pop.consuming()) / n
+            step_theta_mean[idx], step_theta_std[idx] = _mean_std(pop.theta)
 
         base_price[t] = pi_base
         clearing_price[t] = result.clearing_price
         cleared_demand[t] = result.cleared_demand
         base_demand[t] = result.base_demand
         constrained[t] = result.constrained
-        avg_demand[t] = _exact_mean(interval_powers)
-        n_dispatched[t] = int(pop.v.sum())
+        avg_demand[t] = _exact_mean(step_power[first : first + steps_per].tolist())
+        n_dispatched[t] = np.count_nonzero(pop.v)
         theta_by_interval[t] = pop.theta
         m_by_interval[t] = pop.m
-        bid_matrix[t] = prices
+        bid_min[t] = prices.min()
+        bid_mean[t] = prices.mean()
+        bid_max[t] = prices.max()
+        bid_sample[t] = prices[sample_ids]
 
     return Trace(
         scenario=scenario,
@@ -692,5 +723,9 @@ def run(scenario: Scenario) -> Trace:
         step_theta_std=step_theta_std,
         theta_by_interval=theta_by_interval,
         m_by_interval=m_by_interval,
-        bid_price_by_interval=bid_matrix,
+        bid_price_min=bid_min,
+        bid_price_mean=bid_mean,
+        bid_price_max=bid_max,
+        bid_sample_ids=sample_ids,
+        bid_sample=bid_sample,
     )

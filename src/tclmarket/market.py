@@ -110,7 +110,10 @@ def build_demand_curve(prices, quantities) -> DemandCurve:
     order = np.argsort(-prices)
     sorted_prices = prices[order]
     sorted_quantities = quantities[order]
-    ends = np.flatnonzero(np.diff(sorted_prices, append=-np.inf)) + 1
+    del order
+    level_end = np.ones(len(sorted_prices), dtype=bool)  # last bid of its price level
+    np.not_equal(sorted_prices[1:], sorted_prices[:-1], out=level_end[:-1])
+    ends = np.flatnonzero(level_end) + 1
     return DemandCurve(
         prices=sorted_prices[ends - 1],
         quantities=sorted_quantities,

@@ -59,10 +59,12 @@ class TclParams:
     noise_std: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.C <= 0 or self.R <= 0 or self.P <= 0 or self.eta <= 0:
+        if not (self.C > 0 and self.R > 0 and self.P > 0 and self.eta > 0):
             raise ValueError(
                 f"TCL {self.id}: C, R, P and eta must all be positive"
             )
+        if not 0 < self.elec_power < math.inf:
+            raise ValueError(f"TCL {self.id}: P/eta must be positive and finite")
         if self.deadband <= 0:
             raise ValueError(f"TCL {self.id}: deadband must be positive")
         if not 0.0 <= self.p0 <= self.p_cap:
@@ -172,11 +174,16 @@ class Population:
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named as the fields of :class:`TclParams`) are
     immutable after construction, the thermal/switch state (float64
-    ``theta``, int8 ``m`` and ``v``) evolves. The arrays are validated
+    ``theta``, boolean ``m`` and ``v``) evolves. The arrays are validated
     with the same rules, and the same message for the first offending TCL,
     as :class:`TclParams` and :class:`TclState`. ``rng_seed`` identifies
     the noise stream owner; the population itself never draws noise,
     callers pass samples in.
+
+    Two tables are derived from the parameters on first use and kept: the
+    per-step thermal terms for each step length h (see ``step_terms``),
+    and the integer limb table of P/eta that :func:`aggregate_power` sums
+    exactly (see ``power_limbs``).
     """
 
     def __init__(
@@ -233,7 +240,8 @@ class Population:
         # same way), so the scalar object built for the first offending TCL
         # raises that TCL's message.
         bad_params = (
-            (self.C <= 0) | (self.R <= 0) | (self.P <= 0) | (self.eta <= 0)
+            ~((self.C > 0) & (self.R > 0) & (self.P > 0) & (self.eta > 0))
+            | ~((0 < self.elec_power) & (self.elec_power < math.inf))
             | (self.deadband <= 0)
             | ~((0.0 <= self.p0) & (self.p0 <= self.p_cap))
             | (self.gamma1 < 0) | (self.gamma2 < 0)
@@ -246,8 +254,8 @@ class Population:
         if bad_states.any():
             i = int(np.argmax(bad_states))
             TclState(float(self.theta[i]), m[i].item(), v[i].item())
-        self.m = m.astype(np.int8)
-        self.v = v.astype(np.int8)
+        self.m = m.astype(bool)
+        self.v = v.astype(bool)
 
         if self.theta_ambient <= self.theta_set.max():
             raise ValueError(
@@ -258,7 +266,8 @@ class Population:
             raise ValueError("subgroup labels must align with the TCLs")
         self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
-        self._decay_cache: dict[float, np.ndarray] = {}
+        self._step_terms: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._power_limbs: Optional[tuple[np.ndarray, int, int]] = None
 
     @classmethod
     def from_devices(
@@ -314,60 +323,90 @@ class Population:
             for t, m, v in zip(self.theta, self.m, self.v)
         ]
 
-    def decay(self, h: float) -> np.ndarray:
-        """Per-TCL decay factors for step h seconds.
+    def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-TCL terms ``(a, off, on)`` of a thermal step of h seconds.
 
-        Computed element-by-element with math.exp so the array path matches
-        the scalar reference bit for bit.
+        One step is ``theta' = a*theta + (on if m*v else off)`` with
+        ``a = exp(-h/(C*R*3600))``, ``off = (1-a)*theta_ambient`` and
+        ``on = (1-a)*(theta_ambient - P*R)``: the same operations, in the
+        same order, as :func:`thermal_step`. ``a`` is computed element by
+        element with math.exp, so the array path matches the scalar
+        reference bit for bit.
         """
-        cached = self._decay_cache.get(h)
-        if cached is None:
-            cached = np.array(
-                [math.exp(-h / (c * r * 3600.0)) for c, r in zip(self.C.tolist(), self.R.tolist())]
-            )
-            self._decay_cache[h] = cached
-        return cached
-
-    def update_switches(self) -> None:
-        """Vectorized hysteresis update from the current temperatures."""
-        self.m = np.where(
-            self.theta > self.theta_max,
-            np.int8(1),
-            np.where(self.theta < self.theta_min, np.int8(0), self.m),
-        )
-
-    def step_temperatures(self, h: float, noise: Optional[np.ndarray] = None) -> None:
-        """Vectorized thermal step; ``noise`` is degC per TCL (None = 0)."""
-        a = self.decay(h)
-        theta = a * self.theta + (1.0 - a) * (
-            self.theta_ambient - self.m * self.v * self.theta_gain
-        )
-        if noise is not None:
-            theta = theta + noise
-        self.theta = theta
+        terms = self._step_terms.get(h)
+        if terms is None:
+            exponents = -h / (self.C * self.R * 3600.0)
+            a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
+            pull = 1.0 - a
+            terms = (a, pull * self.theta_ambient, pull * (self.theta_ambient - self.theta_gain))
+            self._step_terms[h] = terms
+        return terms
 
     def step_physics(self, h: float, noise: Optional[np.ndarray] = None) -> None:
-        """One physics step: switches first (from current theta), then theta."""
-        self.update_switches()
-        self.step_temperatures(h, noise)
+        """One physics step: switches first (from current theta), then theta.
+
+        The switch turns off strictly below the deadband, on strictly above
+        it, and holds otherwise (as :func:`hysteresis_update`); ``noise`` is
+        degC per TCL (None = 0).
+        """
+        a, off, on = self.step_terms(h)
+        theta = self.theta
+        self.m = (theta > self.theta_max) | (self.m & ~(theta < self.theta_min))
+        stepped = a * theta
+        stepped += np.where(self.m & self.v, on, off)
+        if noise is not None:
+            stepped += noise
+        self.theta = stepped
 
     def set_dispatch(self, bid_prices: np.ndarray, clearing_price: float) -> None:
         """Set v = 1 exactly for bids at or above the clearing price."""
-        self.v = (bid_prices >= clearing_price).astype(np.int8)
+        self.v = bid_prices >= clearing_price
 
     def consuming(self) -> np.ndarray:
         """Boolean mask of TCLs currently drawing power (m and v both 1)."""
-        return (self.m == 1) & (self.v == 1)
+        return self.m & self.v
+
+    def power_limbs(self) -> tuple[np.ndarray, int, int]:
+        """The exact integer form of P/eta: ``(limbs, lo, width)``.
+
+        Every P/eta is a whole multiple of ``2**lo``, the unit in the last
+        place of the smallest one. Row j of the k x n float64 table
+        ``limbs`` holds digit j, base ``2**width``, of each ``(P/eta) / 2**lo``,
+        so ``P/eta = 2**lo * sum_j limbs[j] * 2**(width*j)`` exactly. The
+        width leaves room for n digits: any sum of one row is an integer
+        below 2**53, which float64 holds exactly whatever the order of the
+        additions. (The scaling by ``2**-lo`` stays finite while the largest
+        P/eta is within 2**970 of the smallest.) Built on first use.
+        """
+        if self._power_limbs is None:
+            x = self.elec_power
+            lo = math.frexp(x.min())[1] - 53          # x = f * 2**e with 1/2 <= f < 1
+            span = math.frexp(x.max())[1] - lo        # bits in the largest x / 2**lo
+            width = 53 - len(x).bit_length()
+            limbs = np.empty((-(-span // width), len(x)))
+            for j, row in enumerate(limbs):
+                digits = np.ldexp(x, -(lo + width * j))   # exact: a power-of-2 scaling
+                np.floor(digits, out=digits)
+                np.fmod(digits, 2.0**width, out=row)
+            self._power_limbs = (limbs, lo, width)
+        return self._power_limbs
 
 
 def aggregate_power(population: Population) -> float:
     """Total electrical power drawn right now, kW.
 
-    Sums P/eta over every TCL with both switches on, using exact (fsum)
-    accumulation so the result is independent of index order.
+    The exact sum of P/eta over every TCL with both switches on, rounded
+    once, so it equals ``math.fsum`` of those values bit for bit and does
+    not depend on index order. Each limb row of ``population.power_limbs()``
+    is summed over the consuming TCLs with one matrix-vector product: every
+    partial sum is an integer below 2**53, so the product is exact in any
+    order. The row sums are combined as Python integers, and one integer
+    division by ``2**-lo`` rounds the total correctly.
     """
-    active = population.elec_power[population.consuming()]
-    return math.fsum(active.tolist())
+    limbs, lo, width = population.power_limbs()
+    row_sums = limbs @ population.consuming().astype(np.float64)
+    total = sum(int(s) << (width * j) for j, s in enumerate(row_sums.tolist()))
+    return (total << max(lo, 0)) / (1 << max(-lo, 0))
 
 
 def apply_dispatch(population: Population, clearing_price: float, bids) -> Population:

@@ -170,3 +170,26 @@ def test_env_var_supplies_output_root(small_file, tmp_path, monkeypatch):
     monkeypatch.setenv("TCLMARKET_OUT", str(target))
     assert main(["--scenario", small_file, "--emit", "trace"]) == 0
     assert (target / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("signal, field", [
+    ({"kind": "constant", "level": float("nan")}, "level"),
+    ({"kind": "square", "low": float("nan"), "high": 30, "period_min": 10}, "low/high"),
+    ({"kind": "square", "low": 20, "high": float("nan"), "period_min": 10}, "low/high"),
+    ({"kind": "step", "schedule": [[0, 42], [10, float("nan")]]}, "schedule levels"),
+    ({"kind": "series", "values": [25, float("nan"), 25, 25, 25, 25]}, "values"),
+])
+def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"population": {"count": 16}, "horizon_min": 30, "price_signal": signal}
+    ))
+    assert main(["--scenario", str(path), "--validate-only"]) == 1
+    out = capsys.readouterr().out
+    assert f"violation: price_signal.{field}" in out
+    assert "OK" not in out
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid scenario: price_signal.{field}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "trace.csv").exists()

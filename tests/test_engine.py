@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tclmarket.engine as engine
 from tclmarket.bidding import Bid
 from tclmarket.engine import (
+    N_BID_SAMPLES,
     PopulationSpec,
     PriceSignal,
     Scenario,
@@ -90,6 +94,10 @@ def test_population_spec_collects_all_violations():
     assert any("count" in e for e in errs)
     assert any("deadband" in e for e in errs)
     assert any("noise_std" in e for e in errs)
+    # a NaN or infinite mean would give loads NaN or infinite P/eta
+    errs = PopulationSpec(p_mean=math.nan, eta_mean=math.inf).violations()
+    assert any("p_mean must be finite" in e for e in errs)
+    assert any("eta_mean must be finite" in e for e in errs)
 
 
 def test_population_spec_bid_range_ordering():
@@ -298,7 +306,7 @@ def test_run_trace_shapes_and_frames():
     assert trace.step_time_min[0] == pytest.approx(10.0 / 60.0)
     assert trace.step_time_min[-1] == pytest.approx(30.0)
     assert trace.theta_by_interval.shape == (6, 16)
-    assert trace.bid_price_by_interval.shape == (6, 16)
+    assert trace.bid_sample.shape == (6, 16)
     frames = list(trace.frames())
     assert len(frames) == 6
     assert frames[3].interval == 3 and frames[3].time_min == 15.0
@@ -311,7 +319,8 @@ def test_run_is_deterministic():
     assert np.array_equal(a.avg_demand_kw, b.avg_demand_kw)
     assert np.array_equal(a.step_power_kw, b.step_power_kw)
     assert np.array_equal(a.theta_by_interval, b.theta_by_interval)
-    assert np.array_equal(a.bid_price_by_interval, b.bid_price_by_interval)
+    assert np.array_equal(a.bid_sample, b.bid_sample)
+    assert np.array_equal(a.bid_price_mean, b.bid_price_mean)
     assert np.array_equal(a.clearing_price, b.clearing_price)
 
 
@@ -365,3 +374,66 @@ def test_natural_cycling_matches_analytic_duty():
     predicted = trace.capacity_kw * (32.0 - 20.0) / 28.0
     tail = trace.avg_demand_kw[trace.time_min >= 720.0]
     assert tail.mean() == pytest.approx(predicted, rel=0.05)
+
+
+def _fraction_mean(values):
+    """Oracle: the mean accumulated as an exact rational, rounded once."""
+    total = Fraction(0)
+    for x in values:
+        total += Fraction(x)
+    return float(total / len(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e9)), min_size=1, max_size=400))
+def test_exact_mean_matches_the_fraction_mean(values):
+    assert engine._exact_mean(values) == _fraction_mean(values)
+
+
+def test_run_step_records_match_per_step_oracles(monkeypatch):
+    # unequal P/eta, spread set-points and noise: none of the benchmark
+    # scenarios exercises these together
+    scenario = tiny_scenario(
+        population=PopulationSpec(count=150, p_rel_width=0.3, eta_rel_width=0.4,
+                                  theta_set_width=0.8, noise_std=0.02),
+        price_signal=PriceSignal.square(20.0, 30.0, 10.0),
+        horizon_min=60.0,
+        h_seconds=5.0,
+        seed=3,
+    )
+    steps, bids = [], []
+    step_physics, bid_prices = Population.step_physics, engine.bid_prices
+
+    def record_step(pop, h, noise=None):
+        step_physics(pop, h, noise)
+        steps.append((pop.theta.copy(), pop.m.copy(), pop.v.copy()))
+
+    def record_bids(pop, theta_bid):
+        prices = bid_prices(pop, theta_bid)
+        bids.append(prices.copy())
+        return prices
+
+    monkeypatch.setattr(Population, "step_physics", record_step)
+    monkeypatch.setattr(engine, "bid_prices", record_bids)
+    trace = run(scenario)
+    assert len(steps) == len(trace.step_power_kw) == 12 * 60
+    assert trace.feeder_limit_kw < trace.capacity_kw and trace.constrained.any()
+    elec = trace.population.elec_power
+    assert len(np.unique(elec)) == 150
+    for k, (theta, m, v) in enumerate(steps):
+        consuming = (m == 1) & (v == 1)
+        assert trace.step_power_kw[k] == math.fsum(elec[consuming].tolist())
+        assert trace.step_on_fraction[k] == consuming.mean()
+        assert trace.step_theta_mean[k] == theta.mean()
+        assert trace.step_theta_std[k] == theta.std()
+    per_interval = trace.step_power_kw.reshape(12, 60)
+    assert trace.avg_demand_kw.tolist() == [_fraction_mean(p.tolist()) for p in per_interval]
+    # the sampled bid record is the bid matrix's columns, chosen as before
+    sample_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(4)[3])
+    chosen = np.sort(sample_rng.choice(150, size=N_BID_SAMPLES, replace=False))
+    assert trace.bid_sample_ids.tolist() == chosen.tolist()
+    matrix = np.array(bids)
+    assert trace.bid_sample.tobytes() == matrix[:, chosen].tobytes()
+    assert trace.bid_price_min.tolist() == matrix.min(axis=1).tolist()
+    assert trace.bid_price_mean.tolist() == [row.mean() for row in matrix]
+    assert trace.bid_price_max.tolist() == matrix.max(axis=1).tolist()

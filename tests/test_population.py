@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tclmarket.population import (
     PARAM_FIELDS,
@@ -157,6 +157,53 @@ def test_aggregate_power_counts_only_consuming_units():
     assert aggregate_power(pop) == 5.6
 
 
+def _population_of(P, eta, m, v):
+    """A population that differs only in P, eta and the two switches."""
+    n = len(P)
+    same = {"C": 10.0, "R": 2.0, "theta_set": 20.0, "deadband": 0.5, "p0": 22.0,
+            "p_cap": 35.0, "gamma1": 20.0, "gamma2": 20.0, "noise_std": 0.0, "theta": 20.0}
+    return Population(**{k: np.full(n, x) for k, x in same.items()},
+                      P=P, eta=eta, m=m, v=v, theta_ambient=32.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    switches=st.sampled_from(["random", "all on", "all off"]),
+)
+def test_aggregate_power_equals_fsum_of_consuming_loads(n, seed, switches):
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(0, 10, n)
+    eta = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-1, 3, n)
+    if n >= 2:   # P/eta spans at least 8 binades: under 1/4 kW up to at least 256 kW
+        P[:2], eta[:2] = (1.0, 1024.0), (4.5, 3.0)
+    m = {"random": rng.integers(0, 2, n), "all on": np.ones(n), "all off": np.zeros(n)}[switches]
+    v = rng.integers(0, 2, n) if switches == "random" else m
+    pop = _population_of(P, eta, m, v)
+    expected = math.fsum(pop.elec_power[pop.consuming()].tolist())
+    assert aggregate_power(pop) == expected
+    assert math.copysign(1.0, aggregate_power(pop)) == 1.0   # never -0.0
+
+
+def test_aggregate_power_is_exact_at_the_width_bound():
+    # 131071 loads is the most that share one limb width (36 bits). With all
+    # 53 mantissa bits set, every load's low limb is 2**36 - 1, so the
+    # all-on row sum needs every bit of a float64 and must still be exact.
+    n = 2**17 - 1
+    P = np.full(n, 8.0 - 2.0**-50)
+    pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
+    limbs, lo, width = pop.power_limbs()
+    assert sum(int(d) << (width * j) for j, d in enumerate(limbs[:, 0])) == 2**53 - 1
+    assert lo == -50
+    exact = [sum(map(int, row.tolist())) for row in limbs]
+    assert exact[0] > 2**52
+    assert (limbs @ np.ones(n)).tolist() == exact
+    assert aggregate_power(pop) == math.fsum(P.tolist())
+    pop.v[::3] = False
+    assert aggregate_power(pop) == math.fsum(P[pop.consuming()].tolist())
+
+
 def test_population_capacity_sums_electrical_power():
     pop = _pop([TclState(20.0) for _ in range(3)])
     assert pop.capacity_kw == pytest.approx(3 * 5.6)
@@ -192,12 +239,16 @@ def test_population_rejects_mismatched_lengths():
 
 def _device_arrays(n=6):
     pop = _pop([TclState(20.0, 1, 1) for _ in range(n)], n)
-    return {name: getattr(pop, name).copy() for name in PARAM_FIELDS + ("theta", "m", "v")}
+    arrays = {name: getattr(pop, name).copy() for name in PARAM_FIELDS + ("theta",)}
+    # the switches as callers pass them (Population stores them as booleans)
+    arrays.update(m=pop.m.astype(np.int8), v=pop.v.astype(np.int8))
+    return arrays
 
 
 def test_invalid_per_load_array_raises_the_tclparams_message():
     for field, value in [("p0", 50.0), ("C", 0.0), ("gamma2", -1.0), ("P", 0.1),
-                         ("noise_std", float("-inf"))]:
+                         ("noise_std", float("-inf")), ("P", float("nan")),
+                         ("eta", float("inf")), ("P", float("inf"))]:
         arrays = _device_arrays()
         arrays[field][[3, 5]] = value   # only the first offender is reported
         with pytest.raises(ValueError) as scalar:
