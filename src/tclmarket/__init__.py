@@ -5,7 +5,6 @@ from .population import (
     TclParams,
     TclState,
     aggregate_power,
-    apply_dispatch,
     hysteresis_update,
     thermal_step,
 )
@@ -17,7 +16,6 @@ from .engine import (
     Scenario,
     ScenarioError,
     Trace,
-    TraceFrame,
     generate_population,
     price_signal_value,
     run,
@@ -39,7 +37,6 @@ __all__ = [
     "hysteresis_update",
     "thermal_step",
     "aggregate_power",
-    "apply_dispatch",
     "Bid",
     "temperature_for_bidding",
     "make_bid",
@@ -52,7 +49,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Trace",
-    "TraceFrame",
     "price_signal_value",
     "generate_population",
     "run",

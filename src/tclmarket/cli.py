@@ -175,22 +175,19 @@ def write_trace_csv(path: str, trace: Trace) -> None:
         "bid_price_mean_usd_per_mwh",
         "bid_price_max_usd_per_mwh",
     ]
-    rows = (
-        [
-            f.interval,
-            f.time_min,
-            f.base_price,
-            f.clearing_price,
-            f.cleared_demand_kw,
-            f.base_demand_kw,
-            f.constrained,
-            f.avg_demand_kw,
-            f.n_dispatched,
-            f.bid_price_min,
-            f.bid_price_mean,
-            f.bid_price_max,
-        ]
-        for f in trace.frames()
+    rows = zip(
+        range(trace.n_intervals),
+        trace.time_min,
+        trace.base_price,
+        trace.clearing_price,
+        trace.cleared_demand_kw,
+        trace.base_demand_kw,
+        trace.constrained,
+        trace.avg_demand_kw,
+        trace.n_dispatched,
+        trace.bid_price_min,
+        trace.bid_price_mean,
+        trace.bid_price_max,
     )
     _write_csv(path, header, rows)
 

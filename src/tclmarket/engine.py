@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
+from . import metrics
 from .bidding import bid_prices, predict_temperatures
 from .market import DEFAULT_PRICE_TICK, ClearingResult, build_demand_curve, clear
 from .population import Population, aggregate_power
@@ -32,7 +33,6 @@ __all__ = [
     "PriceSignal",
     "PopulationSpec",
     "Scenario",
-    "TraceFrame",
     "Trace",
     "price_signal_value",
     "generate_population",
@@ -246,8 +246,8 @@ class PopulationSpec:
                 "population.p0_range must sit at or below p_cap_range "
                 "(every draw needs p0 <= p_cap)"
             )
-        if self.noise_std < 0:
-            errs.append("population.noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            errs.append("population.noise_std must be finite and >= 0")
         if self.subgroups < 1:
             errs.append("population.subgroups must be >= 1")
         if not 0 <= self.subgroup_rel_width < 1:
@@ -278,6 +278,15 @@ class PopulationSpec:
                 "population: smallest possible P*R must exceed the deadband "
                 f"(got {gain_min:.3f} <= {self.deadband})"
             )
+        # Reject parameter draws whose sums or thermal terms overflow.
+        p_max = self.p_mean * (1 + self.p_rel_width)
+        eta_min = self.eta_mean * (1 - self.eta_rel_width)
+        if not (eta_min > 0 and self.count * p_max / eta_min < math.inf):
+            errs.append(
+                "population: largest possible capacity count*P/eta must be finite"
+            )
+        if not p_max * self.r_mean * (1 + self.r_rel_width) < math.inf:
+            errs.append("population: largest possible P*R must be finite")
         return errs
 
 
@@ -333,9 +342,9 @@ class Scenario:
                     f"horizon_min ({self.horizon_min}) must be a whole number of "
                     f"market intervals ({self.market_interval_min} min)"
                 )
-        if self.feeder_limit_kw is not None and self.feeder_limit_kw <= 0:
+        if self.feeder_limit_kw is not None and not self.feeder_limit_kw > 0:
             errs.append("feeder_limit_kw must be > 0")
-        if self.feeder_limit_kw is None and self.feeder_fraction <= 0:
+        if self.feeder_limit_kw is None and not self.feeder_fraction > 0:
             errs.append("feeder_fraction must be > 0 when no absolute limit is given")
         if self.lookahead_s < 0:
             errs.append("lookahead_s must be >= 0")
@@ -514,37 +523,24 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
 # Trace
 
 
-@dataclass(frozen=True)
-class TraceFrame:
-    """One market interval's record (view into a Trace)."""
-
-    interval: int
-    time_min: float
-    base_price: float
-    clearing_price: float
-    cleared_demand_kw: float
-    base_demand_kw: float
-    constrained: bool
-    avg_demand_kw: float
-    n_dispatched: int
-    bid_price_min: float
-    bid_price_mean: float
-    bid_price_max: float
-
-
 @dataclass
 class Trace:
     """Everything a run records.
 
     Per market interval: prices, cleared/base demand, the interval-average
-    realized demand, the dispatched count, end-of-interval temperature/
-    switch snapshots, the min/mean/max of the bid prices, and the bid
-    prices of a fixed sample of TCLs (``bid_sample[t, j]`` is the bid of
-    TCL ``bid_sample_ids[j]``; at most ``N_BID_SAMPLES`` of them, drawn
-    from the output-sampling seed stream). Per physics step: instantaneous
-    aggregate power, consuming fraction and temperature summary.
-    ``population`` carries the final state plus the per-TCL parameter
-    arrays used by the metrics.
+    realized demand, the dispatched count, the min/mean/max of the bid
+    prices, the bid prices of a fixed sample of TCLs (``bid_sample[t, j]``
+    is the bid of TCL ``bid_sample_ids[j]``; at most ``N_BID_SAMPLES`` of
+    them, drawn from the output-sampling seed stream), and the
+    synchronization statistics of the end-of-interval state: ``sync``
+    (:func:`~tclmarket.metrics.sync_index` of the whole population),
+    ``dispersion_degc`` (:func:`~tclmarket.metrics.temperature_dispersion`)
+    and, when the population has subgroups, ``subgroup_sync[g, t]`` (the
+    sync index of the g-th subgroup label in ascending order; None
+    otherwise). Per physics step: instantaneous aggregate power, consuming
+    fraction and temperature summary. ``population`` carries the final
+    state and the per-TCL parameter arrays. No record holds one value per
+    TCL per interval, so a trace takes O(n + T) memory.
     """
 
     scenario: Scenario
@@ -564,34 +560,18 @@ class Trace:
     step_on_fraction: np.ndarray
     step_theta_mean: np.ndarray
     step_theta_std: np.ndarray
-    theta_by_interval: np.ndarray
-    m_by_interval: np.ndarray
     bid_price_min: np.ndarray
     bid_price_mean: np.ndarray
     bid_price_max: np.ndarray
     bid_sample_ids: np.ndarray
     bid_sample: np.ndarray
+    sync: np.ndarray
+    dispersion_degc: np.ndarray
+    subgroup_sync: Optional[np.ndarray]
 
     @property
     def n_intervals(self) -> int:
         return len(self.time_min)
-
-    def frames(self) -> Iterator[TraceFrame]:
-        for t in range(self.n_intervals):
-            yield TraceFrame(
-                interval=t,
-                time_min=float(self.time_min[t]),
-                base_price=float(self.base_price[t]),
-                clearing_price=float(self.clearing_price[t]),
-                cleared_demand_kw=float(self.cleared_demand_kw[t]),
-                base_demand_kw=float(self.base_demand_kw[t]),
-                constrained=bool(self.constrained[t]),
-                avg_demand_kw=float(self.avg_demand_kw[t]),
-                n_dispatched=int(self.n_dispatched[t]),
-                bid_price_min=float(self.bid_price_min[t]),
-                bid_price_mean=float(self.bid_price_mean[t]),
-                bid_price_max=float(self.bid_price_max[t]),
-            )
 
 
 def _exact_mean(values: list[float]) -> float:
@@ -659,14 +639,19 @@ def run(scenario: Scenario) -> Trace:
     step_on_fraction = np.empty(n_steps)
     step_theta_mean = np.empty(n_steps)
     step_theta_std = np.empty(n_steps)
-    theta_by_interval = np.empty((n_intervals, n))
-    m_by_interval = np.empty((n_intervals, n), dtype=np.int8)
     bid_min = np.empty(n_intervals)
     bid_mean = np.empty(n_intervals)
     bid_max = np.empty(n_intervals)
     sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
     sample_ids = np.sort(sample_rng.choice(n, size=min(N_BID_SAMPLES, n), replace=False))
     bid_sample = np.empty((n_intervals, len(sample_ids)))
+    sync = np.empty(n_intervals)
+    dispersion = np.empty(n_intervals)
+    subgroups = []
+    subgroup_sync = None
+    if pop.subgroup is not None:
+        subgroups = [np.flatnonzero(pop.subgroup == g) for g in np.unique(pop.subgroup)]
+        subgroup_sync = np.empty((len(subgroups), n_intervals))
 
     quantities = pop.elec_power
     for t in range(n_intervals):
@@ -696,12 +681,17 @@ def run(scenario: Scenario) -> Trace:
         constrained[t] = result.constrained
         avg_demand[t] = _exact_mean(step_power[first : first + steps_per].tolist())
         n_dispatched[t] = np.count_nonzero(pop.v)
-        theta_by_interval[t] = pop.theta
-        m_by_interval[t] = pop.m
         bid_min[t] = prices.min()
         bid_mean[t] = prices.mean()
         bid_max[t] = prices.max()
         bid_sample[t] = prices[sample_ids]
+        sync[t] = metrics.sync_index(pop.theta, pop.m, pop.theta_min, pop.theta_max)
+        dispersion[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
+        for g, members in enumerate(subgroups):
+            subgroup_sync[g, t] = metrics.sync_index(
+                pop.theta[members], pop.m[members],
+                pop.theta_min[members], pop.theta_max[members],
+            )
 
     return Trace(
         scenario=scenario,
@@ -721,11 +711,12 @@ def run(scenario: Scenario) -> Trace:
         step_on_fraction=step_on_fraction,
         step_theta_mean=step_theta_mean,
         step_theta_std=step_theta_std,
-        theta_by_interval=theta_by_interval,
-        m_by_interval=m_by_interval,
         bid_price_min=bid_min,
         bid_price_mean=bid_mean,
         bid_price_max=bid_max,
         bid_sample_ids=sample_ids,
         bid_sample=bid_sample,
+        sync=sync,
+        dispersion_degc=dispersion,
+        subgroup_sync=subgroup_sync,
     )

@@ -15,11 +15,12 @@ de-meaned interval-average demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .engine import Trace
+if TYPE_CHECKING:
+    from .engine import Trace
 
 __all__ = [
     "sync_index",
@@ -126,24 +127,18 @@ class MetricsReport:
 
 
 def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
-    """Reduce a trace to the synchronization/oscillation report."""
+    """Reduce a trace to the synchronization/oscillation report.
+
+    The per-interval statistics are the ones ``run()`` recorded at the end
+    of each interval; this adds the price divergence and the sliding-window
+    statistics.
+    """
     interval_min = trace.scenario.market_interval_min
     w = int(round(window_min / interval_min))
     if w < 4:
         raise ValueError("window_min must span at least 4 market intervals")
     n_int = trace.n_intervals
-    pop = trace.population
-
-    sync = np.empty(n_int)
-    dispersion = np.empty(n_int)
-    for t in range(n_int):
-        sync[t] = sync_index(
-            trace.theta_by_interval[t], trace.m_by_interval[t],
-            pop.theta_min, pop.theta_max,
-        )
-        dispersion[t] = temperature_dispersion(
-            trace.theta_by_interval[t], pop.theta_set
-        )
+    sync = trace.sync
 
     n_windows = max(n_int - w + 1, 0)
     window_start = trace.time_min[:n_windows].copy()
@@ -155,27 +150,13 @@ def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
         window_p2p[s], window_period[s] = demand_oscillation(seg, interval_min)
         window_sync[s] = sync[s : s + w].mean()
 
-    subgroup_sync = None
-    if pop.subgroup is not None:
-        groups = np.unique(pop.subgroup)
-        subgroup_sync = np.empty((len(groups), n_int))
-        for gi, g in enumerate(groups):
-            sel = pop.subgroup == g
-            for t in range(n_int):
-                subgroup_sync[gi, t] = sync_index(
-                    trace.theta_by_interval[t][sel],
-                    trace.m_by_interval[t][sel],
-                    pop.theta_min[sel],
-                    pop.theta_max[sel],
-                )
-
     return MetricsReport(
         window_min=window_min,
         interval_minutes=interval_min,
         feeder_limit_kw=trace.feeder_limit_kw,
         time_min=trace.time_min.copy(),
         sync=sync,
-        dispersion_degc=dispersion,
+        dispersion_degc=trace.dispersion_degc,
         price_divergence=trace.clearing_price - trace.base_price,
         window_start_min=window_start,
         window_p2p_kw=window_p2p,
@@ -184,5 +165,5 @@ def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
         feeder_hits=int(trace.constrained.sum()),
         max_sync=float(sync.max()) if n_int else 0.0,
         max_p2p_kw=float(window_p2p.max()) if n_windows else 0.0,
-        subgroup_sync=subgroup_sync,
+        subgroup_sync=trace.subgroup_sync,
     )

@@ -32,7 +32,6 @@ __all__ = [
     "hysteresis_update",
     "thermal_step",
     "aggregate_power",
-    "apply_dispatch",
 ]
 
 
@@ -74,8 +73,8 @@ class TclParams:
             )
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError(f"TCL {self.id}: bid slopes must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError(f"TCL {self.id}: noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"TCL {self.id}: noise_std must be finite and >= 0")
         if self.theta_gain <= self.deadband:
             # A unit whose full-on temperature pull cannot span its own
             # deadband would stall mid-band and never cycle.
@@ -245,7 +244,7 @@ class Population:
             | (self.deadband <= 0)
             | ~((0.0 <= self.p0) & (self.p0 <= self.p_cap))
             | (self.gamma1 < 0) | (self.gamma2 < 0)
-            | (self.noise_std < 0)
+            | ~((0 <= self.noise_std) & (self.noise_std < math.inf))
             | (self.theta_gain <= self.deadband)
         )
         if bad_params.any():
@@ -407,23 +406,3 @@ def aggregate_power(population: Population) -> float:
     row_sums = limbs @ population.consuming().astype(np.float64)
     total = sum(int(s) << (width * j) for j, s in enumerate(row_sums.tolist()))
     return (total << max(lo, 0)) / (1 << max(-lo, 0))
-
-
-def apply_dispatch(population: Population, clearing_price: float, bids) -> Population:
-    """Dispatch the population against a clearing price.
-
-    Every TCL whose bid price is at or above ``clearing_price`` gets v = 1
-    (price ties dispatch), all others v = 0. The flags persist until the
-    next call. ``bids`` must align one-to-one with the population.
-    """
-    if len(bids) != population.size:
-        raise ValueError(
-            f"got {len(bids)} bids for {population.size} TCLs; "
-            "bid list must align with the population"
-        )
-    for i, bid in enumerate(bids):
-        if bid.tcl_id != i:
-            raise ValueError(f"bid for TCL {bid.tcl_id} out of place (expected {i})")
-    prices = np.array([b.price for b in bids])
-    population.set_dispatch(prices, clearing_price)
-    return population

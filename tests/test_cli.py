@@ -193,3 +193,27 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     assert f"invalid scenario: price_signal.{field}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("fields, violation", [
+    ({"population": {"count": 16, "noise_std": float("inf")}}, "population.noise_std"),
+    ({"population": {"count": 16, "noise_std": float("nan")}}, "population.noise_std"),
+    ({"population": {"count": 16, "p_mean": 1e308, "p_rel_width": 0.5}},
+     "population: largest possible capacity"),
+    ({"population": {"count": 16, "p_mean": 1e200, "r_mean": 1e200}},
+     "population: largest possible P*R"),
+    ({"population": {"count": 16}, "feeder_limit_kw": float("nan")}, "feeder_limit_kw"),
+    ({"population": {"count": 16}, "feeder_fraction": float("nan")}, "feeder_fraction"),
+])
+def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon_min": 30, **fields}))
+    assert main(["--scenario", str(path), "--validate-only"]) == 1
+    out = capsys.readouterr().out
+    assert f"violation: {violation}" in out
+    assert "OK" not in out
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {violation}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "trace.csv").exists()

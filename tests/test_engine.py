@@ -20,6 +20,7 @@ from tclmarket.engine import (
     price_signal_value,
     run,
 )
+from tclmarket.metrics import sync_index, temperature_dispersion
 from tclmarket.population import PARAM_FIELDS, Population, TclParams, TclState
 
 
@@ -305,12 +306,12 @@ def test_run_trace_shapes_and_frames():
     assert trace.step_time_min.shape == (6 * 30,)
     assert trace.step_time_min[0] == pytest.approx(10.0 / 60.0)
     assert trace.step_time_min[-1] == pytest.approx(30.0)
-    assert trace.theta_by_interval.shape == (6, 16)
+    assert trace.sync.shape == trace.dispersion_degc.shape == (6,)
+    assert trace.subgroup_sync is None
     assert trace.bid_sample.shape == (6, 16)
-    frames = list(trace.frames())
-    assert len(frames) == 6
-    assert frames[3].interval == 3 and frames[3].time_min == 15.0
-    assert frames[0].bid_price_min <= frames[0].bid_price_mean <= frames[0].bid_price_max
+    assert trace.bid_price_min.shape == trace.bid_price_max.shape == (6,)
+    assert np.all(trace.bid_price_min <= trace.bid_price_mean)
+    assert np.all(trace.bid_price_mean <= trace.bid_price_max)
 
 
 def test_run_is_deterministic():
@@ -318,7 +319,9 @@ def test_run_is_deterministic():
     a, b = run(s), run(s)
     assert np.array_equal(a.avg_demand_kw, b.avg_demand_kw)
     assert np.array_equal(a.step_power_kw, b.step_power_kw)
-    assert np.array_equal(a.theta_by_interval, b.theta_by_interval)
+    assert np.array_equal(a.population.theta, b.population.theta)
+    assert np.array_equal(a.sync, b.sync)
+    assert np.array_equal(a.dispersion_degc, b.dispersion_degc)
     assert np.array_equal(a.bid_sample, b.bid_sample)
     assert np.array_equal(a.bid_price_mean, b.bid_price_mean)
     assert np.array_equal(a.clearing_price, b.clearing_price)
@@ -354,10 +357,12 @@ def test_base_price_above_every_cap_blocks_all_dispatch():
     assert np.all(trace.n_dispatched == 0)
     assert np.all(trace.step_power_kw == 0.0)
     # with cooling blocked, every house drifts monotonically toward ambient
-    interval_means = trace.theta_by_interval.mean(axis=1)
+    steps_per = s.steps_per_interval
+    interval_means = trace.step_theta_mean[steps_per - 1 :: steps_per]
+    assert len(interval_means) == trace.n_intervals
     assert np.all(np.diff(interval_means) > 0)
     assert interval_means[-1] > 22.5
-    assert np.all(trace.theta_by_interval[-1] < s.population.theta_ambient)
+    assert np.all(trace.population.theta < s.population.theta_ambient)
 
 
 def test_natural_cycling_matches_analytic_duty():
@@ -391,11 +396,11 @@ def test_exact_mean_matches_the_fraction_mean(values):
 
 
 def test_run_step_records_match_per_step_oracles(monkeypatch):
-    # unequal P/eta, spread set-points and noise: none of the benchmark
-    # scenarios exercises these together
+    # unequal P/eta, spread set-points, noise and subgroups: none of the
+    # benchmark scenarios exercises these together
     scenario = tiny_scenario(
         population=PopulationSpec(count=150, p_rel_width=0.3, eta_rel_width=0.4,
-                                  theta_set_width=0.8, noise_std=0.02),
+                                  theta_set_width=0.8, noise_std=0.02, subgroups=3),
         price_signal=PriceSignal.square(20.0, 30.0, 10.0),
         horizon_min=60.0,
         h_seconds=5.0,
@@ -437,3 +442,17 @@ def test_run_step_records_match_per_step_oracles(monkeypatch):
     assert trace.bid_price_min.tolist() == matrix.min(axis=1).tolist()
     assert trace.bid_price_mean.tolist() == [row.mean() for row in matrix]
     assert trace.bid_price_max.tolist() == matrix.max(axis=1).tolist()
+    # the synchronization record is the statistics of each interval's last step
+    pop = trace.population
+    members = [pop.subgroup == g for g in range(3)]
+    for t in range(12):
+        theta, m, _ = steps[60 * t + 59]
+        assert trace.sync[t] == sync_index(theta, m, pop.theta_min, pop.theta_max)
+        assert trace.dispersion_degc[t] == temperature_dispersion(theta, pop.theta_set)
+        assert trace.subgroup_sync[:, t].tolist() == [
+            sync_index(theta[g], m[g], pop.theta_min[g], pop.theta_max[g]) for g in members
+        ]
+    # nothing is recorded per TCL per interval
+    for name, value in vars(trace).items():
+        if isinstance(value, np.ndarray):
+            assert value.size < 150 * 12, name

@@ -12,7 +12,6 @@ from tclmarket.population import (
     TclParams,
     TclState,
     aggregate_power,
-    apply_dispatch,
     hysteresis_update,
     thermal_step,
 )
@@ -248,7 +247,8 @@ def _device_arrays(n=6):
 def test_invalid_per_load_array_raises_the_tclparams_message():
     for field, value in [("p0", 50.0), ("C", 0.0), ("gamma2", -1.0), ("P", 0.1),
                          ("noise_std", float("-inf")), ("P", float("nan")),
-                         ("eta", float("inf")), ("P", float("inf"))]:
+                         ("eta", float("inf")), ("P", float("inf")),
+                         ("noise_std", float("inf")), ("noise_std", float("nan"))]:
         arrays = _device_arrays()
         arrays[field][[3, 5]] = value   # only the first offender is reported
         with pytest.raises(ValueError) as scalar:
@@ -272,13 +272,3 @@ def test_set_dispatch_grants_at_or_above_clearing_price():
     pop = _pop([TclState(20.0, 1, 1) for _ in range(3)])
     pop.set_dispatch(np.array([25.0, 20.0, 15.0]), 20.0)
     assert pop.v.tolist() == [1, 1, 0]   # equality clears
-
-
-def test_apply_dispatch_checks_bid_alignment():
-    from tclmarket.bidding import Bid
-    pop = _pop([TclState(20.0, 1, 1) for _ in range(3)])
-    bids = [Bid(0, 25.0, 5.6), Bid(1, 10.0, 5.6), Bid(2, 25.0, 5.6)]
-    apply_dispatch(pop, 20.0, bids)
-    assert pop.v.tolist() == [1, 0, 1]
-    with pytest.raises(ValueError):
-        apply_dispatch(pop, 20.0, list(reversed(bids)))
