@@ -1,14 +1,6 @@
 """Market-coordinated TCL population simulator with feeder-constrained clearing."""
 
-from .population import (
-    Population,
-    TclParams,
-    TclState,
-    aggregate_power,
-    hysteresis_update,
-    thermal_step,
-)
-from .bidding import Bid, make_bid, temperature_for_bidding
+from .population import Population, aggregate_power
 from .market import ClearingResult, DemandCurve, build_demand_curve, clear
 from .engine import (
     PopulationSpec,
@@ -31,15 +23,8 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TclParams",
-    "TclState",
     "Population",
-    "hysteresis_update",
-    "thermal_step",
     "aggregate_power",
-    "Bid",
-    "temperature_for_bidding",
-    "make_bid",
     "DemandCurve",
     "ClearingResult",
     "build_demand_curve",

@@ -20,36 +20,20 @@ The temperature fed into the curve is, by default, a short-horizon
 prediction rather than the measurement: the device rolls its own
 noise-free thermal model forward (holding its current on/off consumption
 state fixed) and bids on where it will be mid-interval.
+
+Both steps run over a whole :class:`~tclmarket.population.Population` at
+once. :mod:`tclmarket.reference` states them for one device
+(``temperature_for_bidding`` and ``make_bid``); the test suite requires
+the two to agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .population import Population, TclParams, TclState, thermal_step
+from .population import Population
 
-__all__ = [
-    "Bid",
-    "temperature_for_bidding",
-    "make_bid",
-    "predict_temperatures",
-    "bid_prices",
-]
-
-
-@dataclass(frozen=True)
-class Bid:
-    """One offer: willing to pay ``price`` $/MWh for ``quantity`` kW.
-
-    The scalar reference form of a bid (see ``make_bid``); the simulation
-    passes a whole population's bids to the market as two arrays.
-    """
-
-    tcl_id: int
-    price: float
-    quantity: float
+__all__ = ["predict_temperatures", "bid_prices"]
 
 
 def _lookahead_steps(lookahead: float, h: float) -> int:
@@ -68,49 +52,13 @@ def _lookahead_steps(lookahead: float, h: float) -> int:
     return int(rounded)
 
 
-def temperature_for_bidding(
-    state: TclState,
-    params: TclParams,
-    theta_ambient: float,
-    lookahead: float,
-    h: float,
-) -> float:
-    """Predict the temperature ``lookahead`` seconds ahead for bidding.
-
-    Iterates the noise-free thermal step lookahead/h times with the current
-    consumption state m*v held fixed (the device does not anticipate its own
-    thermostat or the market). lookahead=0 returns the measured temperature.
-    """
-    steps = _lookahead_steps(lookahead, h)
-    s = state
-    for _ in range(steps):
-        s = thermal_step(s, params, theta_ambient, h, 0.0)
-    return s.theta
-
-
-def make_bid(theta_bid: float, params: TclParams) -> Bid:
-    """Evaluate the bid curve at a temperature.
-
-    Zero strictly below the deadband, p_cap strictly above it, linear with
-    slope gamma1 (gamma2) above (below) the set-point in between, then
-    clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
-    """
-    if theta_bid < params.theta_min:
-        price = 0.0
-    elif theta_bid > params.theta_max:
-        price = params.p_cap
-    elif theta_bid >= params.theta_set:
-        price = params.p0 + params.gamma1 * (theta_bid - params.theta_set)
-    else:
-        price = params.p0 - params.gamma2 * (params.theta_set - theta_bid)
-    price = min(max(price, 0.0), params.p_cap)
-    return Bid(tcl_id=params.id, price=price, quantity=params.elec_power)
-
-
 def predict_temperatures(population: Population, lookahead: float, h: float) -> np.ndarray:
-    """Vectorized ``temperature_for_bidding`` over a whole population.
+    """Each TCL's temperature ``lookahead`` seconds ahead, for bidding.
 
-    Bit-identical to calling the scalar operation per TCL in index order.
+    Iterates the noise-free thermal step lookahead/h times with each TCL's
+    current consumption state m*v held fixed (a device does not anticipate
+    its own thermostat or the market). lookahead=0 returns the measured
+    temperatures. lookahead must be a whole multiple of h > 0.
     """
     steps = _lookahead_steps(lookahead, h)
     a, off, on = population.step_terms(h)
@@ -122,7 +70,12 @@ def predict_temperatures(population: Population, lookahead: float, h: float) -> 
 
 
 def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
-    """Vectorized bid-curve evaluation; same contract as ``make_bid``."""
+    """Each TCL's bid price at its bidding temperature ``theta_bid``, $/MWh.
+
+    Zero strictly below the deadband, p_cap strictly above it, linear with
+    slope gamma1 (gamma2) above (below) the set-point in between, then
+    clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
+    """
     above_set = theta_bid >= population.theta_set
     linear = np.where(
         above_set,

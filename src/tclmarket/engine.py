@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -103,11 +104,16 @@ class PriceSignal:
         if self.kind not in self.KINDS:
             return [f"price_signal.kind must be one of {self.KINDS}, got {self.kind!r}"]
         if self.kind == "constant":
-            if self.level is None or not self.level >= 0:
+            if not (_is_real(self.level) and self.level >= 0):
                 errs.append("price_signal.level must be a price >= 0")
         elif self.kind == "step":
             if not self.schedule:
                 errs.append("price_signal.schedule must be non-empty")
+            elif not (_is_sequence(self.schedule) and all(
+                _is_sequence(pair) and len(pair) == 2 and all(map(_is_real, pair))
+                for pair in self.schedule
+            )):
+                errs.append("price_signal.schedule must be a list of [time_min, level] pairs")
             else:
                 times = [t for t, _ in self.schedule]
                 if times[0] != 0:
@@ -122,28 +128,30 @@ class PriceSignal:
                         f"market-interval boundaries ({interval_minutes} min)"
                     )
         elif self.kind == "square":
-            if self.low is None or self.high is None or not (self.low >= 0 and self.high >= 0):
+            if not (_is_real(self.low) and _is_real(self.high)
+                    and self.low >= 0 and self.high >= 0):
                 errs.append("price_signal.low/high must be prices >= 0")
-            if self.period_min is None or self.period_min <= 0:
+            if not (_is_real(self.period_min) and self.period_min > 0):
                 errs.append("price_signal.period_min must be > 0")
-            else:
-                if (self.period_min / 2.0) % interval_minutes != 0:
-                    errs.append(
-                        "price_signal.period_min/2 must be a whole number of "
-                        "market intervals so flips land on boundaries"
-                    )
-                if self.offset_min % interval_minutes != 0:
-                    errs.append("price_signal.offset_min must be a whole number of market intervals")
+            elif (self.period_min / 2.0) % interval_minutes != 0:
+                errs.append(
+                    "price_signal.period_min/2 must be a whole number of "
+                    "market intervals so flips land on boundaries"
+                )
+            if not (_is_real(self.offset_min) and self.offset_min % interval_minutes == 0):
+                errs.append("price_signal.offset_min must be a whole number of market intervals")
         elif self.kind == "series":
             if not self.values:
                 errs.append("price_signal.values must be non-empty")
+            elif not _is_sequence(self.values):
+                errs.append("price_signal.values must be a list of prices")
             else:
                 if len(self.values) < n_intervals:
                     errs.append(
                         f"price_signal.values covers {len(self.values)} intervals "
                         f"but the horizon has {n_intervals}"
                     )
-                if not all(v >= 0 for v in self.values):
+                if not all(_is_real(v) and v >= 0 for v in self.values):
                     errs.append("price_signal.values must all be >= 0")
         return errs
 
@@ -218,41 +226,55 @@ class PopulationSpec:
     subgroup_rel_width: float = 0.02
 
     def violations(self) -> list[str]:
-        errs: list[str] = []
-        if self.count < 1:
+        """All configuration problems with this spec (empty list = valid)."""
+        pairs = ("p0_range", "p_cap_range", "gamma_range")
+        integers = ("count", "subgroups")
+        reals = [f.name for f in fields(self) if f.name not in pairs + integers]
+        malformed = _malformed(self, "population.", reals, integers, pairs)
+        errs = list(malformed.values())
+
+        def ok(*names: str) -> bool:
+            return malformed.keys().isdisjoint(names)
+
+        if ok("count") and not self.count >= 1:
             errs.append("population.count must be >= 1")
         for name in ("c", "r", "p", "eta"):
-            mean = getattr(self, f"{name}_mean")
-            width = getattr(self, f"{name}_rel_width")
-            if not 0 < mean < math.inf:
-                errs.append(f"population.{name}_mean must be finite and > 0")
-            if not 0 <= width < 1:
-                errs.append(f"population.{name}_rel_width must be in [0, 1)")
-        if self.theta_set_width < 0:
+            mean, width = f"{name}_mean", f"{name}_rel_width"
+            if ok(mean) and not getattr(self, mean) > 0:
+                errs.append(f"population.{mean} must be finite and > 0")
+            if ok(width) and not 0 <= getattr(self, width) < 1:
+                errs.append(f"population.{width} must be in [0, 1)")
+        if ok("theta_set_width") and not self.theta_set_width >= 0:
             errs.append("population.theta_set_width must be >= 0")
-        if self.deadband <= 0:
+        if ok("deadband") and not self.deadband > 0:
             errs.append("population.deadband must be > 0")
-        if self.theta_ambient <= self.theta_set_mean + self.theta_set_width:
+        if ok("theta_ambient", "theta_set_mean", "theta_set_width") and not (
+            self.theta_ambient > self.theta_set_mean + self.theta_set_width
+        ):
             errs.append(
                 "population.theta_ambient must exceed every possible set-point "
                 "(cooling-load regime)"
             )
-        for rng_name in ("p0_range", "p_cap_range", "gamma_range"):
-            lo, hi = getattr(self, rng_name)
-            if lo < 0 or hi < lo:
-                errs.append(f"population.{rng_name} must satisfy 0 <= low <= high")
-        if self.p0_range[1] > self.p_cap_range[0]:
+        for rng_name in pairs:
+            if ok(rng_name):
+                lo, hi = getattr(self, rng_name)
+                if not 0 <= lo <= hi:
+                    errs.append(f"population.{rng_name} must satisfy 0 <= low <= high")
+        if ok("p0_range", "p_cap_range") and not self.p0_range[1] <= self.p_cap_range[0]:
             errs.append(
                 "population.p0_range must sit at or below p_cap_range "
                 "(every draw needs p0 <= p_cap)"
             )
-        if not 0 <= self.noise_std < math.inf:
+        if ok("noise_std") and not self.noise_std >= 0:
             errs.append("population.noise_std must be finite and >= 0")
-        if self.subgroups < 1:
+        if ok("subgroups") and not self.subgroups >= 1:
             errs.append("population.subgroups must be >= 1")
-        if not 0 <= self.subgroup_rel_width < 1:
+        if ok("subgroup_rel_width") and not 0 <= self.subgroup_rel_width < 1:
             errs.append("population.subgroup_rel_width must be in [0, 1)")
-        elif self.subgroups >= 2 and self.count >= 1:
+        elif (
+            ok("subgroups", "count", "subgroup_rel_width", "p0_range", "p_cap_range")
+            and self.subgroups >= 2 and self.count >= 1
+        ):
             # Members jitter their group's anchor p0 and p_cap by up to ±w
             # relative, so p0 <= p_cap needs p0_anchor*(1+w) <= p_cap_anchor*
             # (1-w) in every group that is drawn (all K unless K > count).
@@ -270,22 +292,27 @@ class PopulationSpec:
                     f"p_cap anchor {cap_anchor[g]:.6g}*(1-w))"
                 )
         # Reject parameter draws that could stall a thermostat outright.
-        gain_min = (
-            self.p_mean * (1 - self.p_rel_width) * self.r_mean * (1 - self.r_rel_width)
-        )
-        if gain_min <= self.deadband:
-            errs.append(
-                "population: smallest possible P*R must exceed the deadband "
-                f"(got {gain_min:.3f} <= {self.deadband})"
+        if ok("p_mean", "p_rel_width", "r_mean", "r_rel_width", "deadband"):
+            gain_min = (
+                self.p_mean * (1 - self.p_rel_width) * self.r_mean * (1 - self.r_rel_width)
             )
+            if not gain_min > self.deadband:
+                errs.append(
+                    "population: smallest possible P*R must exceed the deadband "
+                    f"(got {gain_min:.3f} <= {self.deadband})"
+                )
         # Reject parameter draws whose sums or thermal terms overflow.
-        p_max = self.p_mean * (1 + self.p_rel_width)
-        eta_min = self.eta_mean * (1 - self.eta_rel_width)
-        if not (eta_min > 0 and self.count * p_max / eta_min < math.inf):
-            errs.append(
-                "population: largest possible capacity count*P/eta must be finite"
-            )
-        if not p_max * self.r_mean * (1 + self.r_rel_width) < math.inf:
+        if ok("count", "p_mean", "p_rel_width", "eta_mean", "eta_rel_width"):
+            p_max = self.p_mean * (1 + self.p_rel_width)
+            eta_min = self.eta_mean * (1 - self.eta_rel_width)
+            if not (eta_min > 0 and self.count * p_max / eta_min < math.inf):
+                errs.append(
+                    "population: largest possible capacity count*P/eta must be finite"
+                )
+        if ok("p_mean", "p_rel_width", "r_mean", "r_rel_width") and not (
+            self.p_mean * (1 + self.p_rel_width) * self.r_mean * (1 + self.r_rel_width)
+            < math.inf
+        ):
             errs.append("population: largest possible P*R must be finite")
         return errs
 
@@ -321,44 +348,59 @@ class Scenario:
 
     def validate(self) -> list[str]:
         """Check every invariant; returns all violations, not just the first."""
-        errs: list[str] = []
-        if self.h_seconds <= 0:
+        reals = ("horizon_min", "market_interval_min", "h_seconds", "lookahead_s",
+                 "feeder_fraction", "price_tick")
+        if self.feeder_limit_kw is not None:
+            reals += ("feeder_limit_kw",)
+        malformed = _malformed(self, "", reals, integers=("seed",))
+        errs = list(malformed.values())
+
+        def ok(*names: str) -> bool:
+            return malformed.keys().isdisjoint(names)
+
+        if ok("h_seconds") and not self.h_seconds > 0:
             errs.append("h_seconds must be > 0")
-        if self.market_interval_min <= 0:
+        if ok("market_interval_min") and not self.market_interval_min > 0:
             errs.append("market_interval_min must be > 0")
-        elif self.h_seconds > 0:
-            steps = self.market_interval_min * 60.0 / self.h_seconds
-            if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        elif ok("market_interval_min", "h_seconds") and self.h_seconds > 0:
+            if not _whole_count(self.market_interval_min * 60.0 / self.h_seconds):
                 errs.append(
                     f"market_interval_min ({self.market_interval_min} min) must be "
                     f"a whole number of physics steps (h={self.h_seconds} s)"
                 )
-        if self.horizon_min <= 0:
+        intervals = None
+        if ok("horizon_min") and not self.horizon_min > 0:
             errs.append("horizon_min must be > 0")
-        elif self.market_interval_min > 0:
-            n = self.horizon_min / self.market_interval_min
-            if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        elif ok("horizon_min", "market_interval_min") and self.market_interval_min > 0:
+            intervals = self.horizon_min / self.market_interval_min
+            if not _whole_count(intervals):
                 errs.append(
                     f"horizon_min ({self.horizon_min}) must be a whole number of "
                     f"market intervals ({self.market_interval_min} min)"
                 )
-        if self.feeder_limit_kw is not None and not self.feeder_limit_kw > 0:
+        if ok("feeder_limit_kw") and self.feeder_limit_kw is not None and not (
+            self.feeder_limit_kw > 0
+        ):
             errs.append("feeder_limit_kw must be > 0")
-        if self.feeder_limit_kw is None and not self.feeder_fraction > 0:
+        if ok("feeder_fraction") and self.feeder_limit_kw is None and not (
+            self.feeder_fraction > 0
+        ):
             errs.append("feeder_fraction must be > 0 when no absolute limit is given")
-        if self.lookahead_s < 0:
+        if ok("lookahead_s") and not self.lookahead_s >= 0:
             errs.append("lookahead_s must be >= 0")
-        elif self.h_seconds > 0:
+        elif ok("lookahead_s", "h_seconds") and self.h_seconds > 0:
             k = self.lookahead_s / self.h_seconds
-            if abs(k - round(k)) > 1e-9:
+            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
                 errs.append(
                     f"lookahead_s ({self.lookahead_s}) must be an integer multiple "
                     f"of h_seconds ({self.h_seconds})"
                 )
-        if self.price_tick <= 0:
+        if ok("price_tick") and not self.price_tick > 0:
             errs.append("price_tick must be > 0")
+        if ok("seed") and not self.seed >= 0:
+            errs.append("seed must be >= 0")
         errs.extend(self.population.violations())
-        if self.market_interval_min > 0 and self.horizon_min > 0:
+        if intervals is not None and math.isfinite(intervals):
             errs.extend(
                 self.price_signal.violations(self.market_interval_min, self.n_intervals)
             )
@@ -390,12 +432,6 @@ class Scenario:
         if sig_d is None:
             signal = PriceSignal.constant(25.0)
         else:
-            if isinstance(sig_d, dict):
-                sig_d = dict(sig_d)
-                if "schedule" in sig_d and sig_d["schedule"] is not None:
-                    sig_d["schedule"] = tuple(tuple(pair) for pair in sig_d["schedule"])
-                if "values" in sig_d and sig_d["values"] is not None:
-                    sig_d["values"] = tuple(sig_d["values"])
             signal = _dataclass_from_dict(PriceSignal, sig_d, "price_signal")
         scenario = _dataclass_from_dict(
             Scenario, d, "scenario", population=population, price_signal=signal
@@ -414,6 +450,59 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
+def _is_real(x) -> bool:
+    """A real number; a bool (JSON true/false) does not count as one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A finite real number; an int too large for a float is not finite."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _is_sequence(x) -> bool:
+    """A JSON array: a tuple, or a list built in Python."""
+    return isinstance(x, (tuple, list))
+
+
+def _malformed(obj, where: str, reals=(), integers=(), pairs=()) -> dict[str, str]:
+    """The fields of ``obj`` that hold the wrong kind of value, with messages.
+
+    A real field must hold a finite real number, an integer field an int
+    that numpy's int64 holds, and a pair field exactly two finite real
+    numbers; a bool is none of these. Callers compare only the fields not
+    returned here.
+    """
+    found: dict[str, str] = {}
+    for name in reals:
+        x = getattr(obj, name)
+        if not _is_real(x):
+            found[name] = f"{where}{name} must be a number"
+        elif not _is_finite(x):
+            found[name] = f"{where}{name} must be finite"
+    for name in integers:
+        x = getattr(obj, name)
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            found[name] = f"{where}{name} must be an integer"
+        elif not -(2**63) <= x < 2**63:
+            found[name] = f"{where}{name} must be a 64-bit integer"
+    for name in pairs:
+        x = getattr(obj, name)
+        if not (_is_sequence(x) and len(x) == 2 and all(map(_is_real, x))):
+            found[name] = f"{where}{name} must be two numbers [low, high]"
+        elif not all(map(_is_finite, x)):
+            found[name] = f"{where}{name} must be finite"
+    return found
+
+
+def _whole_count(x: float) -> bool:
+    """x is finite and within 1e-9 of a whole number >= 1."""
+    return math.isfinite(x) and abs(x - round(x)) <= 1e-9 and round(x) >= 1
+
+
 def _subgroup_labels(n: int, K: int) -> np.ndarray:
     """Subgroup of each of n TCLs: K contiguous blocks of (nearly) equal size."""
     return (np.arange(n) * K) // n
@@ -425,6 +514,13 @@ def _subgroup_anchors(value_range, groups: np.ndarray, K: int) -> np.ndarray:
     return lo + (groups + 0.5) / K * (hi - lo)
 
 
+def _tuples(value):
+    """JSON arrays, nested or not, as tuples; any other value unchanged."""
+    if isinstance(value, list):
+        return tuple(_tuples(x) for x in value)
+    return value
+
+
 def _dataclass_from_dict(cls, d, where: str, **overrides):
     """Build a dataclass from a mapping, rejecting unknown keys."""
     if not isinstance(d, dict):
@@ -433,10 +529,7 @@ def _dataclass_from_dict(cls, d, where: str, **overrides):
     unknown = sorted(set(d) - names)
     if unknown:
         raise ScenarioError(f"{where}: unknown field(s) {', '.join(unknown)}")
-    kwargs = dict(d)
-    for key in ("p0_range", "p_cap_range", "gamma_range"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
+    kwargs = {key: _tuples(value) for key, value in d.items()}
     kwargs.update(overrides)
     try:
         return cls(**kwargs)
@@ -514,7 +607,6 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
         m=m0,
         v=np.ones(n, dtype=np.int8),
         theta_ambient=spec.theta_ambient,
-        rng_seed=seed,
         subgroup=subgroup,
     )
 

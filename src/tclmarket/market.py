@@ -60,11 +60,6 @@ class DemandCurve:
         return math.fsum(memoryview(self.quantities[: self.ends[levels - 1]]))
 
     @property
-    def total_quantity(self) -> float:
-        """Demand at price zero: the whole bid volume, kW."""
-        return self.cumulative(len(self))
-
-    @property
     def max_price(self) -> float:
         """Highest bid price on the curve; 0.0 for an empty curve."""
         return float(self.prices[0]) if len(self) else 0.0

@@ -102,8 +102,6 @@ class MetricsReport:
     """
 
     window_min: float
-    interval_minutes: float
-    feeder_limit_kw: float
     # per market interval
     time_min: np.ndarray
     sync: np.ndarray
@@ -152,8 +150,6 @@ def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
 
     return MetricsReport(
         window_min=window_min,
-        interval_minutes=interval_min,
-        feeder_limit_kw=trace.feeder_limit_kw,
         time_min=trace.time_min.copy(),
         sync=sync,
         dispersion_degc=trace.dispersion_degc,

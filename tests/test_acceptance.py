@@ -21,12 +21,12 @@ import random
 import numpy as np
 import pytest
 
-from tclmarket.bidding import Bid, make_bid
+from tclmarket.bidding import bid_prices
 from tclmarket.cli import builtin_scenario, main
 from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, run
 from tclmarket.market import DEFAULT_PRICE_TICK, build_demand_curve, clear
 from tclmarket.metrics import compute_metrics
-from tclmarket.population import TclParams
+from tclmarket.reference import Bid, TclParams, TclState, make_bid, population_from_devices
 
 
 # --------------------------------------------------------------- shared runs
@@ -354,6 +354,7 @@ def test_criterion_09_repeat_runs_byte_identical(tmp_path):
 def test_criterion_10_bid_curve_properties_random_draws():
     rng = random.Random(910)
     evaluations = 0
+    curves, temperatures, prices = [], [], []
     for i in range(10000):
         p_cap = rng.uniform(5.0, 60.0)
         params = TclParams(
@@ -375,9 +376,20 @@ def test_criterion_10_bid_curve_properties_random_draws():
         assert bid_b.price >= bid_a.price
         assert at_set.price == min(params.p0, params.p_cap)
         eps = 1e-7
-        gap = abs(make_bid(params.theta_set + eps, params).price
-                  - make_bid(params.theta_set - eps, params).price)
+        bid_up = make_bid(params.theta_set + eps, params)
+        bid_down = make_bid(params.theta_set - eps, params)
+        gap = abs(bid_up.price - bid_down.price)
         evaluations += 2
         assert gap <= (params.gamma1 + params.gamma2) * eps + 1e-9
-    print(f"criterion 10: {evaluations} bid evaluations, all within contract")
+        curves.append(params)
+        temperatures.append((theta_a, theta_b, params.theta_set,
+                             params.theta_set + eps, params.theta_set - eps))
+        prices.append((bid_a.price, bid_b.price, at_set.price, bid_up.price, bid_down.price))
+    # the production path prices the same curves at the same temperatures
+    population = population_from_devices(curves, [TclState(20.0)] * len(curves), 32.0)
+    for k, (theta, want) in enumerate(zip(zip(*temperatures), zip(*prices))):
+        got = bid_prices(population, np.array(theta))
+        assert got.tolist() == list(want), f"evaluation {k} of each draw"
+    print(f"criterion 10: {evaluations} bid evaluations, all within contract "
+          "and equal to bid_prices bit for bit")
     assert evaluations >= 10000

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tclmarket.bidding import (
+from tclmarket.bidding import bid_prices, predict_temperatures
+from tclmarket.reference import (
     Bid,
-    bid_prices,
+    TclParams,
+    TclState,
+    devices,
     make_bid,
-    predict_temperatures,
+    population_from_devices,
     temperature_for_bidding,
 )
-from tclmarket.population import Population, TclParams, TclState
 
 CURVE = TclParams(id=1, theta_set=20.0, deadband=0.5,
                   p0=30.0, p_cap=50.0, gamma1=40.0, gamma2=40.0)
@@ -130,15 +132,16 @@ def _random_population(n=40, seed=7):
     ]
     states = [TclState(float(rng.uniform(19.0, 21.0)), int(rng.integers(2)),
                        int(rng.integers(2))) for _ in range(n)]
-    return Population.from_devices(params, states, theta_ambient=32.0)
+    return population_from_devices(params, states, theta_ambient=32.0)
 
 
 def test_predict_temperatures_matches_scalar_bit_for_bit():
     pop = _random_population()
     vec = predict_temperatures(pop, 150.0, 10.0)
+    params, states = devices(pop)
     scalar = [
         temperature_for_bidding(s, p, 32.0, 150.0, 10.0)
-        for s, p in zip(pop.states, pop.params)
+        for s, p in zip(states, params)
     ]
     assert vec.tolist() == scalar
 
@@ -147,5 +150,6 @@ def test_bid_prices_matches_scalar_bit_for_bit():
     pop = _random_population(seed=11)
     theta = predict_temperatures(pop, 150.0, 10.0)
     vec = bid_prices(pop, theta)
-    scalar = [make_bid(float(t), p).price for t, p in zip(theta, pop.params)]
+    params, _ = devices(pop)
+    scalar = [make_bid(float(t), p).price for t, p in zip(theta, params)]
     assert vec.tolist() == scalar

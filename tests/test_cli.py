@@ -204,6 +204,21 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
      "population: largest possible P*R"),
     ({"population": {"count": 16}, "feeder_limit_kw": float("nan")}, "feeder_limit_kw"),
     ({"population": {"count": 16}, "feeder_fraction": float("nan")}, "feeder_fraction"),
+    ({"population": {"count": 16}, "lookahead_s": float("nan")}, "lookahead_s"),
+    ({"population": {"count": 16}, "market_interval_min": float("nan")}, "market_interval_min"),
+    ({"population": {"count": 16}, "horizon_min": float("nan")}, "horizon_min"),
+    ({"population": {"count": 16}, "horizon_min": float("inf")}, "horizon_min"),
+    ({"population": {"count": 16}, "h_seconds": float("nan")}, "h_seconds"),
+    ({"population": {"count": 16, "deadband": float("nan")}}, "population.deadband"),
+    ({"population": {"count": 16, "theta_set_width": float("nan")}},
+     "population.theta_set_width"),
+    ({"population": {"count": 16, "gamma_range": [10, float("nan")]}}, "population.gamma_range"),
+    ({"population": {"count": 16, "theta_ambient": float("nan")}}, "population.theta_ambient"),
+    ({"population": {"count": 16, "theta_ambient": float("inf")}}, "population.theta_ambient"),
+    ({"population": {"count": 16, "theta_set_mean": float("nan")}},
+     "population.theta_set_mean"),
+    ({"population": {"count": 16}, "price_tick": float("nan"), "feeder_limit_kw": 1.0},
+     "price_tick"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"
@@ -213,6 +228,41 @@ def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields,
     assert f"violation: {violation}" in out
     assert "OK" not in out
     assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {violation}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("fields, flags, violation", [
+    ({"population": {"count": 16.0}}, [], "population.count must be an integer"),
+    ({"population": {"count": "abc"}}, [], "population.count must be an integer"),
+    ({"population": {"count": True}}, [], "population.count must be an integer"),
+    ({"population": {"count": 16, "subgroups": 2.5}}, [],
+     "population.subgroups must be an integer"),
+    ({"population": {"count": 16}, "seed": -1}, [], "seed must be >= 0"),
+    ({"population": {"count": 16}}, ["--seed", "-1"], "seed must be >= 0"),
+    ({"population": {"count": 16}, "seed": 1.5}, [], "seed must be an integer"),
+    ({"population": {"count": 16}, "seed": True}, [], "seed must be an integer"),
+    ({"population": {"count": 16, "deadband": "x"}}, [], "population.deadband must be a number"),
+    ({"population": {"count": 16, "theta_ambient": None}}, [],
+     "population.theta_ambient must be a number"),
+    ({"population": {"count": 16}, "horizon_min": "30"}, [], "horizon_min must be a number"),
+    ({"population": {"count": 16}, "price_signal": {"kind": "constant", "level": "x"}}, [],
+     "price_signal.level"),
+    ({"population": {"count": 16, "p0_range": 5}}, [], "population.p0_range must be two numbers"),
+    ({"population": {"count": 16, "p0_range": [1, 2, 3]}}, [],
+     "population.p0_range must be two numbers"),
+])
+def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon_min": 30, **fields}))
+    assert main(["--scenario", str(path), "--validate-only", *flags]) == 1
+    captured = capsys.readouterr()
+    assert f"violation: {violation}" in captured.out
+    assert "OK" not in captured.out
+    assert "Traceback" not in captured.err
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o"), *flags]) == 1
     err = capsys.readouterr().err
     assert f"invalid scenario: {violation}" in err
     assert "Traceback" not in err

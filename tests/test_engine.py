@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclmarket.engine as engine
-from tclmarket.bidding import Bid
 from tclmarket.engine import (
     N_BID_SAMPLES,
     PopulationSpec,
@@ -21,7 +23,14 @@ from tclmarket.engine import (
     run,
 )
 from tclmarket.metrics import sync_index, temperature_dispersion
-from tclmarket.population import PARAM_FIELDS, Population, TclParams, TclState
+from tclmarket.population import PARAM_FIELDS, Population
+from tclmarket.reference import (
+    Bid,
+    TclParams,
+    TclState,
+    devices,
+    population_from_devices,
+)
 
 
 # ------------------------------------------------------------- price signals
@@ -134,8 +143,8 @@ def test_degenerate_widths_give_identical_tcls():
         gamma_range=(20.0, 20.0),
     )
     pop = generate_population(spec, seed=3)
-    first = dataclasses.replace(pop.params[0], id=0)
-    for p in pop.params[1:]:
+    first = dataclasses.replace(devices(pop)[0][0], id=0)
+    for p in devices(pop)[0][1:]:
         assert dataclasses.replace(p, id=0) == first
 
 
@@ -154,7 +163,7 @@ def test_four_subgroups_width_zero_gives_four_curves():
     spec = PopulationSpec(count=100, subgroups=4, subgroup_rel_width=0.0)
     pop = generate_population(spec, seed=1)
     curves = {
-        (p.p0, p.p_cap, p.gamma1, p.gamma2) for p in pop.params
+        (p.p0, p.p_cap, p.gamma1, p.gamma2) for p in devices(pop)[0]
     }
     assert len(curves) == 4
     assert pop.subgroup is not None
@@ -162,7 +171,7 @@ def test_four_subgroups_width_zero_gives_four_curves():
     assert list(counts) == [25, 25, 25, 25]
     # members of one subgroup share one bid curve
     for g in range(4):
-        sel = [p for p, s in zip(pop.params, pop.subgroup) if s == g]
+        sel = [p for p, s in zip(devices(pop)[0], pop.subgroup) if s == g]
         assert len({(p.p0, p.p_cap, p.gamma1, p.gamma2) for p in sel}) == 1
 
 
@@ -171,9 +180,9 @@ def test_generation_is_deterministic_and_seed_sensitive():
     a = generate_population(spec, seed=7)
     b = generate_population(spec, seed=7)
     c = generate_population(spec, seed=8)
-    assert a.params == b.params
-    assert [s.theta for s in a.states] == [s.theta for s in b.states]
-    assert a.params != c.params
+    assert devices(a)[0] == devices(b)[0]
+    assert [s.theta for s in devices(a)[1]] == [s.theta for s in devices(b)[1]]
+    assert devices(a)[0] != devices(c)[0]
 
 
 def test_zero_width_draws_do_not_reshuffle_other_parameters():
@@ -181,10 +190,10 @@ def test_zero_width_draws_do_not_reshuffle_other_parameters():
     # must leave the bid-curve draws untouched
     wide = generate_population(PopulationSpec(count=20, c_rel_width=0.10), seed=5)
     slim = generate_population(PopulationSpec(count=20, c_rel_width=0.0), seed=5)
-    assert [p.p0 for p in wide.params] == [p.p0 for p in slim.params]
-    assert [p.gamma1 for p in wide.params] == [p.gamma1 for p in slim.params]
-    assert all(p.C == 10.0 for p in slim.params)
-    assert any(p.C != 10.0 for p in wide.params)
+    assert [p.p0 for p in devices(wide)[0]] == [p.p0 for p in devices(slim)[0]]
+    assert [p.gamma1 for p in devices(wide)[0]] == [p.gamma1 for p in devices(slim)[0]]
+    assert all(p.C == 10.0 for p in devices(slim)[0])
+    assert any(p.C != 10.0 for p in devices(wide)[0])
 
 
 @pytest.mark.parametrize("subgroups", [1, 4])
@@ -195,15 +204,17 @@ def test_generated_arrays_match_from_devices_bit_for_bit(subgroups):
         subgroups=subgroups, subgroup_rel_width=0.01,
     )
     pop = generate_population(spec, seed=11)
-    again = Population.from_devices(
-        pop.params, pop.states, pop.theta_ambient, pop.rng_seed, pop.subgroup
-    )
+    # every field of the per-device form has its array, so nothing is dropped
+    fields = tuple(f.name for f in dataclasses.fields(TclParams) if f.name != "id")
+    assert PARAM_FIELDS == fields
+    params, states = devices(pop)
+    again = population_from_devices(params, states, pop.theta_ambient, pop.subgroup)
     names = PARAM_FIELDS + ("theta", "m", "v", "theta_min", "theta_max",
                             "theta_gain", "elec_power")
     for name in names:
         a, b = getattr(pop, name), getattr(again, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert [p.id for p in pop.params] == list(range(200))
+    assert [p.id for p in params] == list(range(200))
     if subgroups > 1:
         assert again.subgroup.tobytes() == pop.subgroup.tobytes()
 
@@ -221,6 +232,33 @@ def test_run_builds_no_per_load_objects(monkeypatch):
     )
     trace = run(scenario)
     assert trace.constrained.any() and not trace.constrained.all()
+
+
+def test_production_path_never_imports_the_reference(tmp_path):
+    # A fresh interpreter imports the package and runs the command line;
+    # the per-device reference is the tests' oracle and must stay unloaded.
+    scenario = Scenario(
+        population=PopulationSpec(count=200, noise_std=0.01, subgroups=2),
+        price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
+        horizon_min=45.0,
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario.to_json())
+    code = (
+        "import sys, tclmarket, tclmarket.cli\n"
+        "assert tclmarket.cli.main(sys.argv[1:]) == 0\n"
+        "assert 'tclmarket.reference' not in sys.modules, "
+        "'a production module imported tclmarket.reference'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, "--scenario", str(path), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_generate_population_rejects_invalid_spec():

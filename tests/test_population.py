@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclmarket.population import (
-    PARAM_FIELDS,
-    Population,
+from tclmarket.population import PARAM_FIELDS, Population, aggregate_power
+from tclmarket.reference import (
     TclParams,
     TclState,
-    aggregate_power,
     hysteresis_update,
+    population_from_devices,
     thermal_step,
 )
 
@@ -143,7 +142,7 @@ def test_thermal_step_contracts_toward_equilibrium(theta, m, v):
 
 def _pop(states, n=3):
     params = [TclParams(id=i) for i in range(n)]
-    return Population.from_devices(params, states, theta_ambient=32.0)
+    return population_from_devices(params, states, theta_ambient=32.0)
 
 
 def test_aggregate_power_all_off_is_zero():
@@ -219,7 +218,7 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
     ]
     states = [TclState(float(rng.uniform(19.0, 21.0)), int(rng.integers(2)),
                        int(rng.integers(2))) for _ in range(n)]
-    pop = Population.from_devices(params, states, theta_ambient=32.0)
+    pop = population_from_devices(params, states, theta_ambient=32.0)
     mirror = list(states)
     for _ in range(25):
         pop.step_physics(10.0)
@@ -233,7 +232,7 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
 def test_population_rejects_mismatched_lengths():
     params = [TclParams(id=i) for i in range(3)]
     with pytest.raises(ValueError):
-        Population.from_devices(params, [TclState(20.0)], theta_ambient=32.0)
+        population_from_devices(params, [TclState(20.0)], theta_ambient=32.0)
 
 
 def _device_arrays(n=6):
@@ -265,7 +264,7 @@ def test_invalid_per_load_array_raises_the_tclparams_message():
 def test_population_requires_ambient_above_setpoints():
     params = [TclParams(id=0, theta_set=33.0)]
     with pytest.raises(ValueError):
-        Population.from_devices(params, [TclState(20.0)], theta_ambient=32.0)
+        population_from_devices(params, [TclState(20.0)], theta_ambient=32.0)
 
 
 def test_set_dispatch_grants_at_or_above_clearing_price():
