@@ -18,7 +18,6 @@ Outputs (selected with --emit, all CSV with units in the header row):
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -143,135 +142,93 @@ def load_scenario(spec: str) -> Scenario:
 # --------------------------------------------------------------------------
 # CSV writers (floats via repr: shortest round-trip, byte-stable per seed)
 
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+#: Rows formatted and written at a time, so memory does not grow with length.
+TABLE_CHUNK_ROWS = 1024
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _cells(column: np.ndarray) -> list[str]:
+    """One column as CSV cells: bools as 1/0, ints by str, floats by repr."""
+    if column.dtype == bool:
+        return ["1" if x else "0" for x in column.tolist()]
+    return list(map(str if column.dtype.kind in "iu" else repr, column.tolist()))
+
+
+def _write_table(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
+    """Write (header, column) pairs as a CSV table, column by column.
+
+    The bytes are those of ``csv.writer`` (``\\r\\n`` row ends) given the
+    headers and then each row's cells; no header or cell needs quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(",".join(header for header, _ in columns) + "\r\n")
+        for start in range(0, len(columns[0][1]), TABLE_CHUNK_ROWS):
+            cells = [_cells(column[start : start + TABLE_CHUNK_ROWS]) for _, column in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def write_trace_csv(path: str, trace: Trace) -> None:
-    header = [
-        "interval",
-        "time_min",
-        "base_price_usd_per_mwh",
-        "clearing_price_usd_per_mwh",
-        "cleared_demand_kw",
-        "base_demand_kw",
-        "constrained",
-        "avg_demand_kw",
-        "n_dispatched",
-        "bid_price_min_usd_per_mwh",
-        "bid_price_mean_usd_per_mwh",
-        "bid_price_max_usd_per_mwh",
-    ]
-    rows = zip(
-        range(trace.n_intervals),
-        trace.time_min,
-        trace.base_price,
-        trace.clearing_price,
-        trace.cleared_demand_kw,
-        trace.base_demand_kw,
-        trace.constrained,
-        trace.avg_demand_kw,
-        trace.n_dispatched,
-        trace.bid_price_min,
-        trace.bid_price_mean,
-        trace.bid_price_max,
-    )
-    _write_csv(path, header, rows)
+    _write_table(path, [
+        ("interval", np.arange(trace.n_intervals)),
+        ("time_min", trace.time_min),
+        ("base_price_usd_per_mwh", trace.base_price),
+        ("clearing_price_usd_per_mwh", trace.clearing_price),
+        ("cleared_demand_kw", trace.cleared_demand_kw),
+        ("base_demand_kw", trace.base_demand_kw),
+        ("constrained", trace.constrained),
+        ("avg_demand_kw", trace.avg_demand_kw),
+        ("n_dispatched", trace.n_dispatched),
+        ("bid_price_min_usd_per_mwh", trace.bid_price_min),
+        ("bid_price_mean_usd_per_mwh", trace.bid_price_mean),
+        ("bid_price_max_usd_per_mwh", trace.bid_price_max),
+    ])
 
 
 def write_metrics_csv(path: str, report: MetricsReport) -> None:
-    header = [
-        "interval",
-        "time_min",
-        "sync_index",
-        "temperature_dispersion_degc",
-        "price_divergence_usd_per_mwh",
+    columns = [
+        ("interval", np.arange(len(report.time_min))),
+        ("time_min", report.time_min),
+        ("sync_index", report.sync),
+        ("temperature_dispersion_degc", report.dispersion_degc),
+        ("price_divergence_usd_per_mwh", report.price_divergence),
     ]
-    n_groups = 0
     if report.subgroup_sync is not None:
-        n_groups = report.subgroup_sync.shape[0]
-        header += [f"subgroup{g}_sync_index" for g in range(n_groups)]
-    rows = []
-    for t in range(len(report.time_min)):
-        row = [
-            t,
-            report.time_min[t],
-            report.sync[t],
-            report.dispersion_degc[t],
-            report.price_divergence[t],
+        columns += [
+            (f"subgroup{g}_sync_index", sync) for g, sync in enumerate(report.subgroup_sync)
         ]
-        row += [report.subgroup_sync[g, t] for g in range(n_groups)]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    _write_table(path, columns)
 
 
 def write_windows_csv(path: str, report: MetricsReport) -> None:
-    header = [
-        "window_start_min",
-        "window_min",
-        "demand_p2p_kw",
-        "dominant_period_min",
-        "mean_sync_index",
-    ]
-    rows = (
-        [
-            report.window_start_min[s],
-            report.window_min,
-            report.window_p2p_kw[s],
-            report.window_period_min[s],
-            report.window_sync[s],
-        ]
-        for s in range(report.n_windows)
-    )
-    _write_csv(path, header, rows)
+    _write_table(path, [
+        ("window_start_min", report.window_start_min),
+        ("window_min", np.full(report.n_windows, report.window_min)),
+        ("demand_p2p_kw", report.window_p2p_kw),
+        ("dominant_period_min", report.window_period_min),
+        ("mean_sync_index", report.window_sync),
+    ])
 
 
 def write_bids_csv(path: str, trace: Trace) -> None:
     """Bid-price evolution for the TCLs the trace sampled."""
-    header = ["interval", "time_min"] + [
-        f"tcl{int(i)}_bid_usd_per_mwh" for i in trace.bid_sample_ids
-    ]
-    rows = (
-        [t, trace.time_min[t]] + list(trace.bid_sample[t])
-        for t in range(trace.n_intervals)
-    )
-    _write_csv(path, header, rows)
+    _write_table(path, [
+        ("interval", np.arange(trace.n_intervals)),
+        ("time_min", trace.time_min),
+    ] + [
+        (f"tcl{int(i)}_bid_usd_per_mwh", trace.bid_sample[:, j])
+        for j, i in enumerate(trace.bid_sample_ids)
+    ])
 
 
 def write_steps_csv(path: str, trace: Trace, decimate: int = 1) -> None:
-    header = [
-        "step",
-        "time_min",
-        "power_kw",
-        "on_fraction",
-        "theta_mean_degc",
-        "theta_std_degc",
-    ]
-    rows = (
-        [
-            k,
-            trace.step_time_min[k],
-            trace.step_power_kw[k],
-            trace.step_on_fraction[k],
-            trace.step_theta_mean[k],
-            trace.step_theta_std[k],
-        ]
-        for k in range(0, len(trace.step_time_min), decimate)
-    )
-    _write_csv(path, header, rows)
+    kept = slice(None, None, decimate)
+    _write_table(path, [
+        ("step", np.arange(len(trace.step_time_min))[kept]),
+        ("time_min", trace.step_time_min[kept]),
+        ("power_kw", trace.step_power_kw[kept]),
+        ("on_fraction", trace.step_on_fraction[kept]),
+        ("theta_mean_degc", trace.step_theta_mean[kept]),
+        ("theta_std_degc", trace.step_theta_std[kept]),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +330,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: output directory {out_dir!r} not writable: {exc}", file=sys.stderr)
         return 1
 
-    trace = run(scenario)
+    try:
+        trace = run(scenario)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = compute_metrics(trace)
 
     with open(os.path.join(out_dir, "scenario.json"), "w", encoding="utf-8") as fh:

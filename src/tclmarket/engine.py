@@ -43,9 +43,17 @@ __all__ = [
 #: Number of TCLs whose bid prices a Trace keeps in full (bids_sample.csv).
 N_BID_SAMPLES = 20
 
+#: Elements (steps x TCLs) of one block of physics-step records. run()
+#: advances ``BLOCK_ELEMENTS // n`` steps (at least 1, at most one market
+#: interval) into a block, then reduces the block's statistics at once. A
+#: small block stays in cache; a larger one raised peak memory and slowed
+#: the 10k- and 100k-load benchmark workloads.
+BLOCK_ELEMENTS = 2**15
+
 
 class ScenarioError(ValueError):
-    """Raised for configuration problems, before any simulation starts."""
+    """Raised for configuration problems: before any simulation starts, or
+    when a run's physics steps leave the finite range of float64."""
 
 
 # --------------------------------------------------------------------------
@@ -679,17 +687,19 @@ def _exact_mean(values: list[float]) -> float:
     return total / (denominator * len(values))
 
 
-def _mean_std(x: np.ndarray) -> tuple[float, float]:
-    """``x.mean()`` and ``x.std()`` from one sum of x.
+def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``mean()`` and ``std()``, from one sum of each row of x.
 
     The same operations, in the same order, as numpy's own ``mean`` and
-    ``std`` (pairwise sum over the length; squared deviations from that
-    mean summed the same way), so both results are bit-identical to them.
+    ``std`` of one row (pairwise sum over the row; squared deviations from
+    that mean summed the same way), so both results are bit-identical to
+    them. ``x`` is C-contiguous, so each row is summed as a 1-D array is.
     """
-    mean = x.sum() / len(x)
-    deviation = x - mean
+    n = x.shape[1]
+    mean = x.sum(axis=1) / n
+    deviation = x - mean[:, None]
     np.multiply(deviation, deviation, out=deviation)
-    return mean, np.sqrt(deviation.sum() / len(x))
+    return mean, np.sqrt(deviation.sum(axis=1) / n)
 
 
 # --------------------------------------------------------------------------
@@ -697,7 +707,18 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
 
 
 def run(scenario: Scenario) -> Trace:
-    """Simulate a scenario end to end; deterministic given the seed."""
+    """Simulate a scenario end to end; deterministic given the seed.
+
+    Within a market interval the dispatch is fixed, so the physics steps
+    run in blocks of B = min(steps per interval, BLOCK_ELEMENTS // n)
+    steps (at least 1). Each step writes its theta and consuming mask into
+    one row of a B x n block; after the block, every per-step statistic of
+    its rows is computed at once (one exact limb product for the powers,
+    row reductions for the on-fraction and the theta mean and std), equal
+    bit for bit to computing them step by step. The noise of a block is
+    one B x n draw, the same numbers as B draws of n. Raises ScenarioError
+    when a step power, theta mean or theta std is not finite.
+    """
     errs = scenario.validate()
     if errs:
         raise ScenarioError("invalid scenario: " + "; ".join(errs))
@@ -744,6 +765,9 @@ def run(scenario: Scenario) -> Trace:
     if pop.subgroup is not None:
         subgroups = [np.flatnonzero(pop.subgroup == g) for g in np.unique(pop.subgroup)]
         subgroup_sync = np.empty((len(subgroups), n_intervals))
+    block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
+    theta_block = np.empty((block, n))
+    consuming_block = np.empty((block, n), dtype=bool)
 
     quantities = pop.elec_power
     for t in range(n_intervals):
@@ -757,21 +781,45 @@ def run(scenario: Scenario) -> Trace:
         pop.set_dispatch(prices, result.clearing_price)
 
         first = t * steps_per
-        for idx in range(first, first + steps_per):
-            noise = None
-            if noise_rng is not None:
-                noise = noise_rng.standard_normal(n) * pop.noise_std
-            pop.step_physics(h, noise)
-            step_power[idx] = aggregate_power(pop)
-            step_on_fraction[idx] = np.count_nonzero(pop.consuming()) / n
-            step_theta_mean[idx], step_theta_std[idx] = _mean_std(pop.theta)
+        # An overflow reaches the finiteness check below as a value.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(first, first + steps_per, block):
+                b = min(block, first + steps_per - start)
+                noise = None
+                if noise_rng is not None:
+                    noise = noise_rng.standard_normal((b, n)) * pop.noise_std
+                # Step j reads row j-1 (or the previous block's last row) and
+                # writes row j, so no row is overwritten before it is read.
+                for j in range(b):
+                    pop.step_physics(
+                        h, None if noise is None else noise[j], theta_block[j], consuming_block[j]
+                    )
+                stepped = slice(start, start + b)
+                step_power[stepped] = aggregate_power(pop, consuming_block[:b])
+                # per row: count_nonzero(axis=1) is several times slower
+                step_on_fraction[stepped] = [
+                    np.count_nonzero(row) / n for row in consuming_block[:b]
+                ]
+                step_theta_mean[stepped], step_theta_std[stepped] = _mean_std(theta_block[:b])
+        rows = slice(first, first + steps_per)
+        finite = np.isfinite(
+            [step_power[rows], step_theta_mean[rows], step_theta_std[rows]]
+        ).all(axis=0)
+        if not finite.all():
+            k = first + int(np.argmin(finite))
+            raise ScenarioError(
+                f"physics step {k} (t={step_time[k]:g} min) left the finite range: "
+                f"power {float(step_power[k])} kW, theta mean {float(step_theta_mean[k])} "
+                f"degC, theta std {float(step_theta_std[k])} degC; the scenario's "
+                "values are too large to simulate"
+            )
 
         base_price[t] = pi_base
         clearing_price[t] = result.clearing_price
         cleared_demand[t] = result.cleared_demand
         base_demand[t] = result.base_demand
         constrained[t] = result.constrained
-        avg_demand[t] = _exact_mean(step_power[first : first + steps_per].tolist())
+        avg_demand[t] = _exact_mean(step_power[rows].tolist())
         n_dispatched[t] = np.count_nonzero(pop.v)
         bid_min[t] = prices.min()
         bid_mean[t] = prices.mean()
@@ -785,6 +833,7 @@ def run(scenario: Scenario) -> Trace:
                 pop.theta_min[members], pop.theta_max[members],
             )
 
+    pop.theta = pop.theta.copy()   # a row of theta_block until now
     return Trace(
         scenario=scenario,
         population=pop,

@@ -18,6 +18,7 @@ evaluated in index order, which the test suite pins.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional
 
 import numpy as np
@@ -194,18 +195,29 @@ class Population:
             self._step_terms[h] = terms
         return terms
 
-    def step_physics(self, h: float, noise: Optional[np.ndarray] = None) -> None:
+    def step_physics(
+        self,
+        h: float,
+        noise: Optional[np.ndarray] = None,
+        theta_out: Optional[np.ndarray] = None,
+        consuming_out: Optional[np.ndarray] = None,
+    ) -> None:
         """One physics step: switches first (from current theta), then theta.
 
         The switch turns off strictly below the deadband, on strictly above
         it, and holds otherwise (as :func:`tclmarket.reference.hysteresis_update`);
-        ``noise`` is degC per TCL (None = 0).
+        ``noise`` is degC per TCL (None = 0). The new theta is written into
+        ``theta_out`` and the mask of consuming TCLs (``m & v``, as the step
+        used it) into ``consuming_out``, each a length-n array the caller owns
+        (None = a fresh one). ``theta`` then refers to ``theta_out``, so the
+        caller must not overwrite it before the next step has read it.
         """
         a, off, on = self.step_terms(h)
         theta = self.theta
         self.m = (theta > self.theta_max) | (self.m & ~(theta < self.theta_min))
-        stepped = a * theta
-        stepped += np.where(self.m & self.v, on, off)
+        consuming = np.logical_and(self.m, self.v, out=consuming_out)
+        stepped = np.multiply(a, theta, out=theta_out)
+        stepped += np.where(consuming, on, off)
         if noise is not None:
             stepped += noise
         self.theta = stepped
@@ -244,18 +256,28 @@ class Population:
         return self._power_limbs
 
 
-def aggregate_power(population: Population) -> float:
-    """Total electrical power drawn right now, kW.
+def aggregate_power(population: Population, consuming: Optional[np.ndarray] = None):
+    """Total electrical power drawn, kW, by each row of a consuming mask.
 
-    The exact sum of P/eta over every TCL with both switches on, rounded
-    once, so it equals ``math.fsum`` of those values bit for bit and does
-    not depend on index order. Each limb row of ``population.power_limbs()``
-    is summed over the consuming TCLs with one matrix-vector product: every
-    partial sum is an integer below 2**53, so the product is exact in any
-    order. The row sums are combined as Python integers, and one integer
-    division by ``2**-lo`` rounds the total correctly.
+    ``consuming`` is a boolean mask of the TCLs drawing power, of length n
+    or B x n with one row per instant (None = ``population.consuming()``).
+    Each total is the exact sum of P/eta over the row's consuming TCLs,
+    rounded once, so it equals ``math.fsum`` of those values bit for bit and
+    does not depend on index order. One matrix product sums every limb row
+    of ``population.power_limbs()`` over every mask row: each partial sum is
+    an integer below 2**53, so the product is exact in any order. Each
+    mask row's limb sums are combined as Python integers, and one integer
+    division by ``2**-lo`` rounds its total correctly. Returns a float for a
+    1-D mask and an array of B floats for a B x n one.
     """
+    if consuming is None:
+        consuming = population.consuming()
     limbs, lo, width = population.power_limbs()
-    row_sums = limbs @ population.consuming().astype(np.float64)
-    total = sum(int(s) << (width * j) for j, s in enumerate(row_sums.tolist()))
-    return (total << max(lo, 0)) / (1 << max(-lo, 0))
+    row_sums = limbs @ consuming.T.astype(np.float64)
+    shifts = [width * j for j in range(len(limbs))]
+    scale, divisor = 1 << max(lo, 0), 1 << max(-lo, 0)
+    totals = [
+        sum(map(operator.lshift, digits, shifts)) * scale / divisor
+        for digits in row_sums.T.reshape(-1, len(limbs)).astype(np.int64).tolist()
+    ]
+    return totals[0] if consuming.ndim == 1 else np.array(totals)

@@ -1,12 +1,16 @@
 """Command-line driver: artifact files, validation mode, exit codes."""
 
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from tclmarket.cli import BUILTIN_SCENARIOS, builtin_scenario, main
-from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, ScenarioError
+from tclmarket.cli import (
+    BUILTIN_SCENARIOS, TABLE_CHUNK_ROWS, _write_table, builtin_scenario, main, write_steps_csv,
+)
+from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, ScenarioError, run
 
 
 @pytest.fixture()
@@ -267,3 +271,67 @@ def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violati
     assert f"invalid scenario: {violation}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["theta_ambient", "noise_std"])
+def test_values_too_large_to_simulate_exit_1_without_output(tmp_path, capsys, field):
+    # accepted by the validator, but theta or its spread overflows float64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"population": {"count": 16, field: 1e308}, "horizon_min": 30}))
+    out = tmp_path / "o"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: physics step 0 ") and "left the finite range" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def _oracle_table(path, columns):
+    """The rule the writers followed before: csv.writer over one cell per value."""
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "1" if x else "0"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header for header, _ in columns])
+        for row in zip(*(column for _, column in columns)):
+            writer.writerow([fmt(x) for x in row])
+
+
+@pytest.mark.parametrize("length", [
+    0, 1, TABLE_CHUNK_ROWS - 1, TABLE_CHUNK_ROWS, TABLE_CHUNK_ROWS + 1, 3 * TABLE_CHUNK_ROWS + 5,
+])
+def test_write_table_matches_csv_writer_bytes(tmp_path, length):
+    floats = [-0.0, 0.0, 5e-324, 1e308, -1e308, 1 / 3, 2.0, -7.0, 1e16, 123456789.0,
+              0.1, 1e-5, float("inf"), float("nan")]
+    columns = [
+        ("flag", np.resize(np.array([True, False, False]), length)),
+        ("count", np.resize(np.array([0, -3, 2**62, 17], dtype=np.int64), length)),
+        ("value_kw", np.resize(np.array(floats), length)),
+        ("strided", np.resize(np.array(floats), (length, 2))[:, 1]),
+    ]
+    _write_table(str(tmp_path / "table.csv"), columns)
+    _oracle_table(str(tmp_path / "oracle.csv"), columns)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_write_steps_csv_matches_csv_writer_bytes(tmp_path, decimate):
+    trace = run(Scenario(population=PopulationSpec(count=16, noise_std=0.01),
+                         horizon_min=60.0, seed=5))
+    kept = range(0, len(trace.step_time_min), decimate)
+    write_steps_csv(str(tmp_path / "steps.csv"), trace, decimate)
+    _oracle_table(str(tmp_path / "oracle.csv"), [
+        ("step", list(kept)),
+        ("time_min", trace.step_time_min[::decimate]),
+        ("power_kw", trace.step_power_kw[::decimate]),
+        ("on_fraction", trace.step_on_fraction[::decimate]),
+        ("theta_mean_degc", trace.step_theta_mean[::decimate]),
+        ("theta_std_degc", trace.step_theta_std[::decimate]),
+    ])
+    assert (tmp_path / "steps.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert len((tmp_path / "steps.csv").read_bytes().split(b"\r\n")) == 2 + len(kept)

@@ -433,9 +433,11 @@ def test_exact_mean_matches_the_fraction_mean(values):
     assert engine._exact_mean(values) == _fraction_mean(values)
 
 
-def test_run_step_records_match_per_step_oracles(monkeypatch):
+@pytest.mark.parametrize("block", [60, 7, 1])   # a whole interval, not a divisor of 60, one step
+def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     # unequal P/eta, spread set-points, noise and subgroups: none of the
     # benchmark scenarios exercises these together
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block * 150)
     scenario = tiny_scenario(
         population=PopulationSpec(count=150, p_rel_width=0.3, eta_rel_width=0.4,
                                   theta_set_width=0.8, noise_std=0.02, subgroups=3),
@@ -444,11 +446,13 @@ def test_run_step_records_match_per_step_oracles(monkeypatch):
         h_seconds=5.0,
         seed=3,
     )
-    steps, bids = [], []
+    steps, bids, noises = [], [], []
     step_physics, bid_prices = Population.step_physics, engine.bid_prices
 
-    def record_step(pop, h, noise=None):
-        step_physics(pop, h, noise)
+    def record_step(pop, h, noise=None, theta_out=None, consuming_out=None):
+        assert theta_out.base.shape == consuming_out.base.shape == (block, 150)
+        noises.append(noise.copy())
+        step_physics(pop, h, noise, theta_out, consuming_out)
         steps.append((pop.theta.copy(), pop.m.copy(), pop.v.copy()))
 
     def record_bids(pop, theta_bid):
@@ -463,6 +467,10 @@ def test_run_step_records_match_per_step_oracles(monkeypatch):
     assert trace.feeder_limit_kw < trace.capacity_kw and trace.constrained.any()
     elec = trace.population.elec_power
     assert len(np.unique(elec)) == 150
+    # the noise of each step is one draw of n from the noise stream, in step order
+    noise_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(4)[2])
+    for noise in noises:
+        assert noise.tolist() == (noise_rng.standard_normal(150) * 0.02).tolist()
     for k, (theta, m, v) in enumerate(steps):
         consuming = (m == 1) & (v == 1)
         assert trace.step_power_kw[k] == math.fsum(elec[consuming].tolist())
