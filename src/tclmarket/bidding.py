@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .population import Population
+from .population import Population, select
 
 __all__ = ["predict_temperatures", "bid_prices"]
 
@@ -58,14 +58,17 @@ def predict_temperatures(population: Population, lookahead: float, h: float) -> 
     Iterates the noise-free thermal step lookahead/h times with each TCL's
     current consumption state m*v held fixed (a device does not anticipate
     its own thermostat or the market). lookahead=0 returns the measured
-    temperatures. lookahead must be a whole multiple of h > 0.
+    temperatures. lookahead must be a whole multiple of h > 0. The forcing
+    term is one :func:`~tclmarket.population.select`, and the steps update
+    a copy of the temperatures in place.
     """
     steps = _lookahead_steps(lookahead, h)
-    a, off, on = population.step_terms(h)
-    forcing = np.where(population.consuming(), on, off)
-    theta = population.theta
+    a, off, flip = population.step_terms(h)
+    forcing = select(population.consuming(), off, flip)
+    theta = population.theta.copy()
     for _ in range(steps):
-        theta = a * theta + forcing
+        np.multiply(a, theta, out=theta)
+        theta += forcing
     return theta
 
 

@@ -50,6 +50,12 @@ N_BID_SAMPLES = 20
 #: the 10k- and 100k-load benchmark workloads.
 BLOCK_ELEMENTS = 2**15
 
+#: The most physics steps a scenario may span: over its whole horizon, and
+#: over its bidding lookahead. A run records 40 bytes per step (five float64
+#: series), so its step records stay under 400 MB, and a lookahead stays
+#: within a fixed number of passes over the loads per interval.
+MAX_STEPS = 10**7
+
 
 class ScenarioError(ValueError):
     """Raised for configuration problems: before any simulation starts, or
@@ -386,6 +392,13 @@ class Scenario:
                     f"horizon_min ({self.horizon_min}) must be a whole number of "
                     f"market intervals ({self.market_interval_min} min)"
                 )
+            elif ok("h_seconds") and self.h_seconds > 0:
+                steps = self.horizon_min * 60.0 / self.h_seconds
+                if not steps <= MAX_STEPS:
+                    errs.append(
+                        f"horizon_min ({self.horizon_min}) spans {steps:.3g} physics steps "
+                        f"of h_seconds ({self.h_seconds}); at most MAX_STEPS = {MAX_STEPS}"
+                    )
         if ok("feeder_limit_kw") and self.feeder_limit_kw is not None and not (
             self.feeder_limit_kw > 0
         ):
@@ -402,6 +415,11 @@ class Scenario:
                 errs.append(
                     f"lookahead_s ({self.lookahead_s}) must be an integer multiple "
                     f"of h_seconds ({self.h_seconds})"
+                )
+            elif not k <= MAX_STEPS:
+                errs.append(
+                    f"lookahead_s ({self.lookahead_s}) spans {k:.3g} physics steps "
+                    f"of h_seconds ({self.h_seconds}); at most MAX_STEPS = {MAX_STEPS}"
                 )
         if ok("price_tick") and not self.price_tick > 0:
             errs.append("price_tick must be > 0")
@@ -718,16 +736,23 @@ def run(scenario: Scenario) -> Trace:
     bit for bit to computing them step by step. The noise of a block is
     one B x n draw, the same numbers as B draws of n. Raises ScenarioError
     when a step power, theta mean or theta std is not finite.
+
+    Each interval first sums the demand at the base price exactly from the
+    limb table (:func:`aggregate_power` of the bids at or above it). When
+    that fits under the feeder limit the market settles at the base price,
+    as :func:`clear` would; only otherwise are the bids sorted into a
+    demand curve and cleared. The population's capacity is summed once.
     """
     errs = scenario.validate()
     if errs:
         raise ScenarioError("invalid scenario: " + "; ".join(errs))
 
     pop = generate_population(scenario.population, scenario.seed)
+    capacity = pop.capacity_kw
     if scenario.feeder_limit_kw is not None:
         feeder_limit = float(scenario.feeder_limit_kw)
     else:
-        feeder_limit = scenario.feeder_fraction * pop.capacity_kw
+        feeder_limit = scenario.feeder_fraction * capacity
 
     n_intervals = scenario.n_intervals
     steps_per = scenario.steps_per_interval
@@ -773,11 +798,18 @@ def run(scenario: Scenario) -> Trace:
     for t in range(n_intervals):
         theta_bid = predict_temperatures(pop, scenario.lookahead_s, h)
         prices = bid_prices(pop, theta_bid)
-        curve = build_demand_curve(prices, quantities)
         pi_base = price_signal_value(
             scenario.price_signal, t, scenario.market_interval_min, n_intervals
         )
-        result: ClearingResult = clear(curve, pi_base, feeder_limit, scenario.price_tick)
+        # Every bid offers its load's P/eta, so the demand at the base price is
+        # an exact limb sum, equal to the curve's bit for bit; the bids are
+        # sorted only when it exceeds the limit.
+        demand = aggregate_power(pop, prices >= pi_base)
+        if demand <= feeder_limit:
+            result = ClearingResult.unconstrained(pi_base, demand)
+        else:
+            curve = build_demand_curve(prices, quantities)
+            result = clear(curve, pi_base, feeder_limit, scenario.price_tick)
         pop.set_dispatch(prices, result.clearing_price)
 
         first = t * steps_per
@@ -838,7 +870,7 @@ def run(scenario: Scenario) -> Trace:
         scenario=scenario,
         population=pop,
         feeder_limit_kw=feeder_limit,
-        capacity_kw=pop.capacity_kw,
+        capacity_kw=capacity,
         time_min=time_min,
         base_price=base_price,
         clearing_price=clearing_price,

@@ -78,6 +78,16 @@ class ClearingResult:
     constrained: bool
     base_demand: float
 
+    @staticmethod
+    def unconstrained(base_price: float, base_demand: float) -> "ClearingResult":
+        """The outcome when the demand at the base price fits: settle there."""
+        return ClearingResult(
+            clearing_price=base_price,
+            cleared_demand=base_demand,
+            constrained=False,
+            base_demand=base_demand,
+        )
+
 
 def build_demand_curve(prices, quantities) -> DemandCurve:
     """Stack bids, given as aligned price and quantity arrays, into a curve.
@@ -139,12 +149,7 @@ def clear(
         raise ValueError("base_price must be >= 0")
     base_demand = curve.demand(base_price)
     if base_demand <= feeder_limit:
-        return ClearingResult(
-            clearing_price=base_price,
-            cleared_demand=base_demand,
-            constrained=False,
-            base_demand=base_demand,
-        )
+        return ClearingResult.unconstrained(base_price, base_demand)
     above_base = len(curve) - int(np.count_nonzero(curve.prices <= base_price))
     # The float running sum picks the candidate level; the exact sums
     # decide, stepping down past levels it let through and up past levels

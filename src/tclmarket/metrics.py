@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .population import flip_bits, select
+
 if TYPE_CHECKING:
     from .engine import Trace
 
@@ -43,11 +45,23 @@ def cycle_phases(
     Temperatures outside the deadband clip to the nearest edge, so a
     dispatch-blocked device drifting above theta_max reads as "waiting at
     the top of the warming leg" (phase pi when off and hot).
+
+    The result equals ``np.where(m == 1, on, off) % (2*pi)`` bit for bit,
+    without the remainder: every angle already lies in [0, 2*pi], so the
+    remainder only turns 2*pi (the bottom of the cooling leg) and -0.0
+    into +0.0, and those two are mapped directly.
     """
-    x = np.clip((theta - theta_min) / (theta_max - theta_min), 0.0, 1.0)
+    x = theta - theta_min
+    x /= theta_max - theta_min
+    np.clip(x, 0.0, 1.0, out=x)
+    x += 0.0   # -0.0 -> +0.0
     off = np.pi * x
-    on = np.pi * (2.0 - x)
-    return np.where(m == 1, on, off) % (2.0 * np.pi)
+    on = np.subtract(2.0, x, out=x)
+    on *= np.pi
+    bits = flip_bits(on, off, out=on.view(np.int64))
+    phases = select(m == 1, off, bits, out=bits)
+    phases[phases == 2.0 * np.pi] = 0.0
+    return phases
 
 
 def sync_index(

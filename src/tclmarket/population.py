@@ -81,6 +81,31 @@ def check_switches(m: np.ndarray, v: np.ndarray) -> None:
         raise ValueError(f"m and v must be 0 or 1, got m={m.item(i)}, v={v.item(i)}")
 
 
+def flip_bits(on: np.ndarray, off: np.ndarray, out=None) -> np.ndarray:
+    """The bits that turn each float64 ``off`` into ``on``: ``on ^ off`` as int64.
+
+    ``out`` is an int64 array for the result (None = a fresh one).
+    """
+    return np.bitwise_xor(on.view(np.int64), off.view(np.int64), out=out)
+
+
+def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray, out=None) -> np.ndarray:
+    """``np.where(mask, on, off)`` for float64 arrays, bit for bit, without branches.
+
+    ``flip`` is :func:`flip_bits` of ``on`` and ``off``; ``mask`` is boolean.
+    ``mask * flip`` is ``flip`` where the mask holds and 0 elsewhere, so
+    xoring it into the bits of ``off`` gives the bits of ``on`` exactly
+    there: every value comes through unchanged, -0.0 and NaN payloads too.
+    Two ufunc calls and no per-element branch: ``np.where`` branches per
+    element, which makes it several times slower on a mask that varies
+    from load to load. ``out`` is an int64 array that receives the bits
+    (None = a fresh one); returns its float64 view.
+    """
+    bits = np.multiply(mask, flip, out=out)
+    np.bitwise_xor(off.view(np.int64), bits, out=bits)
+    return bits.view(np.float64)
+
+
 class Population:
     """A fixed roster of TCLs sharing one ambient temperature.
 
@@ -94,7 +119,8 @@ class Population:
     Two tables are derived from the parameters on first use and kept: the
     per-step thermal terms for each step length h (see ``step_terms``),
     and the integer limb table of P/eta that :func:`aggregate_power` sums
-    exactly (see ``power_limbs``).
+    exactly (see ``power_limbs``). ``step_physics`` works in one length-n
+    int64 scratch buffer, allocated with the population.
     """
 
     def __init__(
@@ -163,6 +189,7 @@ class Population:
 
         self._step_terms: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._power_limbs: Optional[tuple[np.ndarray, int, int]] = None
+        self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -177,21 +204,23 @@ class Population:
         return math.fsum(self.elec_power.tolist())
 
     def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-TCL terms ``(a, off, on)`` of a thermal step of h seconds.
+        """Per-TCL terms ``(a, off, flip)`` of a thermal step of h seconds.
 
         One step is ``theta' = a*theta + (on if m*v else off)`` with
         ``a = exp(-h/(C*R*3600))``, ``off = (1-a)*theta_ambient`` and
         ``on = (1-a)*(theta_ambient - P*R)``: the same operations, in the
         same order, as :func:`tclmarket.reference.thermal_step`. ``a`` is
         computed element by element with math.exp, so the array path matches
-        the per-device reference bit for bit.
+        the per-device reference bit for bit. ``on`` is kept as its
+        ``flip = flip_bits(on, off)``, the form :func:`select` reads.
         """
         terms = self._step_terms.get(h)
         if terms is None:
             exponents = -h / (self.C * self.R * 3600.0)
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
             pull = 1.0 - a
-            terms = (a, pull * self.theta_ambient, pull * (self.theta_ambient - self.theta_gain))
+            off = pull * self.theta_ambient
+            terms = (a, off, flip_bits(pull * (self.theta_ambient - self.theta_gain), off))
             self._step_terms[h] = terms
         return terms
 
@@ -211,13 +240,22 @@ class Population:
         used it) into ``consuming_out``, each a length-n array the caller owns
         (None = a fresh one). ``theta`` then refers to ``theta_out``, so the
         caller must not overwrite it before the next step has read it.
+
+        Everything happens in place: ``m`` is updated as
+        ``m = (m | (theta > theta_max)) > (theta < theta_min)``, which a NaN
+        theta leaves unchanged, and the forcing term is a :func:`select` into
+        a scratch buffer. Given both output arrays, a step allocates no
+        length-n temporaries.
         """
-        a, off, on = self.step_terms(h)
-        theta = self.theta
-        self.m = (theta > self.theta_max) | (self.m & ~(theta < self.theta_min))
-        consuming = np.logical_and(self.m, self.v, out=consuming_out)
+        a, off, flip = self.step_terms(h)
+        theta, m = self.theta, self.m
+        # the consuming mask's array holds each band crossing first
+        consuming = np.greater(theta, self.theta_max, out=consuming_out)
+        np.logical_or(m, consuming, out=m)
+        np.greater(m, np.less(theta, self.theta_min, out=consuming), out=m)
+        np.logical_and(m, self.v, out=consuming)
         stepped = np.multiply(a, theta, out=theta_out)
-        stepped += np.where(consuming, on, off)
+        stepped += select(consuming, off, flip, out=self._forcing_bits)
         if noise is not None:
             stepped += noise
         self.theta = stepped

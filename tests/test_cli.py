@@ -223,6 +223,9 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
      "population.theta_set_mean"),
     ({"population": {"count": 16}, "price_tick": float("nan"), "feeder_limit_kw": 1.0},
      "price_tick"),
+    ({"population": {"count": 16}, "lookahead_s": 1e308}, "lookahead_s (1e+308) spans 1e+307"),
+    ({"population": {"count": 16}, "horizon_min": 1e308}, "horizon_min (1e+308) spans inf"),
+    ({"population": {"count": 16}, "h_seconds": 1e-300}, "horizon_min (30) spans 1.8e+303"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"

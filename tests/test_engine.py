@@ -234,6 +234,25 @@ def test_run_builds_no_per_load_objects(monkeypatch):
     assert trace.constrained.any() and not trace.constrained.all()
 
 
+def test_run_sorts_bids_only_in_constrained_intervals(monkeypatch):
+    sorted_bids = []
+    build_demand_curve = engine.build_demand_curve
+
+    def record_curve(prices, quantities):
+        sorted_bids.append(len(prices))
+        return build_demand_curve(prices, quantities)
+
+    monkeypatch.setattr(engine, "build_demand_curve", record_curve)
+    trace = run(Scenario(
+        population=PopulationSpec(count=200),
+        price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
+        horizon_min=45.0,
+    ))
+    constrained = int(trace.constrained.sum())
+    assert 0 < constrained < trace.n_intervals
+    assert sorted_bids == [200] * constrained
+
+
 def test_production_path_never_imports_the_reference(tmp_path):
     # A fresh interpreter imports the package and runs the command line;
     # the per-device reference is the tests' oracle and must stay unloaded.

@@ -40,6 +40,33 @@ def test_phase_clips_outside_the_deadband():
     assert phase_of(19.0, 1) == 0.0
 
 
+def _phases_oracle(theta, m, theta_min, theta_max):
+    """The phase formula as first written, with the remainder."""
+    x = np.clip((theta - theta_min) / (theta_max - theta_min), 0.0, 1.0)
+    return np.where(m == 1, np.pi * (2.0 - x), np.pi * x) % (2.0 * np.pi)
+
+
+def test_cycle_phases_match_the_remainder_formula_at_the_band_edges():
+    # theta on each band edge and one ulp either side of it, for a narrow,
+    # a zero-based and a very wide band; then -0.0 at a zero edge
+    bands = [(19.75, 20.25), (0.0, 0.5), (-3.0, 1e20)]
+    rows = [
+        (np.nextafter(edge, toward), lo, hi)
+        for lo, hi in bands for edge in (lo, hi) for toward in (-np.inf, edge, np.inf)
+    ]
+    rows += [(-0.0, 0.0, 0.5), (1.0, 0.0, 1e20)]
+    theta, lo, hi = (np.array(column) for column in zip(*rows))
+    x = np.clip((theta - lo) / (hi - lo), 0.0, 1.0)
+    # the cases the remainder changed: 2*pi on the cooling leg (x = 0, and x
+    # so small that 2 - x rounds to 2), and -0.0 on the warming leg
+    assert (np.pi * (2.0 - x) == 2.0 * np.pi).sum() >= 4
+    assert np.signbit(np.pi * x).any()
+    for m in (np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool),
+              np.arange(len(rows)) % 2):
+        expected = _phases_oracle(theta, m, lo, hi)
+        assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
+
+
 # --------------------------------------------------------------- sync index
 
 def lo(n):

@@ -1,12 +1,14 @@
 """Single-TCL physics: parameters, hysteresis, thermal step, aggregation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclmarket.population import PARAM_FIELDS, Population, aggregate_power
+from tclmarket.market import build_demand_curve
+from tclmarket.population import PARAM_FIELDS, Population, aggregate_power, flip_bits, select
 from tclmarket.reference import (
     TclParams,
     TclState,
@@ -227,6 +229,82 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
             mirror[i] = thermal_step(s, params[i], 32.0, 10.0)
     assert pop.theta.tolist() == [s.theta for s in mirror]
     assert pop.m.tolist() == [s.m for s in mirror]
+
+
+def test_step_physics_switch_rule_at_band_edges_and_nan():
+    # on the band edges, one ulp either side of them, and at non-finite theta
+    edges = (19.75, 20.25)
+    theta = [np.nextafter(e, d) for e in edges for d in (-np.inf, e, np.inf)]
+    theta = np.repeat(theta + [math.nan, -math.nan, math.inf, -math.inf], 2)
+    n = len(theta)
+    pop = _population_of(np.full(n, 14.0), np.full(n, 2.5), np.arange(n) % 2, np.ones(n))
+    pop.theta = theta
+    m = pop.m.copy()
+    pop.step_physics(10.0)
+    # the rule as written before the in-place update, and the reference's
+    expected = (theta > pop.theta_max) | (m & ~(theta < pop.theta_min))
+    assert pop.m.tolist() == expected.tolist()
+    params = TclParams(id=0)
+    assert pop.m.tolist() == [
+        bool(hysteresis_update(TclState(float(t), int(mi)), params).m) for t, mi in zip(theta, m)
+    ]
+
+
+def test_step_physics_allocates_no_temporaries():
+    n = 100_000
+    pop = _population_of(np.full(n, 14.0), np.full(n, 2.5), np.arange(n) % 2, np.ones(n))
+    rows = np.empty((2, n)), np.empty((2, n), dtype=bool)
+    noise = np.full(n, 1e-3)
+    pop.step_physics(10.0)   # builds the step terms
+    tracemalloc.start()
+    try:
+        for j in range(4):
+            pop.step_physics(10.0, noise, rows[0][j % 2], rows[1][j % 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's fixed casting buffer (8192 int64) for the boolean mask is all
+    # there is; a temporary of n bools or more would show
+    assert peak < n
+
+
+_SPECIAL_BITS = [
+    np.array(x, dtype=np.float64).view(np.int64).item()
+    for x in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+              2.2250738585072009e-308, 1.0, -1e308)
+] + [0x7FF0000000000001, 0x7FF4000000000000, -0x0007FFFFFFFFFFFF]   # NaN payloads, sNaN
+_BITS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_SPECIAL_BITS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BITS, _BITS, st.booleans()), max_size=80))
+def test_select_equals_np_where_bit_for_bit(entries):
+    on = np.array([e[0] for e in entries], dtype=np.int64).view(np.float64)
+    off = np.array([e[1] for e in entries], dtype=np.int64).view(np.float64)
+    mask = np.array([e[2] for e in entries], dtype=bool)
+    expected = np.where(mask, on, off).tobytes()
+    assert select(mask, off, flip_bits(on, off)).tobytes() == expected
+    out = np.empty(len(entries), dtype=np.int64)
+    assert select(mask, off, flip_bits(on, off), out=out).tobytes() == expected
+    assert out.view(np.float64).tobytes() == expected
+
+
+@pytest.mark.parametrize("base", ["tied with bids", "above every bid", "zero"])
+def test_base_demand_from_limb_sum_equals_the_curve(base):
+    # run() takes the demand at the base price from the limb table instead of
+    # the sorted curve; the two must agree bit for bit
+    rng = np.random.default_rng(9)
+    n = 2000
+    P = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(0, 8, n)
+    eta = rng.uniform(1.0, 4.0, n)
+    pop = _population_of(P, eta, np.ones(n), np.ones(n))
+    prices = rng.choice([0.0, 9.0, 20.0, 31.25], n)
+    base_price = {"tied with bids": 20.0, "above every bid": 42.0, "zero": 0.0}[base]
+    expected = build_demand_curve(prices, pop.elec_power).demand(base_price)
+    got = aggregate_power(pop, prices >= base_price)
+    assert got == expected
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+    assert (got == 0.0) == (base == "above every bid")
 
 
 def test_population_rejects_mismatched_lengths():
