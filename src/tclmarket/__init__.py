@@ -9,7 +9,6 @@ from .engine import (
     ScenarioError,
     Trace,
     generate_population,
-    price_signal_value,
     run,
 )
 from .metrics import (
@@ -34,7 +33,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Trace",
-    "price_signal_value",
     "generate_population",
     "run",
     "sync_index",

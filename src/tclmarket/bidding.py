@@ -36,33 +36,17 @@ from .population import Population, select
 __all__ = ["predict_temperatures", "bid_prices"]
 
 
-def _lookahead_steps(lookahead: float, h: float) -> int:
-    """Number of prediction steps; lookahead must be a whole multiple of h."""
-    if h <= 0:
-        raise ValueError("time step h must be positive")
-    if lookahead < 0:
-        raise ValueError("lookahead must be >= 0")
-    steps = lookahead / h
-    rounded = round(steps)
-    if abs(steps - rounded) > 1e-9:
-        raise ValueError(
-            f"lookahead ({lookahead} s) must be an integer multiple of "
-            f"the physics step ({h} s)"
-        )
-    return int(rounded)
+def predict_temperatures(population: Population, steps: int, h: float) -> np.ndarray:
+    """Each TCL's temperature ``steps`` physics steps of ``h`` seconds ahead.
 
-
-def predict_temperatures(population: Population, lookahead: float, h: float) -> np.ndarray:
-    """Each TCL's temperature ``lookahead`` seconds ahead, for bidding.
-
-    Iterates the noise-free thermal step lookahead/h times with each TCL's
+    Iterates the noise-free thermal step ``steps`` times with each TCL's
     current consumption state m*v held fixed (a device does not anticipate
-    its own thermostat or the market). lookahead=0 returns the measured
-    temperatures. lookahead must be a whole multiple of h > 0. The forcing
-    term is one :func:`~tclmarket.population.select`, and the steps update
-    a copy of the temperatures in place.
+    its own thermostat or the market). steps=0 returns the measured
+    temperatures. :meth:`~tclmarket.engine.Scenario.plan` gives the step
+    count of a scenario's ``lookahead_s``. The forcing term is one
+    :func:`~tclmarket.population.select`, and the steps update a copy of
+    the temperatures in place.
     """
-    steps = _lookahead_steps(lookahead, h)
     a, off, flip = population.step_terms(h)
     forcing = select(population.consuming(), off, flip)
     theta = population.theta.copy()

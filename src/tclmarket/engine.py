@@ -19,8 +19,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "PopulationSpec",
     "Scenario",
     "Trace",
-    "price_signal_value",
     "generate_population",
     "run",
 ]
@@ -112,14 +114,29 @@ class PriceSignal:
     def series(values) -> "PriceSignal":
         return PriceSignal(kind="series", values=tuple(float(v) for v in values))
 
-    def violations(self, interval_minutes: float, n_intervals: int) -> list[str]:
-        """All configuration problems with this signal (empty list = valid)."""
+    def violations(self, interval_minutes: float, n_intervals: Optional[int] = None) -> list[str]:
+        """All configuration problems with this signal (empty list = valid).
+
+        A series must cover ``n_intervals`` when it is given.
+        """
+        return self._levels(interval_minutes, n_intervals)[0]
+
+    def _levels(
+        self, interval_min: float, n: Optional[int]
+    ) -> tuple[list[str], Optional[Callable[[int], float]]]:
+        """Violations, and the base price of market interval i as a function of i.
+
+        One branch per kind finds its change times as exact interval counts.
+        The function is None, or meaningless, when there are violations.
+        """
         errs: list[str] = []
+        level_of = None
         if self.kind not in self.KINDS:
-            return [f"price_signal.kind must be one of {self.KINDS}, got {self.kind!r}"]
-        if self.kind == "constant":
-            if not (_is_real(self.level) and self.level >= 0):
+            errs.append(f"price_signal.kind must be one of {self.KINDS}, got {self.kind!r}")
+        elif self.kind == "constant":
+            if not (_is_finite(self.level) and self.level >= 0):
                 errs.append("price_signal.level must be a price >= 0")
+            level_of = lambda i: self.level
         elif self.kind == "step":
             if not self.schedule:
                 errs.append("price_signal.schedule must be non-empty")
@@ -129,45 +146,52 @@ class PriceSignal:
             )):
                 errs.append("price_signal.schedule must be a list of [time_min, level] pairs")
             else:
-                times = [t for t, _ in self.schedule]
+                times, levels = zip(*self.schedule)
                 if times[0] != 0:
                     errs.append("price_signal.schedule must start at time 0")
                 if any(b <= a for a, b in zip(times, times[1:])):
                     errs.append("price_signal.schedule times must strictly increase")
-                if not all(p >= 0 for _, p in self.schedule):
-                    errs.append("price_signal.schedule levels must be >= 0")
-                if any(t % interval_minutes != 0 for t in times):
+                if not all(_is_finite(p) and p >= 0 for p in levels):
+                    errs.append("price_signal.schedule levels must be finite and >= 0")
+                starts = [_count(t, interval_min) if _is_finite(t) else None for t in times]
+                if None in starts:
                     errs.append(
                         "price_signal.schedule change times must fall on "
-                        f"market-interval boundaries ({interval_minutes} min)"
+                        f"market-interval boundaries ({interval_min} min)"
                     )
+                level_of = lambda i: levels[bisect_right(starts, i) - 1]
         elif self.kind == "square":
-            if not (_is_real(self.low) and _is_real(self.high)
+            if not (_is_finite(self.low) and _is_finite(self.high)
                     and self.low >= 0 and self.high >= 0):
                 errs.append("price_signal.low/high must be prices >= 0")
-            if not (_is_real(self.period_min) and self.period_min > 0):
-                errs.append("price_signal.period_min must be > 0")
-            elif (self.period_min / 2.0) % interval_minutes != 0:
+            if not (_is_finite(self.period_min) and self.period_min > 0):
+                errs.append("price_signal.period_min must be finite and > 0")
+            elif (period := _count(self.period_min, interval_min)) is None or period % 2:
                 errs.append(
                     "price_signal.period_min/2 must be a whole number of "
                     "market intervals so flips land on boundaries"
                 )
-            if not (_is_real(self.offset_min) and self.offset_min % interval_minutes == 0):
+            offset = _count(self.offset_min, interval_min) if _is_finite(self.offset_min) else None
+            if offset is None:
                 errs.append("price_signal.offset_min must be a whole number of market intervals")
+            level_of = lambda i: (
+                self.low if (i + offset) % period < period // 2 else self.high
+            )
         elif self.kind == "series":
             if not self.values:
                 errs.append("price_signal.values must be non-empty")
             elif not _is_sequence(self.values):
                 errs.append("price_signal.values must be a list of prices")
             else:
-                if len(self.values) < n_intervals:
+                if n is not None and len(self.values) < n:
                     errs.append(
                         f"price_signal.values covers {len(self.values)} intervals "
-                        f"but the horizon has {n_intervals}"
+                        f"but the horizon has {n}"
                     )
-                if not all(_is_real(v) and v >= 0 for v in self.values):
+                if not all(_is_finite(v) and v >= 0 for v in self.values):
                     errs.append("price_signal.values must all be >= 0")
-        return errs
+            level_of = self.values.__getitem__
+        return errs, level_of
 
 
 def price_signal_value(
@@ -176,31 +200,16 @@ def price_signal_value(
     interval_minutes: float = 5.0,
     n_intervals: Optional[int] = None,
 ) -> float:
-    """Base price for one market interval, evaluated at the interval start."""
+    """Base price of one market interval, by the exact rules of :meth:`Scenario.plan`.
+
+    run() does not call it; ``bench/worker.py`` wraps the name to time it.
+    """
     if interval_index < 0 or (n_intervals is not None and interval_index >= n_intervals):
         raise IndexError(f"interval {interval_index} outside the horizon")
-    t = interval_index * interval_minutes
-    if signal.kind == "constant":
-        return float(signal.level)
-    if signal.kind == "step":
-        level = signal.schedule[0][1]
-        for change_time, new_level in signal.schedule:
-            if change_time <= t:
-                level = new_level
-            else:
-                break
-        return float(level)
-    if signal.kind == "square":
-        phase = (t + signal.offset_min) % signal.period_min
-        return float(signal.low if phase < signal.period_min / 2.0 else signal.high)
-    if signal.kind == "series":
-        if interval_index >= len(signal.values):
-            raise IndexError(
-                f"interval {interval_index} beyond the configured series "
-                f"({len(signal.values)} values)"
-            )
-        return float(signal.values[interval_index])
-    raise ScenarioError(f"unknown price signal kind {signal.kind!r}")
+    errs, level_of = signal._levels(interval_minutes, interval_index + 1)
+    if errs:
+        raise IndexError("; ".join(errs))
+    return float(level_of(interval_index))
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +341,21 @@ class PopulationSpec:
 
 
 @dataclass(frozen=True)
+class Plan:
+    """A valid scenario resolved once into what run() reads.
+
+    ``n_intervals`` market intervals of ``steps_per_interval`` physics
+    steps each; every bid predicts ``lookahead_steps`` steps ahead;
+    ``base_price[t]`` (read-only) is the base price of interval t.
+    """
+
+    n_intervals: int
+    steps_per_interval: int
+    lookahead_steps: int
+    base_price: np.ndarray
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Complete experiment configuration.
 
@@ -354,14 +378,27 @@ class Scenario:
 
     @property
     def n_intervals(self) -> int:
-        return int(round(self.horizon_min / self.market_interval_min))
+        return self.plan().n_intervals
 
-    @property
-    def steps_per_interval(self) -> int:
-        return int(round(self.market_interval_min * 60.0 / self.h_seconds))
+    def plan(self) -> Plan:
+        """The scenario resolved into the integers and prices run() reads.
+
+        Raises ScenarioError listing every violation when it is invalid.
+        """
+        errs, counts = self._resolve()
+        if errs:
+            raise ScenarioError("invalid scenario: " + "; ".join(errs))
+        _, level_of = self.price_signal._levels(self.market_interval_min, counts[0])
+        base_price = np.array([level_of(t) for t in range(counts[0])], dtype=np.float64)
+        base_price.flags.writeable = False
+        return Plan(*counts, base_price)
 
     def validate(self) -> list[str]:
         """Check every invariant; returns all violations, not just the first."""
+        return self._resolve()[0]
+
+    def _resolve(self) -> tuple[list[str], tuple]:
+        """Every violation, and the plan's three exact counts (from :func:`_count`)."""
         reals = ("horizon_min", "market_interval_min", "h_seconds", "lookahead_s",
                  "feeder_fraction", "price_tick")
         if self.feeder_limit_kw is not None:
@@ -372,33 +409,41 @@ class Scenario:
         def ok(*names: str) -> bool:
             return malformed.keys().isdisjoint(names)
 
+        h = interval = steps_per = n_intervals = lookahead_steps = None
         if ok("h_seconds") and not self.h_seconds > 0:
             errs.append("h_seconds must be > 0")
+        elif ok("h_seconds"):
+            h = self.h_seconds
         if ok("market_interval_min") and not self.market_interval_min > 0:
             errs.append("market_interval_min must be > 0")
-        elif ok("market_interval_min", "h_seconds") and self.h_seconds > 0:
-            if not _whole_count(self.market_interval_min * 60.0 / self.h_seconds):
-                errs.append(
-                    f"market_interval_min ({self.market_interval_min} min) must be "
-                    f"a whole number of physics steps (h={self.h_seconds} s)"
-                )
-        intervals = None
+        elif ok("market_interval_min"):
+            interval = self.market_interval_min
+            try:
+                metrics.window_intervals(metrics.WINDOW_MIN, interval)
+            except ValueError as exc:
+                errs.append(f"market_interval_min ({interval} min) is too long: {exc}")
+            if h is not None:
+                steps_per = _count(interval, h, scale=60)
+                if steps_per is None:
+                    errs.append(
+                        f"market_interval_min ({interval} min) must be "
+                        f"a whole number of physics steps (h={h} s)"
+                    )
         if ok("horizon_min") and not self.horizon_min > 0:
             errs.append("horizon_min must be > 0")
-        elif ok("horizon_min", "market_interval_min") and self.market_interval_min > 0:
-            intervals = self.horizon_min / self.market_interval_min
-            if not _whole_count(intervals):
+        elif ok("horizon_min") and interval is not None:
+            n_intervals = _count(self.horizon_min, interval)
+            if n_intervals is None:
                 errs.append(
                     f"horizon_min ({self.horizon_min}) must be a whole number of "
-                    f"market intervals ({self.market_interval_min} min)"
+                    f"market intervals ({interval} min)"
                 )
-            elif ok("h_seconds") and self.h_seconds > 0:
-                steps = self.horizon_min * 60.0 / self.h_seconds
-                if not steps <= MAX_STEPS:
-                    errs.append(
-                        f"horizon_min ({self.horizon_min}) spans {steps:.3g} physics steps "
-                        f"of h_seconds ({self.h_seconds}); at most MAX_STEPS = {MAX_STEPS}"
-                    )
+            elif steps_per is not None and not n_intervals * steps_per <= MAX_STEPS:
+                errs.append(
+                    f"horizon_min ({self.horizon_min}) spans "
+                    f"{_format_count(n_intervals * steps_per)} physics steps "
+                    f"of h_seconds ({h}); at most MAX_STEPS = {MAX_STEPS}"
+                )
         if ok("feeder_limit_kw") and self.feeder_limit_kw is not None and not (
             self.feeder_limit_kw > 0
         ):
@@ -409,34 +454,31 @@ class Scenario:
             errs.append("feeder_fraction must be > 0 when no absolute limit is given")
         if ok("lookahead_s") and not self.lookahead_s >= 0:
             errs.append("lookahead_s must be >= 0")
-        elif ok("lookahead_s", "h_seconds") and self.h_seconds > 0:
-            k = self.lookahead_s / self.h_seconds
-            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+        elif ok("lookahead_s") and h is not None:
+            lookahead_steps = _count(self.lookahead_s, h)
+            if lookahead_steps is None:
                 errs.append(
                     f"lookahead_s ({self.lookahead_s}) must be an integer multiple "
-                    f"of h_seconds ({self.h_seconds})"
+                    f"of h_seconds ({h})"
                 )
-            elif not k <= MAX_STEPS:
+            elif not lookahead_steps <= MAX_STEPS:
                 errs.append(
-                    f"lookahead_s ({self.lookahead_s}) spans {k:.3g} physics steps "
-                    f"of h_seconds ({self.h_seconds}); at most MAX_STEPS = {MAX_STEPS}"
+                    f"lookahead_s ({self.lookahead_s}) spans {_format_count(lookahead_steps)} "
+                    f"physics steps of h_seconds ({h}); at most MAX_STEPS = {MAX_STEPS}"
                 )
         if ok("price_tick") and not self.price_tick > 0:
             errs.append("price_tick must be > 0")
         if ok("seed") and not self.seed >= 0:
             errs.append("seed must be >= 0")
         errs.extend(self.population.violations())
-        if intervals is not None and math.isfinite(intervals):
-            errs.extend(
-                self.price_signal.violations(self.market_interval_min, self.n_intervals)
-            )
-        return errs
+        if interval is not None:
+            errs.extend(self.price_signal.violations(interval, n_intervals))
+        return errs, (n_intervals, steps_per, lookahead_steps)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["population"] = {k: v for k, v in d["population"].items()}
         signal = {k: v for k, v in d["price_signal"].items() if v is not None}
         signal.pop("offset_min", None)
         if self.price_signal.kind == "square":
@@ -459,10 +501,9 @@ class Scenario:
             signal = PriceSignal.constant(25.0)
         else:
             signal = _dataclass_from_dict(PriceSignal, sig_d, "price_signal")
-        scenario = _dataclass_from_dict(
+        return _dataclass_from_dict(
             Scenario, d, "scenario", population=population, price_signal=signal
         )
-        return scenario
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
@@ -524,9 +565,19 @@ def _malformed(obj, where: str, reals=(), integers=(), pairs=()) -> dict[str, st
     return found
 
 
-def _whole_count(x: float) -> bool:
-    """x is finite and within 1e-9 of a whole number >= 1."""
-    return math.isfinite(x) and abs(x - round(x)) <= 1e-9 and round(x) >= 1
+def _count(x, unit, scale: int = 1) -> Optional[int]:
+    """How many ``unit`` fit in ``scale * x``, exactly: an int, or None if not whole.
+
+    Both finite numbers are read as the decimals ``str`` prints (``repr`` of
+    a numpy float is ``'np.float64(0.1)'``), so 0.3 / 0.1 is exactly 3.
+    """
+    ratio = Fraction(str(x)) * scale / Fraction(str(unit))
+    return ratio.numerator if ratio.denominator == 1 else None
+
+
+def _format_count(k: int) -> str:
+    """A count as ``%.3g`` prints it; ``inf`` past the float range, where float(k) raises."""
+    return f"{float(k):.3g}" if k <= sys.float_info.max else "inf"
 
 
 def _subgroup_labels(n: int, K: int) -> np.ndarray:
@@ -727,6 +778,11 @@ def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def run(scenario: Scenario) -> Trace:
     """Simulate a scenario end to end; deterministic given the seed.
 
+    Every count and base price comes from :meth:`Scenario.plan`: bids
+    predict ``plan.lookahead_steps`` steps ahead, and interval t clears at
+    base price ``plan.base_price[t]``. The physics and the recorded times
+    use the float ``h_seconds`` and ``market_interval_min``.
+
     Within a market interval the dispatch is fixed, so the physics steps
     run in blocks of B = min(steps per interval, BLOCK_ELEMENTS // n)
     steps (at least 1). Each step writes its theta and consuming mask into
@@ -743,10 +799,7 @@ def run(scenario: Scenario) -> Trace:
     as :func:`clear` would; only otherwise are the bids sorted into a
     demand curve and cleared. The population's capacity is summed once.
     """
-    errs = scenario.validate()
-    if errs:
-        raise ScenarioError("invalid scenario: " + "; ".join(errs))
-
+    plan = scenario.plan()
     pop = generate_population(scenario.population, scenario.seed)
     capacity = pop.capacity_kw
     if scenario.feeder_limit_kw is not None:
@@ -754,8 +807,8 @@ def run(scenario: Scenario) -> Trace:
     else:
         feeder_limit = scenario.feeder_fraction * capacity
 
-    n_intervals = scenario.n_intervals
-    steps_per = scenario.steps_per_interval
+    n_intervals = plan.n_intervals
+    steps_per = plan.steps_per_interval
     h = scenario.h_seconds
     n = pop.size
 
@@ -765,7 +818,6 @@ def run(scenario: Scenario) -> Trace:
 
     n_steps = n_intervals * steps_per
     time_min = np.arange(n_intervals) * scenario.market_interval_min
-    base_price = np.empty(n_intervals)
     clearing_price = np.empty(n_intervals)
     cleared_demand = np.empty(n_intervals)
     base_demand = np.empty(n_intervals)
@@ -796,11 +848,9 @@ def run(scenario: Scenario) -> Trace:
 
     quantities = pop.elec_power
     for t in range(n_intervals):
-        theta_bid = predict_temperatures(pop, scenario.lookahead_s, h)
+        theta_bid = predict_temperatures(pop, plan.lookahead_steps, h)
         prices = bid_prices(pop, theta_bid)
-        pi_base = price_signal_value(
-            scenario.price_signal, t, scenario.market_interval_min, n_intervals
-        )
+        pi_base = float(plan.base_price[t])
         # Every bid offers its load's P/eta, so the demand at the base price is
         # an exact limb sum, equal to the curve's bit for bit; the bids are
         # sorted only when it exceeds the limit.
@@ -846,7 +896,6 @@ def run(scenario: Scenario) -> Trace:
                 "values are too large to simulate"
             )
 
-        base_price[t] = pi_base
         clearing_price[t] = result.clearing_price
         cleared_demand[t] = result.cleared_demand
         base_demand[t] = result.base_demand
@@ -872,7 +921,7 @@ def run(scenario: Scenario) -> Trace:
         feeder_limit_kw=feeder_limit,
         capacity_kw=capacity,
         time_min=time_min,
-        base_price=base_price,
+        base_price=plan.base_price.copy(),
         clearing_price=clearing_price,
         cleared_demand_kw=cleared_demand,
         base_demand_kw=base_demand,

@@ -33,6 +33,9 @@ __all__ = [
     "compute_metrics",
 ]
 
+#: Default length of compute_metrics' sliding windows, minutes.
+WINDOW_MIN = 120.0
+
 
 def cycle_phases(
     theta: np.ndarray,
@@ -138,7 +141,22 @@ class MetricsReport:
         return len(self.window_start_min)
 
 
-def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
+def window_intervals(window_min: float, interval_min: float) -> int:
+    """Market intervals in one sliding window: window_min/interval_min, rounded.
+
+    Raises ValueError below 4, the fewest :func:`demand_oscillation`
+    takes. A ratio past 2**62 counts as 2**62, longer than any horizon.
+    """
+    w = int(round(min(window_min / interval_min, 2.0**62)))
+    if w < 4:
+        raise ValueError(
+            f"window_min ({window_min:g}) must span at least 4 market intervals "
+            f"of {interval_min:g} min, not {w}"
+        )
+    return w
+
+
+def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsReport:
     """Reduce a trace to the synchronization/oscillation report.
 
     The per-interval statistics are the ones ``run()`` recorded at the end
@@ -146,9 +164,7 @@ def compute_metrics(trace: Trace, window_min: float = 120.0) -> MetricsReport:
     statistics.
     """
     interval_min = trace.scenario.market_interval_min
-    w = int(round(window_min / interval_min))
-    if w < 4:
-        raise ValueError("window_min must span at least 4 market intervals")
+    w = window_intervals(window_min, interval_min)
     n_int = trace.n_intervals
     sync = trace.sync
 

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bidding import _lookahead_steps
 from .population import PARAM_FIELDS, Population, check_params, check_switches
 
 __all__ = [
@@ -160,16 +159,15 @@ def temperature_for_bidding(
     state: TclState,
     params: TclParams,
     theta_ambient: float,
-    lookahead: float,
+    steps: int,
     h: float,
 ) -> float:
-    """Predict the temperature ``lookahead`` seconds ahead for bidding.
+    """Predict the temperature ``steps`` physics steps of ``h`` seconds ahead.
 
-    Iterates the noise-free thermal step lookahead/h times with the current
+    Iterates the noise-free thermal step ``steps`` times with the current
     consumption state m*v held fixed (the device does not anticipate its own
-    thermostat or the market). lookahead=0 returns the measured temperature.
+    thermostat or the market). steps=0 returns the measured temperature.
     """
-    steps = _lookahead_steps(lookahead, h)
     s = state
     for _ in range(steps):
         s = thermal_step(s, params, theta_ambient, h, 0.0)

@@ -89,16 +89,16 @@ P_PHYS = TclParams(id=0, C=10.0, R=2.0, P=14.0, eta=2.5,
 
 
 def test_prediction_zero_lookahead_returns_measurement():
-    assert temperature_for_bidding(TclState(21.0), P_PHYS, 32.0, 0.0, 10.0) == 21.0
+    assert temperature_for_bidding(TclState(21.0), P_PHYS, 32.0, 0, 10.0) == 21.0
 
 
 def test_prediction_at_ambient_stays_there():
-    assert temperature_for_bidding(TclState(32.0, 0, 1), P_PHYS, 32.0, 150.0, 10.0) == 32.0
+    assert temperature_for_bidding(TclState(32.0, 0, 1), P_PHYS, 32.0, 15, 10.0) == 32.0
 
 
 def test_prediction_150s_off_trajectory():
-    # oracle (50-digit series): 20.02497397640840899170...
-    got = temperature_for_bidding(TclState(20.0, 0, 1), P_PHYS, 32.0, 150.0, 10.0)
+    # 15 steps of 10 s; oracle (50-digit series): 20.02497397640840899170...
+    got = temperature_for_bidding(TclState(20.0, 0, 1), P_PHYS, 32.0, 15, 10.0)
     assert got == 20.024973976408408
     # closed form of the iterated map: 20 + 12*(1 - exp(-150/72000))
     closed = 20.0 + 12.0 * (1.0 - math.exp(-150.0 / 72000.0))
@@ -106,16 +106,9 @@ def test_prediction_150s_off_trajectory():
 
 
 def test_prediction_holds_consumption_state_fixed():
-    on = temperature_for_bidding(TclState(20.0, 1, 1), P_PHYS, 32.0, 150.0, 10.0)
-    blocked = temperature_for_bidding(TclState(20.0, 1, 0), P_PHYS, 32.0, 150.0, 10.0)
+    on = temperature_for_bidding(TclState(20.0, 1, 1), P_PHYS, 32.0, 15, 10.0)
+    blocked = temperature_for_bidding(TclState(20.0, 1, 0), P_PHYS, 32.0, 15, 10.0)
     assert on < 20.0 < blocked
-
-
-def test_prediction_rejects_misaligned_lookahead():
-    with pytest.raises(ValueError):
-        temperature_for_bidding(TclState(20.0), P_PHYS, 32.0, 145.0, 10.0)
-    with pytest.raises(ValueError):
-        temperature_for_bidding(TclState(20.0), P_PHYS, 32.0, 150.0, 0.0)
 
 
 # ----------------------------------------------------------------- vectorized
@@ -137,10 +130,10 @@ def _random_population(n=40, seed=7):
 
 def test_predict_temperatures_matches_scalar_bit_for_bit():
     pop = _random_population()
-    vec = predict_temperatures(pop, 150.0, 10.0)
+    vec = predict_temperatures(pop, 15, 10.0)
     params, states = devices(pop)
     scalar = [
-        temperature_for_bidding(s, p, 32.0, 150.0, 10.0)
+        temperature_for_bidding(s, p, 32.0, 15, 10.0)
         for s, p in zip(states, params)
     ]
     assert vec.tolist() == scalar
@@ -148,7 +141,7 @@ def test_predict_temperatures_matches_scalar_bit_for_bit():
 
 def test_bid_prices_matches_scalar_bit_for_bit():
     pop = _random_population(seed=11)
-    theta = predict_temperatures(pop, 150.0, 10.0)
+    theta = predict_temperatures(pop, 15, 10.0)
     vec = bid_prices(pop, theta)
     params, _ = devices(pop)
     scalar = [make_bid(float(t), p).price for t, p in zip(theta, params)]

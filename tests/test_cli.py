@@ -1,11 +1,15 @@
 """Command-line driver: artifact files, validation mode, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tclmarket.cli import (
     BUILTIN_SCENARIOS, TABLE_CHUNK_ROWS, _write_table, builtin_scenario, main, write_steps_csv,
@@ -102,7 +106,8 @@ def test_validate_only_accepts_and_echoes(small_file, capsys):
 
 
 def test_validate_only_reports_every_violation(tmp_path, capsys):
-    # 290 s market interval: horizon misaligned AND the step time off-boundary
+    # 290/60 = 4.833333333333333 min: horizon misaligned, the step time
+    # off-boundary, and not a whole number of 10 s steps
     bad = Scenario(
         market_interval_min=290.0 / 60.0,
         price_signal=PriceSignal.step([(0.0, 42.0), (360.0, 20.0)]),
@@ -111,7 +116,7 @@ def test_validate_only_reports_every_violation(tmp_path, capsys):
     path.write_text(bad.to_json())
     assert main(["--scenario", str(path), "--validate-only"]) == 1
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("violation:")]
-    assert len(lines) == 2
+    assert len(lines) == 3
 
 
 def test_validate_only_flags_negative_feeder_limit(tmp_path, capsys):
@@ -226,6 +231,13 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     ({"population": {"count": 16}, "lookahead_s": 1e308}, "lookahead_s (1e+308) spans 1e+307"),
     ({"population": {"count": 16}, "horizon_min": 1e308}, "horizon_min (1e+308) spans inf"),
     ({"population": {"count": 16}, "h_seconds": 1e-300}, "horizon_min (30) spans 1.8e+303"),
+    ({"population": {"count": 16}, "horizon_min": 10.000000001},
+     "horizon_min (10.000000001) must be a whole number of market intervals (5.0 min)"),
+    ({"population": {"count": 16}, "h_seconds": 10.000000000001},
+     "market_interval_min (5.0 min) must be a whole number of physics steps"),
+    ({"population": {"count": 16}, "horizon_min": 120, "market_interval_min": 60,
+      "h_seconds": 10, "lookahead_s": 0},
+     "market_interval_min (60 min) is too long: window_min (120) must span at least 4"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"
@@ -287,6 +299,94 @@ def test_values_too_large_to_simulate_exit_1_without_output(tmp_path, capsys, fi
     assert err.startswith("error: physics step 0 ") and "left the finite range" in err
     assert "Traceback" not in err
     assert os.listdir(out) == []
+
+
+def test_interval_too_short_for_a_float_window_count_runs(tmp_path):
+    # 120 / 1e-307 overflows to inf; the window count must not round it
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"population": {"count": 4}, "horizon_min": 1e-307,
+                                "market_interval_min": 1e-307, "h_seconds": 6e-306,
+                                "lookahead_s": 0}))
+    out = tmp_path / "o"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    assert len(read_lines(out / "trace.csv")) == 2
+    assert len(read_lines(out / "windows.csv")) == 1
+
+
+# Short decimals that often tile each other, mixed with values no grid takes.
+EXTREME = [1e308, -1e308, 1e-300, float("nan"), float("inf"), 0, -5, "5", None, True, [5]]
+
+
+def _grid_value(*short, weight=8):
+    return st.sampled_from(list(short) * weight + EXTREME)
+
+
+TIMES = _grid_value(0, 0.3, 0.6, 1, 5, 10, 30, weight=3)
+LEVELS = st.sampled_from([0, 10.0, 25.0, 35.0, 1e308])
+SIGNALS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "level": LEVELS}),
+    st.lists(st.tuples(TIMES, LEVELS).map(list), max_size=2).map(
+        lambda pairs: {"kind": "step", "schedule": [[0, 30.0], *pairs]}),
+    st.fixed_dictionaries({"kind": st.just("square"), "low": LEVELS, "high": LEVELS,
+                           "period_min": TIMES, "offset_min": TIMES}),
+    st.lists(LEVELS, max_size=30).map(lambda values: {"kind": "series", "values": values}),
+)
+SCENARIOS = st.fixed_dictionaries({
+    "population": st.fixed_dictionaries({"count": st.integers(1, 16)}),
+    "feeder_limit_kw": st.sampled_from([10.0, 30.0]),
+    "horizon_min": _grid_value(0.6, 1.2, 3, 6, 30, 120),
+    "market_interval_min": _grid_value(0.1, 0.2, 0.3, 0.5, 1, 5),
+    "h_seconds": _grid_value(0.5, 1, 2, 3, 6, 10),
+    "lookahead_s": _grid_value(0, 2, 6, 30, 150),
+    "price_signal": SIGNALS,
+})
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SCENARIOS)
+def test_every_accepted_time_grid_runs_and_every_other_is_listed(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(grid, fh)
+        code, out, err = _main(["--scenario", path, "--validate-only"])
+        if code == 1:
+            assert out.startswith("violation: ") and "OK" not in out and err == ""
+            return
+        assert code == 0 and out.startswith("OK\n"), (out, err)
+        # sized from the floats, so that no huge plan is laid out
+        steps = grid["horizon_min"] * (60 + grid["lookahead_s"] / grid["market_interval_min"])
+        if grid["population"]["count"] * steps / grid["h_seconds"] > 10**4:
+            return
+        plan = Scenario.from_dict(grid).plan()
+        out_dir = os.path.join(tmp, "out")
+        code, out, err = _main(["--scenario", path, "--out", out_dir,
+                                "--emit", "trace,metrics,bids,steps"])
+        assert code == 0, err
+        limit = grid["feeder_limit_kw"]
+        trace = _csv_rows(os.path.join(out_dir, "trace.csv"))
+        assert [float(row["base_price_usd_per_mwh"]) for row in trace] == plan.base_price.tolist()
+        for row in trace:
+            cleared, realized = float(row["cleared_demand_kw"]), float(row["avg_demand_kw"])
+            assert cleared <= limit and realized <= limit and realized <= cleared, row
+        for name in ("trace.csv", "metrics.csv", "windows.csv", "bids_sample.csv", "steps.csv"):
+            for row in _csv_rows(os.path.join(out_dir, name)):
+                # a window of constant demand has no period, and says so with NaN
+                if name == "windows.csv" and float(row["demand_p2p_kw"]) == 0.0:
+                    del row["dominant_period_min"]
+                assert all(np.isfinite(float(x)) for x in row.values()), (name, row)
 
 
 def _oracle_table(path, columns):

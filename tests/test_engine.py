@@ -35,39 +35,46 @@ from tclmarket.reference import (
 
 # ------------------------------------------------------------- price signals
 
+def base_prices(signal: PriceSignal, **kwargs) -> np.ndarray:
+    """The plan's per-interval base prices of ``signal`` (a 24 h, 5-min grid)."""
+    return Scenario(price_signal=signal, **kwargs).plan().base_price
+
+
 def test_step_schedule_values():
-    sig = PriceSignal.step([(0.0, 42.0), (360.0, 20.0), (720.0, 9.0)])
-    assert price_signal_value(sig, 0) == 42.0
-    assert price_signal_value(sig, 71) == 42.0    # t=355, still the first level
-    assert price_signal_value(sig, 72) == 20.0    # t=360, change applies
-    assert price_signal_value(sig, 80) == 20.0    # t=400
-    assert price_signal_value(sig, 144) == 9.0    # t=720
-    assert price_signal_value(sig, 287) == 9.0
+    prices = base_prices(PriceSignal.step([(0.0, 42.0), (360.0, 20.0), (720.0, 9.0)]))
+    assert prices[0] == 42.0
+    assert prices[71] == 42.0    # t=355, still the first level
+    assert prices[72] == 20.0    # t=360, change applies
+    assert prices[80] == 20.0    # t=400
+    assert prices[144] == 9.0    # t=720
+    assert prices[287] == 9.0
 
 
 def test_square_wave_low_first():
-    sig = PriceSignal.square(low=14.0, high=24.0, period_min=10.0)
-    assert price_signal_value(sig, 0) == 14.0
-    assert price_signal_value(sig, 1) == 24.0
-    assert price_signal_value(sig, 2) == 14.0
+    prices = base_prices(PriceSignal.square(low=14.0, high=24.0, period_min=10.0))
+    assert prices[0] == 14.0
+    assert prices[1] == 24.0
+    assert prices[2] == 14.0
 
 
 def test_square_wave_offset_starts_high():
     # half-period offset flips the starting level; first drop at t=240
-    sig = PriceSignal.square(low=14.0, high=24.0, period_min=480.0, offset_min=240.0)
-    assert price_signal_value(sig, 0) == 24.0
-    assert price_signal_value(sig, 47) == 24.0    # t=235
-    assert price_signal_value(sig, 48) == 14.0    # t=240
-    assert price_signal_value(sig, 95) == 14.0
-    assert price_signal_value(sig, 96) == 24.0    # t=480
+    prices = base_prices(
+        PriceSignal.square(low=14.0, high=24.0, period_min=480.0, offset_min=240.0)
+    )
+    assert prices[0] == 24.0
+    assert prices[47] == 24.0    # t=235
+    assert prices[48] == 14.0    # t=240
+    assert prices[95] == 14.0
+    assert prices[96] == 24.0    # t=480
 
 
 def test_constant_and_series_values():
-    assert price_signal_value(PriceSignal.constant(30.0), 123) == 30.0
+    assert base_prices(PriceSignal.constant(30.0))[123] == 30.0
     sig = PriceSignal.series([5.0, 6.0, 7.0])
-    assert [price_signal_value(sig, i) for i in range(3)] == [5.0, 6.0, 7.0]
-    with pytest.raises(IndexError):
-        price_signal_value(sig, 3)
+    assert base_prices(sig, horizon_min=15.0).tolist() == [5.0, 6.0, 7.0]
+    with pytest.raises(ScenarioError, match="covers 3 intervals but the horizon has 4"):
+        base_prices(sig, horizon_min=20.0)
 
 
 def test_price_signal_value_rejects_out_of_horizon():
@@ -76,6 +83,13 @@ def test_price_signal_value_rejects_out_of_horizon():
         price_signal_value(sig, -1)
     with pytest.raises(IndexError):
         price_signal_value(sig, 12, n_intervals=12)
+
+
+def test_plan_prices_equal_price_signal_value():
+    # the name is kept for the benchmark's tracer; it reads the same runs
+    for sig in (PriceSignal.step([(0.0, 42.0), (360.0, 20.0), (720.0, 9.0)]),
+                PriceSignal.square(14.0, 24.0, 480.0, offset_min=-235.0)):
+        assert [price_signal_value(sig, t) for t in range(288)] == base_prices(sig).tolist()
 
 
 def test_price_signal_violations():
@@ -292,16 +306,54 @@ def test_scenario_defaults_validate():
 
 
 def test_scenario_misalignment_reports_both_violations():
-    # 290 s market interval: the 24 h horizon no longer divides into it, and
-    # the step change at t=360 min no longer lands on a boundary
+    # 290/60 prints as 4.833333333333333 min: the 24 h horizon does not divide
+    # into it, the step change at t=360 min does not land on a boundary, and
+    # read as that decimal it is not a whole number of 10 s steps
     s = Scenario(
         market_interval_min=290.0 / 60.0,
         price_signal=PriceSignal.step([(0.0, 42.0), (360.0, 20.0)]),
     )
     errs = s.validate()
-    assert len(errs) == 2
+    assert len(errs) == 3
     assert any("horizon_min" in e for e in errs)
     assert any("boundaries" in e for e in errs)
+    assert any("market_interval_min (4.833333333333333 min) must be a whole number "
+               "of physics steps" in e for e in errs)
+
+
+def test_plan_reads_times_as_the_decimals_written():
+    # 0.3 / 0.1 and 0.6 / 0.1 are whole; binary float % said they were not
+    grid = dict(population=PopulationSpec(count=16), market_interval_min=0.1,
+                h_seconds=2.0, lookahead_s=4.0, seed=3)
+    step = Scenario(horizon_min=0.6, price_signal=PriceSignal.step([(0.0, 30.0), (0.3, 10.0)]),
+                    **grid)
+    square = Scenario(horizon_min=1.2, price_signal=PriceSignal.square(20.0, 30.0, 0.6), **grid)
+    for scenario, prices in [
+        (step, [30.0, 30.0, 30.0, 10.0, 10.0, 10.0]),
+        (square, [20.0, 20.0, 20.0, 30.0, 30.0, 30.0, 20.0, 20.0, 20.0, 30.0, 30.0, 30.0]),
+    ]:
+        plan = scenario.plan()
+        assert (plan.n_intervals, plan.steps_per_interval, plan.lookahead_steps) == (
+            len(prices), 3, 2)
+        assert plan.base_price.tolist() == prices
+        trace = run(scenario)
+        assert trace.base_price.tolist() == prices
+        assert trace.step_power_kw.shape == (3 * len(prices),)
+        assert np.all(trace.cleared_demand_kw <= trace.feeder_limit_kw)
+
+
+def test_plan_of_numpy_grid_fields_equals_the_float_plan():
+    signal = PriceSignal.square(20.0, 30.0, 0.6, offset_min=0.3)
+    floats = Scenario(horizon_min=6.0, market_interval_min=0.1, h_seconds=0.5,
+                      lookahead_s=1.5, price_signal=signal)
+    numpy = dataclasses.replace(floats, **{
+        name: np.float64(getattr(floats, name))
+        for name in ("horizon_min", "market_interval_min", "h_seconds", "lookahead_s")
+    })
+    a, b = floats.plan(), numpy.plan()
+    assert (a.n_intervals, a.steps_per_interval, a.lookahead_steps) == (60, 12, 3)
+    assert (b.n_intervals, b.steps_per_interval, b.lookahead_steps) == (60, 12, 3)
+    assert a.base_price.tobytes() == b.base_price.tobytes()
 
 
 def test_scenario_validates_timing_and_limits():
@@ -399,7 +451,7 @@ def test_feeder_limit_fraction_and_absolute():
 def test_realized_power_never_exceeds_cleared_demand():
     s = tiny_scenario(horizon_min=120.0, price_signal=PriceSignal.square(20.0, 30.0, 10.0))
     trace = run(s)
-    per_step_cleared = np.repeat(trace.cleared_demand_kw, s.steps_per_interval)
+    per_step_cleared = np.repeat(trace.cleared_demand_kw, s.plan().steps_per_interval)
     assert np.all(trace.step_power_kw <= per_step_cleared + 1e-9)
 
 
@@ -414,7 +466,7 @@ def test_base_price_above_every_cap_blocks_all_dispatch():
     assert np.all(trace.n_dispatched == 0)
     assert np.all(trace.step_power_kw == 0.0)
     # with cooling blocked, every house drifts monotonically toward ambient
-    steps_per = s.steps_per_interval
+    steps_per = s.plan().steps_per_interval
     interval_means = trace.step_theta_mean[steps_per - 1 :: steps_per]
     assert len(interval_means) == trace.n_intervals
     assert np.all(np.diff(interval_means) > 0)
