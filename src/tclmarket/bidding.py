@@ -62,16 +62,20 @@ def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
     Zero strictly below the deadband, p_cap strictly above it, linear with
     slope gamma1 (gamma2) above (below) the set-point in between, then
     clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
+
+    The price is built in its one output array: ``p0 + gamma*(theta -
+    theta_set)`` with gamma the slope of theta's side, then the two band
+    overrides and the clamp in place. Below the set-point this is
+    ``p0 - gamma2*(theta_set - theta)`` bit for bit: ``theta_set - theta``
+    is exactly ``-(theta - theta_set)``, rounding to nearest commutes with
+    negation so the product is exactly ``-(gamma2*(theta - theta_set))``,
+    and ``p0 - (-x)`` is ``p0 + x``.
     """
-    above_set = theta_bid >= population.theta_set
-    linear = np.where(
-        above_set,
-        population.p0 + population.gamma1 * (theta_bid - population.theta_set),
-        population.p0 - population.gamma2 * (population.theta_set - theta_bid),
-    )
-    price = np.where(
-        theta_bid < population.theta_min,
-        0.0,
-        np.where(theta_bid > population.theta_max, population.p_cap, linear),
-    )
-    return np.minimum(np.maximum(price, 0.0), population.p_cap)
+    theta_set = population.theta_set
+    price = np.subtract(theta_bid, theta_set)
+    price *= np.where(theta_bid >= theta_set, population.gamma1, population.gamma2)
+    price += population.p0
+    np.copyto(price, population.p_cap, where=theta_bid > population.theta_max)
+    np.copyto(price, 0.0, where=theta_bid < population.theta_min)
+    np.maximum(price, 0.0, out=price)
+    return np.minimum(price, population.p_cap, out=price)

@@ -339,6 +339,21 @@ class PopulationSpec:
             errs.append("population: largest possible P*R must be finite")
         return errs
 
+    def _p_cap_bound(self) -> float:
+        """An upper bound of every p_cap a valid spec draws, so of every bid.
+
+        One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
+        lo)`` after rounding; subgroup members draw ``anchor*(1 + w*u)`` with
+        |u| < 1, at most the largest drawn anchor times ``1 + w``.
+        """
+        if self.subgroups == 1:
+            lo, hi = map(float, self.p_cap_range)
+            return lo + (hi - lo)
+        K, n = self.subgroups, self.count
+        groups = np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
+        anchors = _subgroup_anchors(self.p_cap_range, groups, K)
+        return float(anchors.max() * (1.0 + self.subgroup_rel_width))
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -466,11 +481,24 @@ class Scenario:
                     f"lookahead_s ({self.lookahead_s}) spans {_format_count(lookahead_steps)} "
                     f"physics steps of h_seconds ({h}); at most MAX_STEPS = {MAX_STEPS}"
                 )
+        population_errs = self.population.violations()
         if ok("price_tick") and not self.price_tick > 0:
             errs.append("price_tick must be > 0")
+        elif ok("price_tick") and not population_errs:
+            # Every bid is at most the largest p_cap, so a tick of at least the
+            # float spacing there prices every bid out when nothing fits.
+            top = self.population._p_cap_bound()
+            spacing = float(np.spacing(top))
+            if not (spacing <= self.price_tick and top + self.price_tick < math.inf):
+                errs.append(
+                    f"price_tick ({self.price_tick}) must be at least the float spacing "
+                    f"{spacing:.3g} at the largest possible bid price ({top:.6g} $/MWh), "
+                    "and their sum finite, or the price that sheds every bid would "
+                    "not lie above them"
+                )
         if ok("seed") and not self.seed >= 0:
             errs.append("seed must be >= 0")
-        errs.extend(self.population.violations())
+        errs.extend(population_errs)
         if interval is not None:
             errs.extend(self.price_signal.violations(interval, n_intervals))
         return errs, (n_intervals, steps_per, lookahead_steps)
@@ -627,7 +655,9 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     """Draw a population from the configured distributions, deterministically.
 
     Every distribution consumes its draws whether or not its width is zero,
-    so narrowing one parameter never reshuffles the others.
+    so narrowing one parameter never reshuffles the others. ``deadband``
+    and ``noise_std``, one value for every TCL, are read-only zero-stride
+    views of that value rather than n copies of it.
     """
     errs = spec.violations()
     if errs:
@@ -674,12 +704,12 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
         P=P,
         eta=eta,
         theta_set=theta_set,
-        deadband=np.full(n, spec.deadband, dtype=np.float64),
+        deadband=np.broadcast_to(np.float64(spec.deadband), n),
         p0=p0,
         p_cap=p_cap,
         gamma1=gamma1,
         gamma2=gamma2,
-        noise_std=np.full(n, spec.noise_std, dtype=np.float64),
+        noise_std=np.broadcast_to(np.float64(spec.noise_std), n),
         theta=theta0,
         m=m0,
         v=np.ones(n, dtype=np.int8),
@@ -848,8 +878,9 @@ def run(scenario: Scenario) -> Trace:
 
     quantities = pop.elec_power
     for t in range(n_intervals):
-        theta_bid = predict_temperatures(pop, plan.lookahead_steps, h)
-        prices = bid_prices(pop, theta_bid)
+        # The predicted temperatures and the demand curve are never bound to a
+        # name: each is freed after its one use, not kept into the next interval.
+        prices = bid_prices(pop, predict_temperatures(pop, plan.lookahead_steps, h))
         pi_base = float(plan.base_price[t])
         # Every bid offers its load's P/eta, so the demand at the base price is
         # an exact limb sum, equal to the curve's bit for bit; the bids are
@@ -858,8 +889,10 @@ def run(scenario: Scenario) -> Trace:
         if demand <= feeder_limit:
             result = ClearingResult.unconstrained(pi_base, demand)
         else:
-            curve = build_demand_curve(prices, quantities)
-            result = clear(curve, pi_base, feeder_limit, scenario.price_tick)
+            result = clear(
+                build_demand_curve(prices, quantities), pi_base, feeder_limit,
+                scenario.price_tick,
+            )
         pop.set_dispatch(prices, result.clearing_price)
 
         first = t * steps_per
@@ -869,7 +902,8 @@ def run(scenario: Scenario) -> Trace:
                 b = min(block, first + steps_per - start)
                 noise = None
                 if noise_rng is not None:
-                    noise = noise_rng.standard_normal((b, n)) * pop.noise_std
+                    noise = noise_rng.standard_normal((b, n))
+                    noise *= pop.noise_std
                 # Step j reads row j-1 (or the previous block's last row) and
                 # writes row j, so no row is overwritten before it is read.
                 for j in range(b):

@@ -112,18 +112,24 @@ def build_demand_curve(prices, quantities) -> DemandCurve:
         if bad_price[i]:
             raise ValueError(f"bid from TCL {i}: price must be finite and >= 0")
         raise ValueError(f"bid from TCL {i}: quantity must be finite and > 0")
+    # Each intermediate is dropped as soon as the curve has taken what it
+    # keeps from it.
     order = np.argsort(-prices)
-    sorted_prices = prices[order]
-    sorted_quantities = quantities[order]
+    quantities = quantities[order]
+    prices = prices[order]
     del order
-    level_end = np.ones(len(sorted_prices), dtype=bool)  # last bid of its price level
-    np.not_equal(sorted_prices[1:], sorted_prices[:-1], out=level_end[:-1])
-    ends = np.flatnonzero(level_end) + 1
+    level_end = np.ones(len(prices), dtype=bool)  # last bid of its price level
+    np.not_equal(prices[1:], prices[:-1], out=level_end[:-1])
+    last = np.flatnonzero(level_end)
+    del level_end
+    prices = prices[last]
+    approx_cumulative = np.cumsum(quantities)[last]
+    last += 1
     return DemandCurve(
-        prices=sorted_prices[ends - 1],
-        quantities=sorted_quantities,
-        ends=ends,
-        approx_cumulative=np.cumsum(sorted_quantities)[ends - 1],
+        prices=prices,
+        quantities=quantities,
+        ends=last,
+        approx_cumulative=approx_cumulative,
     )
 
 
@@ -141,7 +147,10 @@ def clear(
     the top price level overshoots the limit, the price is set one tick
     above every bid and nothing clears. Either way, dispatching exactly the
     bids at or above the returned price yields ``cleared_demand``, and
-    ``cleared_demand <= feeder_limit`` always.
+    ``cleared_demand <= feeder_limit`` always. Raises ValueError when
+    nothing fits and ``max_price + price_tick`` does not exceed
+    ``max_price`` (a tick below the float spacing there), since every bid
+    would then still be dispatched.
     """
     if feeder_limit <= 0:
         raise ValueError("feeder_limit must be positive")
@@ -166,8 +175,15 @@ def clear(
             break
         levels, cleared = levels + 1, deeper
     if levels == 0:
+        above_every_bid = curve.max_price + price_tick
+        if not above_every_bid > curve.max_price:
+            raise ValueError(
+                f"price_tick ({price_tick!r}) does not raise the top bid price "
+                f"({curve.max_price!r}): nothing fits, and the price that sheds "
+                "every bid must lie above all of them"
+            )
         return ClearingResult(
-            clearing_price=curve.max_price + price_tick,
+            clearing_price=above_every_bid,
             cleared_demand=0.0,
             constrained=True,
             base_demand=base_demand,

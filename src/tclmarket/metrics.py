@@ -73,13 +73,22 @@ def sync_index(
     theta_min: np.ndarray,
     theta_max: np.ndarray,
 ) -> float:
-    """Order parameter |mean(exp(i*phase))| in [0, 1]."""
+    """Order parameter |mean(exp(i*phase))| in [0, 1].
+
+    The phasors are built in one complex array: real part +0.0, imaginary
+    part the phases, exponentiated in place. ``1j * phases`` is that same
+    array (its real part is ``0*phase - 1*0 = +0.0``), so the result equals
+    ``np.exp(1j * phases)`` bit for bit, without the product's temporary.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
         raise ValueError("sync_index needs a nonempty population")
     phases = cycle_phases(theta, np.asarray(m), theta_min, theta_max)
+    phasors = np.zeros(phases.shape, dtype=np.complex128)
+    phasors.imag = phases
+    np.exp(phasors, out=phasors)
     # rounding in the phasor mean can land an ulp above 1 for identical phases
-    return min(1.0, float(np.abs(np.exp(1j * phases).mean())))
+    return min(1.0, float(np.abs(phasors.mean())))
 
 
 def temperature_dispersion(theta: np.ndarray, theta_set: np.ndarray) -> float:
@@ -116,6 +125,11 @@ class MetricsReport:
     Window quantities use sliding windows of ``window_min`` minutes
     stepping one market interval; window s covers intervals
     [s, s + window), stamped by the window start time.
+
+    The per-interval arrays taken from the trace are the trace's own
+    arrays, not copies: ``time_min``, ``sync``, ``dispersion_degc`` and
+    ``subgroup_sync`` are the trace's, and ``window_start_min`` is a view
+    of the first ``n_windows`` entries of its ``time_min``.
     """
 
     window_min: float
@@ -169,7 +183,7 @@ def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsRepo
     sync = trace.sync
 
     n_windows = max(n_int - w + 1, 0)
-    window_start = trace.time_min[:n_windows].copy()
+    window_start = trace.time_min[:n_windows]
     window_p2p = np.empty(n_windows)
     window_period = np.empty(n_windows)
     window_sync = np.empty(n_windows)
@@ -180,7 +194,7 @@ def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsRepo
 
     return MetricsReport(
         window_min=window_min,
-        time_min=trace.time_min.copy(),
+        time_min=trace.time_min,
         sync=sync,
         dispersion_degc=trace.dispersion_degc,
         price_divergence=trace.clearing_price - trace.base_price,

@@ -111,10 +111,12 @@ class Population:
 
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
-    construction, the thermal/switch state (float64 ``theta``, boolean
-    ``m`` and ``v``) evolves. The constructor checks the validity rules of
-    every TCL and raises the message of the first offending one. The
-    population never draws noise; callers pass samples in.
+    construction, and one value shared by every TCL may be passed as a
+    read-only zero-stride view (``np.broadcast_to``); the thermal/switch
+    state (float64 ``theta``, boolean ``m`` and ``v``) evolves. The
+    constructor checks the validity rules of every TCL and raises the
+    message of the first offending one. The population never draws noise;
+    callers pass samples in.
 
     Two tables are derived from the parameters on first use and kept: the
     per-step thermal terms for each step length h (see ``step_terms``),
@@ -168,7 +170,6 @@ class Population:
 
         self.theta_min = self.theta_set - self.deadband / 2.0
         self.theta_max = self.theta_set + self.deadband / 2.0
-        self.theta_gain = self.P * self.R
         self.elec_power = self.P / self.eta
 
         check_params(self, lambda i: {
@@ -199,9 +200,14 @@ class Population:
         return len(self.theta)
 
     @property
+    def theta_gain(self) -> np.ndarray:
+        """P*R per TCL, degC: the full-on temperature pull (computed on each read)."""
+        return self.P * self.R
+
+    @property
     def capacity_kw(self) -> float:
         """Total electrical draw if every TCL consumed at once."""
-        return math.fsum(self.elec_power.tolist())
+        return math.fsum(memoryview(self.elec_power))
 
     def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-TCL terms ``(a, off, flip)`` of a thermal step of h seconds.
@@ -220,7 +226,7 @@ class Population:
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
             pull = 1.0 - a
             off = pull * self.theta_ambient
-            terms = (a, off, flip_bits(pull * (self.theta_ambient - self.theta_gain), off))
+            terms = (a, off, flip_bits(pull * (self.theta_ambient - self.P * self.R), off))
             self._step_terms[h] = terms
         return terms
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tclmarket.bidding import bid_prices, predict_temperatures
+from tclmarket.engine import PopulationSpec, generate_population
+from tclmarket.population import Population
 from tclmarket.reference import (
     Bid,
     TclParams,
@@ -146,3 +148,55 @@ def test_bid_prices_matches_scalar_bit_for_bit():
     params, _ = devices(pop)
     scalar = [make_bid(float(t), p).price for t, p in zip(theta, params)]
     assert vec.tolist() == scalar
+
+
+def _two_branch_bid_prices(population, theta_bid):
+    """The bid price as first written: two branches of ``np.where``."""
+    above_set = theta_bid >= population.theta_set
+    linear = np.where(
+        above_set,
+        population.p0 + population.gamma1 * (theta_bid - population.theta_set),
+        population.p0 - population.gamma2 * (population.theta_set - theta_bid),
+    )
+    price = np.where(
+        theta_bid < population.theta_min,
+        0.0,
+        np.where(theta_bid > population.theta_max, population.p_cap, linear),
+    )
+    return np.minimum(np.maximum(price, 0.0), population.p_cap)
+
+
+def test_bid_prices_equal_the_two_branch_form_at_the_edges():
+    # (theta_set, deadband, p0, p_cap, gamma1, gamma2): unequal slopes, a
+    # flat curve, a zero and a capped offset, a slope that overflows past
+    # the cap, and a set-point whose half band is not exact
+    curves = [(20.0, 0.5, 22.0, 35.0, 20.0, 10.0), (20.0, 0.5, 22.0, 35.0, 0.0, 0.0),
+              (19.3, 0.7, 0.0, 30.0, 80.0, 5.0), (21.1, 0.3, 40.0, 40.0, 12.5, 37.0),
+              (20.0, 0.5, 22.0, 35.0, 1e308, 1e308), (0.1, 0.3, 3.0, 7.0, 3.3, 0.7)]
+    rows = []
+    for theta_set, deadband, *bid in curves:
+        edges = (theta_set, theta_set - deadband / 2.0, theta_set + deadband / 2.0)
+        thetas = [np.nextafter(e, toward) for e in edges for toward in (-np.inf, e, np.inf)]
+        thetas += [-np.inf, np.inf, np.nan, -np.nan, theta_set - 0.1, theta_set + 0.1]
+        rows += [(theta_set, deadband, *bid, t) for t in thetas]
+    theta_set, deadband, p0, p_cap, gamma1, gamma2, theta = map(np.array, zip(*rows))
+    n = len(rows)
+    pop = Population(C=np.full(n, 10.0), R=np.full(n, 2.0), P=np.full(n, 14.0),
+                     eta=np.full(n, 2.5), theta_set=theta_set, deadband=deadband, p0=p0,
+                     p_cap=p_cap, gamma1=gamma1, gamma2=gamma2, noise_std=np.zeros(n),
+                     theta=np.full(n, 20.0), m=np.ones(n), v=np.ones(n), theta_ambient=32.0)
+    with np.errstate(all="ignore"):   # inf*0 and an overflowing slope, in both forms
+        expected = _two_branch_bid_prices(pop, theta)
+        got = bid_prices(pop, theta)
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(got).sum() == 2 * len(curves)   # only a NaN theta bids NaN
+
+
+def test_bid_prices_allocate_only_their_result(traced_peak):
+    n = 100_000
+    pop = generate_population(PopulationSpec(count=n, theta_set_width=1.0), 3)
+    theta = predict_temperatures(pop, 15, 10.0)
+    prices, peak = traced_peak(lambda: bid_prices(pop, theta))
+    # 8 B per load for the result, 8 for the slopes and 1 for a mask
+    # (measured 17.0 B per load in all; the two-branch form took 33)
+    assert peak <= prices.nbytes + 9.5 * n

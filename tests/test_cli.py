@@ -238,6 +238,9 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     ({"population": {"count": 16}, "horizon_min": 120, "market_interval_min": 60,
       "h_seconds": 10, "lookahead_s": 0},
      "market_interval_min (60 min) is too long: window_min (120) must span at least 4"),
+    ({"population": {"count": 16}, "feeder_limit_kw": 1.0, "price_tick": 1e-300},
+     "price_tick (1e-300) must be at least the float spacing 7.11e-15 at the largest "
+     "possible bid price (40 $/MWh)"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"

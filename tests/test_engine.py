@@ -366,6 +366,54 @@ def test_scenario_validates_timing_and_limits():
     assert Scenario(price_tick=0.0).validate()
 
 
+def test_price_tick_must_raise_the_largest_possible_bid():
+    top = 40.0   # the default p_cap_range's upper end
+    assert Scenario(price_tick=np.spacing(top)).validate() == []
+    (err,) = Scenario(price_tick=np.nextafter(np.spacing(top), 0.0)).validate()
+    assert err.startswith("price_tick (") and "largest possible bid price (40 $/MWh)" in err
+    # subgroup jitter raises the largest p_cap into the next binade
+    spec = PopulationSpec(p_cap_range=(60.0, 63.9))
+    assert np.spacing(63.9) <= 1e-14 < np.spacing(64.0)
+    assert Scenario(population=spec, price_tick=1e-14).validate() == []
+    jittered = dataclasses.replace(spec, subgroups=2, subgroup_rel_width=0.02)
+    (err,) = Scenario(population=jittered, price_tick=1e-14).validate()
+    assert "largest possible bid price (64.1835 $/MWh)" in err
+    # the price above every bid must be finite too
+    huge = PopulationSpec(p_cap_range=(1e308, 1e308))
+    assert Scenario(population=huge, price_tick=1e300).validate() == []
+    assert Scenario(population=huge, price_tick=1e308).validate()
+
+
+@pytest.mark.parametrize("spec", [
+    PopulationSpec(count=5000, p_cap_range=(30.0, 40.0)),
+    PopulationSpec(count=5000, p0_range=(0.0, 0.1), p_cap_range=(0.1, 0.7)),
+    PopulationSpec(count=5000, subgroups=4, subgroup_rel_width=0.02),
+    PopulationSpec(count=5000, p_cap_range=(60.0, 63.9), subgroups=3, subgroup_rel_width=0.3),
+    PopulationSpec(count=3, subgroups=7, subgroup_rel_width=0.1),
+])
+def test_p_cap_bound_covers_every_draw(spec):
+    bound = spec._p_cap_bound()
+    for seed in range(5):
+        assert generate_population(spec, seed).p_cap.max() <= bound
+
+
+def test_run_peak_memory_per_load(traced_peak):
+    # numpy imports its random module on first use; load it before tracing
+    np.random.SeedSequence(0)
+    n = 20_000
+    scenario = Scenario(
+        population=PopulationSpec(count=n),
+        price_signal=PriceSignal.step([(0.0, 42.0), (10.0, 20.0), (20.0, 9.0)]),
+        horizon_min=30.0,
+    )
+    trace, peak = traced_peak(lambda: run(scenario))
+    assert trace.constrained.sum() == 4   # the peak is set while clearing these
+    # measured 207.2 B per load; 288.4 while run() kept each interval's demand
+    # curve and predicted temperatures alive into the next interval and the
+    # population held n copies of deadband, noise_std and P*R
+    assert peak <= 215 * n
+
+
 def test_scenario_json_round_trip():
     s = Scenario(
         name="roundtrip",

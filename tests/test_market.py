@@ -115,6 +115,18 @@ def test_clear_everything_exceeds_limit():
     assert out.constrained
 
 
+def test_clear_rejects_a_tick_that_does_not_raise_the_top_price():
+    curve = curve_of([Bid(0, 50.0, 4.0), Bid(1, 30.0, 2.0)])
+    for tick in (1e-300, np.spacing(50.0) / 2.0, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="does not raise the top bid price"):
+            clear(curve, 20.0, 3.0, price_tick=tick)
+    out = clear(curve, 20.0, 3.0, price_tick=np.spacing(50.0))
+    assert out.clearing_price == np.nextafter(50.0, math.inf)
+    assert out.cleared_demand == 0.0
+    # a tick too small to matter is harmless when something fits
+    assert clear(curve, 20.0, 4.0, price_tick=1e-300).clearing_price == 50.0
+
+
 def test_clear_validates_preconditions():
     curve = curve_of([Bid(0, 30.0, 2.0)])
     with pytest.raises(ValueError):
@@ -248,3 +260,16 @@ def test_clear_is_exact_at_large_n_near_the_limit():
             assert (got.clearing_price, got.cleared_demand,
                     got.constrained, got.base_demand) == want, (j, base, feeder)
             assert got.cleared_demand <= feeder
+
+
+def test_build_demand_curve_allocates_little_beyond_the_curve(traced_peak):
+    n = 100_000
+    rng = np.random.default_rng(2)
+    prices, quantities = rng.uniform(0.0, 40.0, n), rng.uniform(1.0, 6.0, n)
+    curve, peak = traced_peak(lambda: build_demand_curve(prices, quantities))
+    assert len(curve) == n   # every price distinct: the curve keeps 32 B per load
+    kept = sum(a.nbytes for a in (curve.prices, curve.quantities, curve.ends,
+                                  curve.approx_cumulative))
+    # about one length-n intermediate at a time beside the curve (measured
+    # 43.0 B per load in all; keeping every intermediate to the end took 60.0)
+    assert peak <= kept + 12.5 * n
