@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,49 +41,36 @@ ENV_OUT = "TCLMARKET_OUT"
 EMIT_CHOICES = ("trace", "metrics", "bids", "steps")
 DEFAULT_EMIT = "trace,metrics,bids"
 
-
-def _stepprice() -> Scenario:
-    return Scenario(
+BUILTIN_SCENARIOS: dict[str, Scenario] = {
+    "stepprice": Scenario(
         name="stepprice",
         population=PopulationSpec(),
         price_signal=PriceSignal.step([(0.0, 42.0), (360.0, 20.0), (720.0, 9.0)]),
-    )
-
-
-def _stepprice_hetset() -> Scenario:
-    return Scenario(
+    ),
+    "stepprice-hetset": Scenario(
         name="stepprice-hetset",
         population=PopulationSpec(theta_set_width=1.0),
         price_signal=PriceSignal.step([(0.0, 42.0), (360.0, 20.0), (720.0, 9.0)]),
-    )
-
-
-def _fluctuating() -> Scenario:
-    return Scenario(
+    ),
+    "fluctuating": Scenario(
         name="fluctuating",
         population=PopulationSpec(),
         price_signal=PriceSignal.square(low=20.0, high=30.0, period_min=10.0),
-    )
-
-
-def _pulsetrain() -> Scenario:
+    ),
     # Starts at the high level; first drop to the low level at t=240 min.
-    return Scenario(
+    "pulsetrain": Scenario(
         name="pulsetrain",
         population=PopulationSpec(),
         price_signal=PriceSignal.square(
             low=14.0, high=24.0, period_min=480.0, offset_min=240.0
         ),
-    )
-
-
-def _subgroups() -> Scenario:
+    ),
     # Four bid-curve groups with widely spaced offsets and steep slopes, so
     # a base price alternating inside the bid stack holds each group at its
     # own temperature (blocked groups pile against the price cutoff instead
     # of free-running), while the square edges march all groups between
     # their two hold points at once.
-    return Scenario(
+    "subgroups": Scenario(
         name="subgroups",
         population=PopulationSpec(
             subgroups=4,
@@ -94,32 +81,20 @@ def _subgroups() -> Scenario:
         ),
         price_signal=PriceSignal.square(low=22.0, high=23.5, period_min=110.0),
         feeder_fraction=0.60,
-    )
-
-
-def _natural() -> Scenario:
-    return Scenario(
+    ),
+    "natural": Scenario(
         name="natural",
         population=PopulationSpec(),
         price_signal=PriceSignal.constant(0.0),
         feeder_fraction=1.0,
-    )
-
-
-BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
-    "stepprice": _stepprice,
-    "stepprice-hetset": _stepprice_hetset,
-    "fluctuating": _fluctuating,
-    "pulsetrain": _pulsetrain,
-    "subgroups": _subgroups,
-    "natural": _natural,
+    ),
 }
 
 
 def builtin_scenario(name: str) -> Scenario:
     """Resolve a built-in scenario by name."""
     try:
-        return BUILTIN_SCENARIOS[name]()
+        return BUILTIN_SCENARIOS[name]
     except KeyError:
         raise ScenarioError(
             f"unknown scenario {name!r}; built-ins are "
@@ -130,7 +105,7 @@ def builtin_scenario(name: str) -> Scenario:
 def load_scenario(spec: str) -> Scenario:
     """Resolve a scenario argument: built-in name first, then a JSON file."""
     if spec in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[spec]()
+        return builtin_scenario(spec)
     if not os.path.exists(spec):
         raise ScenarioError(
             f"scenario file not found: {spec} (and it is not a built-in name)"
@@ -183,17 +158,18 @@ def write_trace_csv(path: str, trace: Trace) -> None:
     ])
 
 
-def write_metrics_csv(path: str, report: MetricsReport) -> None:
+def write_metrics_csv(path: str, trace: Trace, report: MetricsReport) -> None:
+    """Per-interval synchronization statistics of the trace, and the report's price divergence."""
     columns = [
-        ("interval", np.arange(len(report.time_min))),
-        ("time_min", report.time_min),
-        ("sync_index", report.sync),
-        ("temperature_dispersion_degc", report.dispersion_degc),
+        ("interval", np.arange(trace.n_intervals)),
+        ("time_min", trace.time_min),
+        ("sync_index", trace.sync),
+        ("temperature_dispersion_degc", trace.dispersion_degc),
         ("price_divergence_usd_per_mwh", report.price_divergence),
     ]
-    if report.subgroup_sync is not None:
+    if trace.subgroup_sync is not None:
         columns += [
-            (f"subgroup{g}_sync_index", sync) for g, sync in enumerate(report.subgroup_sync)
+            (f"subgroup{g}_sync_index", sync) for g, sync in enumerate(trace.subgroup_sync)
         ]
     _write_table(path, columns)
 
@@ -344,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
         written.append("trace.csv")
     if "metrics" in emit:
-        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report)
+        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), trace, report)
         write_windows_csv(os.path.join(out_dir, "windows.csv"), report)
         written += ["metrics.csv", "windows.csv"]
     if "bids" in emit:

@@ -301,8 +301,8 @@ class PopulationSpec:
             # Members jitter their group's anchor p0 and p_cap by up to ±w
             # relative, so p0 <= p_cap needs p0_anchor*(1+w) <= p_cap_anchor*
             # (1-w) in every group that is drawn (all K unless K > count).
-            K, n, w = self.subgroups, self.count, self.subgroup_rel_width
-            groups = np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
+            K, w = self.subgroups, self.subgroup_rel_width
+            groups = _drawn_subgroups(self.count, K)
             p0_anchor = _subgroup_anchors(self.p0_range, groups, K)
             cap_anchor = _subgroup_anchors(self.p_cap_range, groups, K)
             clash = np.flatnonzero(p0_anchor * (1.0 + w) > cap_anchor * (1.0 - w))
@@ -349,9 +349,8 @@ class PopulationSpec:
         if self.subgroups == 1:
             lo, hi = map(float, self.p_cap_range)
             return lo + (hi - lo)
-        K, n = self.subgroups, self.count
-        groups = np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
-        anchors = _subgroup_anchors(self.p_cap_range, groups, K)
+        K = self.subgroups
+        anchors = _subgroup_anchors(self.p_cap_range, _drawn_subgroups(self.count, K), K)
         return float(anchors.max() * (1.0 + self.subgroup_rel_width))
 
 
@@ -613,6 +612,11 @@ def _subgroup_labels(n: int, K: int) -> np.ndarray:
     return (np.arange(n) * K) // n
 
 
+def _drawn_subgroups(n: int, K: int) -> np.ndarray:
+    """The subgroups that n TCLs in K blocks fill, in ascending order (all K unless K > n)."""
+    return np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
+
+
 def _subgroup_anchors(value_range, groups: np.ndarray, K: int) -> np.ndarray:
     """Anchor value of each subgroup, spread evenly across ``value_range``."""
     lo, hi = value_range
@@ -740,6 +744,13 @@ class Trace:
     fraction and temperature summary. ``population`` carries the final
     state and the per-TCL parameter arrays. No record holds one value per
     TCL per interval, so a trace takes O(n + T) memory.
+
+    Each record lives only here: :func:`run` allocates every array before
+    its first interval and writes each interval's and each block's values
+    straight into it. No two record arrays share memory, and none
+    shares memory with the population's state; a
+    :class:`~tclmarket.metrics.MetricsReport` holds only what it derives
+    from them.
     """
 
     scenario: Scenario
@@ -828,6 +839,9 @@ def run(scenario: Scenario) -> Trace:
     that fits under the feeder limit the market settles at the base price,
     as :func:`clear` would; only otherwise are the bids sorted into a
     demand curve and cleared. The population's capacity is summed once.
+
+    The returned :class:`Trace` is allocated before the first interval, and
+    every record is written into it where it is computed.
     """
     plan = scenario.plan()
     pop = generate_population(scenario.population, scenario.seed)
@@ -847,31 +861,38 @@ def run(scenario: Scenario) -> Trace:
         noise_rng = np.random.default_rng(_seed_children(scenario.seed)[2])
 
     n_steps = n_intervals * steps_per
-    time_min = np.arange(n_intervals) * scenario.market_interval_min
-    clearing_price = np.empty(n_intervals)
-    cleared_demand = np.empty(n_intervals)
-    base_demand = np.empty(n_intervals)
-    constrained = np.zeros(n_intervals, dtype=bool)
-    avg_demand = np.empty(n_intervals)
-    n_dispatched = np.empty(n_intervals, dtype=np.int64)
-    step_time = np.arange(1, n_steps + 1) * h / 60.0
-    step_power = np.empty(n_steps)
-    step_on_fraction = np.empty(n_steps)
-    step_theta_mean = np.empty(n_steps)
-    step_theta_std = np.empty(n_steps)
-    bid_min = np.empty(n_intervals)
-    bid_mean = np.empty(n_intervals)
-    bid_max = np.empty(n_intervals)
     sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
-    sample_ids = np.sort(sample_rng.choice(n, size=min(N_BID_SAMPLES, n), replace=False))
-    bid_sample = np.empty((n_intervals, len(sample_ids)))
-    sync = np.empty(n_intervals)
-    dispersion = np.empty(n_intervals)
+    n_samples = min(N_BID_SAMPLES, n)
     subgroups = []
-    subgroup_sync = None
     if pop.subgroup is not None:
         subgroups = [np.flatnonzero(pop.subgroup == g) for g in np.unique(pop.subgroup)]
-        subgroup_sync = np.empty((len(subgroups), n_intervals))
+    trace = Trace(
+        scenario=scenario,
+        population=pop,
+        feeder_limit_kw=feeder_limit,
+        capacity_kw=capacity,
+        time_min=np.arange(n_intervals) * scenario.market_interval_min,
+        base_price=plan.base_price.copy(),
+        clearing_price=np.empty(n_intervals),
+        cleared_demand_kw=np.empty(n_intervals),
+        base_demand_kw=np.empty(n_intervals),
+        constrained=np.zeros(n_intervals, dtype=bool),
+        avg_demand_kw=np.empty(n_intervals),
+        n_dispatched=np.empty(n_intervals, dtype=np.int64),
+        step_time_min=np.arange(1, n_steps + 1) * h / 60.0,
+        step_power_kw=np.empty(n_steps),
+        step_on_fraction=np.empty(n_steps),
+        step_theta_mean=np.empty(n_steps),
+        step_theta_std=np.empty(n_steps),
+        bid_price_min=np.empty(n_intervals),
+        bid_price_mean=np.empty(n_intervals),
+        bid_price_max=np.empty(n_intervals),
+        bid_sample_ids=np.sort(sample_rng.choice(n, size=n_samples, replace=False)),
+        bid_sample=np.empty((n_intervals, n_samples)),
+        sync=np.empty(n_intervals),
+        dispersion_degc=np.empty(n_intervals),
+        subgroup_sync=np.empty((len(subgroups), n_intervals)) if subgroups else None,
+    )
     block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
     theta_block = np.empty((block, n))
     consuming_block = np.empty((block, n), dtype=bool)
@@ -911,68 +932,45 @@ def run(scenario: Scenario) -> Trace:
                         h, None if noise is None else noise[j], theta_block[j], consuming_block[j]
                     )
                 stepped = slice(start, start + b)
-                step_power[stepped] = aggregate_power(pop, consuming_block[:b])
+                trace.step_power_kw[stepped] = aggregate_power(pop, consuming_block[:b])
                 # per row: count_nonzero(axis=1) is several times slower
-                step_on_fraction[stepped] = [
+                trace.step_on_fraction[stepped] = [
                     np.count_nonzero(row) / n for row in consuming_block[:b]
                 ]
-                step_theta_mean[stepped], step_theta_std[stepped] = _mean_std(theta_block[:b])
+                trace.step_theta_mean[stepped], trace.step_theta_std[stepped] = _mean_std(
+                    theta_block[:b]
+                )
         rows = slice(first, first + steps_per)
         finite = np.isfinite(
-            [step_power[rows], step_theta_mean[rows], step_theta_std[rows]]
+            [trace.step_power_kw[rows], trace.step_theta_mean[rows], trace.step_theta_std[rows]]
         ).all(axis=0)
         if not finite.all():
             k = first + int(np.argmin(finite))
             raise ScenarioError(
-                f"physics step {k} (t={step_time[k]:g} min) left the finite range: "
-                f"power {float(step_power[k])} kW, theta mean {float(step_theta_mean[k])} "
-                f"degC, theta std {float(step_theta_std[k])} degC; the scenario's "
+                f"physics step {k} (t={trace.step_time_min[k]:g} min) left the finite range: "
+                f"power {float(trace.step_power_kw[k])} kW, "
+                f"theta mean {float(trace.step_theta_mean[k])} degC, "
+                f"theta std {float(trace.step_theta_std[k])} degC; the scenario's "
                 "values are too large to simulate"
             )
 
-        clearing_price[t] = result.clearing_price
-        cleared_demand[t] = result.cleared_demand
-        base_demand[t] = result.base_demand
-        constrained[t] = result.constrained
-        avg_demand[t] = _exact_mean(step_power[rows].tolist())
-        n_dispatched[t] = np.count_nonzero(pop.v)
-        bid_min[t] = prices.min()
-        bid_mean[t] = prices.mean()
-        bid_max[t] = prices.max()
-        bid_sample[t] = prices[sample_ids]
-        sync[t] = metrics.sync_index(pop.theta, pop.m, pop.theta_min, pop.theta_max)
-        dispersion[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
+        trace.clearing_price[t] = result.clearing_price
+        trace.cleared_demand_kw[t] = result.cleared_demand
+        trace.base_demand_kw[t] = result.base_demand
+        trace.constrained[t] = result.constrained
+        trace.avg_demand_kw[t] = _exact_mean(trace.step_power_kw[rows].tolist())
+        trace.n_dispatched[t] = np.count_nonzero(pop.v)
+        trace.bid_price_min[t] = prices.min()
+        trace.bid_price_mean[t] = prices.mean()
+        trace.bid_price_max[t] = prices.max()
+        trace.bid_sample[t] = prices[trace.bid_sample_ids]
+        trace.sync[t] = metrics.sync_index(pop.theta, pop.m, pop.theta_min, pop.theta_max)
+        trace.dispersion_degc[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
         for g, members in enumerate(subgroups):
-            subgroup_sync[g, t] = metrics.sync_index(
+            trace.subgroup_sync[g, t] = metrics.sync_index(
                 pop.theta[members], pop.m[members],
                 pop.theta_min[members], pop.theta_max[members],
             )
 
     pop.theta = pop.theta.copy()   # a row of theta_block until now
-    return Trace(
-        scenario=scenario,
-        population=pop,
-        feeder_limit_kw=feeder_limit,
-        capacity_kw=capacity,
-        time_min=time_min,
-        base_price=plan.base_price.copy(),
-        clearing_price=clearing_price,
-        cleared_demand_kw=cleared_demand,
-        base_demand_kw=base_demand,
-        constrained=constrained,
-        avg_demand_kw=avg_demand,
-        n_dispatched=n_dispatched,
-        step_time_min=step_time,
-        step_power_kw=step_power,
-        step_on_fraction=step_on_fraction,
-        step_theta_mean=step_theta_mean,
-        step_theta_std=step_theta_std,
-        bid_price_min=bid_min,
-        bid_price_mean=bid_mean,
-        bid_price_max=bid_max,
-        bid_sample_ids=sample_ids,
-        bid_sample=bid_sample,
-        sync=sync,
-        dispersion_degc=dispersion,
-        subgroup_sync=subgroup_sync,
-    )
+    return trace

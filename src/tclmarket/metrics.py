@@ -15,7 +15,7 @@ de-meaned interval-average demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -120,23 +120,19 @@ def demand_oscillation(
 
 @dataclass
 class MetricsReport:
-    """Derived statistics, per interval and per sliding window.
+    """Statistics derived from a trace, per interval and per sliding window.
 
     Window quantities use sliding windows of ``window_min`` minutes
     stepping one market interval; window s covers intervals
-    [s, s + window), stamped by the window start time.
-
-    The per-interval arrays taken from the trace are the trace's own
-    arrays, not copies: ``time_min``, ``sync``, ``dispersion_degc`` and
-    ``subgroup_sync`` are the trace's, and ``window_start_min`` is a view
-    of the first ``n_windows`` entries of its ``time_min``.
+    [s, s + window), stamped by the window start time
+    (``window_start_min`` is a view of the first ``n_windows`` entries of
+    the trace's ``time_min``). What ``run()`` records per interval (times,
+    sync index, dispersion, per-subgroup sync) is read from the trace
+    itself; the report keeps none of it.
     """
 
     window_min: float
     # per market interval
-    time_min: np.ndarray
-    sync: np.ndarray
-    dispersion_degc: np.ndarray
     price_divergence: np.ndarray  # clearing - base, $/MWh
     # per sliding window
     window_start_min: np.ndarray
@@ -147,8 +143,6 @@ class MetricsReport:
     feeder_hits: int
     max_sync: float
     max_p2p_kw: float
-    # per subgroup per interval, when the population defines subgroups
-    subgroup_sync: Optional[np.ndarray] = None
 
     @property
     def n_windows(self) -> int:
@@ -173,14 +167,13 @@ def window_intervals(window_min: float, interval_min: float) -> int:
 def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsReport:
     """Reduce a trace to the synchronization/oscillation report.
 
-    The per-interval statistics are the ones ``run()`` recorded at the end
-    of each interval; this adds the price divergence and the sliding-window
-    statistics.
+    The per-interval statistics ``run()`` recorded at the end of each
+    interval stay in the trace; the report adds the price divergence and
+    the sliding-window statistics.
     """
     interval_min = trace.scenario.market_interval_min
     w = window_intervals(window_min, interval_min)
     n_int = trace.n_intervals
-    sync = trace.sync
 
     n_windows = max(n_int - w + 1, 0)
     window_start = trace.time_min[:n_windows]
@@ -190,20 +183,16 @@ def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsRepo
     for s in range(n_windows):
         seg = trace.avg_demand_kw[s : s + w]
         window_p2p[s], window_period[s] = demand_oscillation(seg, interval_min)
-        window_sync[s] = sync[s : s + w].mean()
+        window_sync[s] = trace.sync[s : s + w].mean()
 
     return MetricsReport(
         window_min=window_min,
-        time_min=trace.time_min,
-        sync=sync,
-        dispersion_degc=trace.dispersion_degc,
         price_divergence=trace.clearing_price - trace.base_price,
         window_start_min=window_start,
         window_p2p_kw=window_p2p,
         window_period_min=window_period,
         window_sync=window_sync,
         feeder_hits=int(trace.constrained.sum()),
-        max_sync=float(sync.max()) if n_int else 0.0,
+        max_sync=float(trace.sync.max()) if n_int else 0.0,
         max_p2p_kw=float(window_p2p.max()) if n_windows else 0.0,
-        subgroup_sync=trace.subgroup_sync,
     )

@@ -25,6 +25,11 @@ import numpy as np
 
 __all__ = ["Population", "aggregate_power"]
 
+#: The most the frexp exponents of the largest and the smallest P/eta may
+#: differ: ``power_limbs`` scales the largest to below 2**(53 + difference),
+#: which float64 holds up to 2**1024.
+MAX_POWER_EXPONENT_SPAN = 1024 - 53
+
 #: Per-TCL parameter arrays of a :class:`Population`.
 PARAM_FIELDS = (
     "C", "R", "P", "eta", "theta_set", "deadband",
@@ -176,6 +181,14 @@ class Population:
             "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
         })
         check_switches(m, v)
+        low, high = int(np.argmin(self.elec_power)), int(np.argmax(self.elec_power))
+        x_low, x_high = float(self.elec_power[low]), float(self.elec_power[high])
+        if math.frexp(x_high)[1] - math.frexp(x_low)[1] > MAX_POWER_EXPONENT_SPAN:
+            raise ValueError(
+                "P/eta spans too many binary orders of magnitude for an exact power sum: "
+                f"smallest {x_low!r} (TCL {low}), largest {x_high!r} (TCL {high}); their "
+                f"frexp exponents may differ by at most {MAX_POWER_EXPONENT_SPAN}"
+            )
         self.m = m.astype(bool)
         self.v = v.astype(bool)
 
@@ -283,8 +296,10 @@ class Population:
         so ``P/eta = 2**lo * sum_j limbs[j] * 2**(width*j)`` exactly. The
         width leaves room for n digits: any sum of one row is an integer
         below 2**53, which float64 holds exactly whatever the order of the
-        additions. (The scaling by ``2**-lo`` stays finite while the largest
-        P/eta is within 2**970 of the smallest.) Built on first use.
+        additions. (The scaling by ``2**-lo`` keeps the largest P/eta finite
+        while its frexp exponent exceeds the smallest one's by at most
+        ``MAX_POWER_EXPONENT_SPAN``, which the constructor enforces.) Built
+        on first use.
         """
         if self._power_limbs is None:
             x = self.elec_power

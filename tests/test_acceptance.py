@@ -203,7 +203,7 @@ def test_criterion_04_price_step_sync_pinning_oscillations(stepprice_trace):
     t = trace.time_min
 
     # (a) temperatures synchronize while the 42 $/MWh price blocks dispatch
-    sync_before_drop = float(report.sync[t < 360.0].max())
+    sync_before_drop = float(trace.sync[t < 360.0].max())
 
     # (b) during the 20 $/MWh hold the demand sits pinned at the limit and
     #     the clearing price rises above the base price
@@ -318,11 +318,11 @@ def _distinct_dominant_periods(report, min_windows=3, rel_gap=0.25) -> list[floa
 def test_criterion_08_subgroups_mix_periods_with_partial_coherence(subgroups_trace):
     trace = subgroups_trace
     report = compute_metrics(trace)
-    assert report.subgroup_sync is not None and report.subgroup_sync.shape[0] == 4
+    assert trace.subgroup_sync is not None and trace.subgroup_sync.shape[0] == 4
 
     distinct = _distinct_dominant_periods(report)
 
-    coherent_split = (report.subgroup_sync > 0.9).all(axis=0) & (report.sync < 0.6)
+    coherent_split = (trace.subgroup_sync > 0.9).all(axis=0) & (trace.sync < 0.6)
     runs = _contiguous_runs(np.where(coherent_split)[0])
     interval = trace.scenario.market_interval_min
     longest_min = max((len(r) for r in runs), default=0) * interval

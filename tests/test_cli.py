@@ -92,8 +92,7 @@ def test_unknown_builtin_lists_available_names():
 
 
 def test_all_builtin_scenarios_validate():
-    for name, factory in BUILTIN_SCENARIOS.items():
-        scenario = factory()
+    for name, scenario in BUILTIN_SCENARIOS.items():
         assert scenario.name == name
         assert scenario.validate() == []
 

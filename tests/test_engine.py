@@ -1,6 +1,7 @@
 """Scenario configuration, population generation, and the closed-loop run."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -469,6 +470,21 @@ def test_run_trace_shapes_and_frames():
     assert trace.bid_price_min.shape == trace.bid_price_max.shape == (6,)
     assert np.all(trace.bid_price_min <= trace.bid_price_mean)
     assert np.all(trace.bid_price_mean <= trace.bid_price_max)
+
+
+def test_trace_records_share_no_memory():
+    trace = run(tiny_scenario(
+        population=PopulationSpec(count=30, noise_std=0.02, subgroups=3),
+    ))
+    arrays = {
+        f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
+        if isinstance(getattr(trace, f.name), np.ndarray)
+    }
+    assert trace.subgroup_sync.shape == (3, 6) and len(arrays) == 21
+    for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
+        assert not np.shares_memory(x, y), (a, b)
+    for name, x in arrays.items():
+        assert not np.shares_memory(x, trace.population.theta), name
 
 
 def test_run_is_deterministic():

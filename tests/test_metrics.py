@@ -223,32 +223,31 @@ def test_report_shapes_and_scalars(small_trace):
     report = compute_metrics(small_trace, window_min=60.0)
     n = small_trace.n_intervals
     assert n == 24
-    assert report.sync.shape == (n,)
-    assert report.dispersion_degc.shape == (n,)
-    assert np.all((report.sync >= 0.0) & (report.sync <= 1.0))
-    assert np.all(report.dispersion_degc >= 0.0)
+    assert small_trace.sync.shape == (n,)
+    assert small_trace.dispersion_degc.shape == (n,)
+    assert np.all((small_trace.sync >= 0.0) & (small_trace.sync <= 1.0))
+    assert np.all(small_trace.dispersion_degc >= 0.0)
     assert report.n_windows == n - 12 + 1
     assert np.array_equal(report.window_start_min, small_trace.time_min[: report.n_windows])
     assert report.feeder_hits == int(small_trace.constrained.sum())
-    assert report.max_sync == report.sync.max()
+    assert report.max_sync == small_trace.sync.max()
     assert report.max_p2p_kw == report.window_p2p_kw.max()
     assert np.array_equal(
         report.price_divergence, small_trace.clearing_price - small_trace.base_price
     )
-    assert report.subgroup_sync is None
+    assert small_trace.subgroup_sync is None
 
 
-def test_report_carries_per_subgroup_sync():
+def test_trace_carries_per_subgroup_sync():
     trace = run(Scenario(
         name="metrics-groups",
         population=PopulationSpec(count=16, subgroups=4),
         horizon_min=60.0,
         seed=4,
     ))
-    report = compute_metrics(trace, window_min=30.0)
-    assert report.subgroup_sync is not None
-    assert report.subgroup_sync.shape == (4, trace.n_intervals)
-    assert np.all((report.subgroup_sync >= 0.0) & (report.subgroup_sync <= 1.0))
+    assert trace.subgroup_sync is not None
+    assert trace.subgroup_sync.shape == (4, trace.n_intervals)
+    assert np.all((trace.subgroup_sync >= 0.0) & (trace.subgroup_sync <= 1.0))
 
 
 def test_report_rejects_tiny_windows(small_trace):

@@ -1,5 +1,6 @@
 """Single-TCL physics: parameters, hysteresis, thermal step, aggregation."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -202,6 +203,35 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     assert aggregate_power(pop) == math.fsum(P.tolist())
     pop.v[::3] = False
     assert aggregate_power(pop) == math.fsum(P[pop.consuming()].tolist())
+
+
+def _spread_population(R, P, eta, m):
+    """Loads that differ in R, P, eta and m; every other parameter a TclParams default."""
+    params = [TclParams(id=i, R=r, P=p, eta=e) for i, (r, p, e) in enumerate(zip(R, P, eta))]
+    return population_from_devices(params, [TclState(20.0, m=x) for x in m], theta_ambient=32.0)
+
+
+def test_population_rejects_a_p_over_eta_spread_the_limbs_cannot_hold():
+    # 4e-301 kW next to 5.6 kW: scaling the largest by 2**-lo would overflow
+    # the limb table, and the power sum would come out negative
+    with pytest.raises(ValueError, match=r"smallest 4e-301 \(TCL 0\), largest 5\.6 \(TCL 1\)"):
+        _spread_population([1e301, 2.0, 2.0], [1e-300, 14.0, 3.0], [2.5] * 3, [1, 0, 0])
+
+
+def test_aggregate_power_is_exact_at_the_exponent_span_bound():
+    # frexp exponents -961 and 10 differ by exactly 971: the largest P/eta,
+    # every mantissa bit set, scales to the largest finite float64
+    big = float(np.nextafter(1024.0, 0.0))
+    R, P, eta = [2.0**963, 2.0, 2.0], [2.0**-962, big, 14.0], [1.0, 1.0, 2.5]
+    pop = _spread_population(R, P, eta, [1, 1, 1])
+    assert math.frexp(big)[1] - math.frexp(2.0**-962)[1] == 971
+    assert pop.power_limbs()[0].max() < 2.0**53
+    for mask in itertools.product([False, True], repeat=3):
+        consuming = np.array(mask)
+        expected = math.fsum(pop.elec_power[consuming].tolist())
+        assert aggregate_power(pop, consuming) == expected, mask
+    with pytest.raises(ValueError, match="at most 971"):
+        _spread_population(R, [2.0**-963, big, 14.0], eta, [1, 1, 1])
 
 
 def test_population_capacity_sums_electrical_power():
