@@ -256,6 +256,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """The ``tclmarket`` command: returns its exit code.
+
+    A reader that closes standard output early (``tclmarket ... | head``)
+    ends the command with exit code 1 and no traceback.
+    """
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit: point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 

@@ -838,7 +838,8 @@ def run(scenario: Scenario) -> Trace:
     limb table (:func:`aggregate_power` of the bids at or above it). When
     that fits under the feeder limit the market settles at the base price,
     as :func:`clear` would; only otherwise are the bids sorted into a
-    demand curve and cleared. The population's capacity is summed once.
+    demand curve over the same table and cleared. The population's
+    capacity is summed once.
 
     The returned :class:`Trace` is allocated before the first interval, and
     every record is written into it where it is computed.
@@ -897,7 +898,6 @@ def run(scenario: Scenario) -> Trace:
     theta_block = np.empty((block, n))
     consuming_block = np.empty((block, n), dtype=bool)
 
-    quantities = pop.elec_power
     for t in range(n_intervals):
         # The predicted temperatures and the demand curve are never bound to a
         # name: each is freed after its one use, not kept into the next interval.
@@ -911,7 +911,7 @@ def run(scenario: Scenario) -> Trace:
             result = ClearingResult.unconstrained(pi_base, demand)
         else:
             result = clear(
-                build_demand_curve(prices, quantities), pi_base, feeder_limit,
+                build_demand_curve(prices, pop.power_limbs()), pi_base, feeder_limit,
                 scenario.price_tick,
             )
         pop.set_dispatch(prices, result.clearing_price)

@@ -17,16 +17,19 @@ leaving headroom unused.
 
 A float running sum only locates the candidate level. Every quantity the
 market reports or compares against the limit is the exact sum of the bids
-involved, rounded once (``math.fsum``), so `cleared_demand <=
-feeder_limit` and its downstream comparisons hold without tolerance.
+involved, rounded once: a total of the quantities' limb table
+(:class:`~tclmarket.population.LimbTable`, the package's one exact summer),
+so `cleared_demand <= feeder_limit` and what follows from it hold without
+tolerance. The caller may pass that table in place of the quantities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .population import LimbTable, check_exact_sum
 
 __all__ = ["DemandCurve", "ClearingResult", "build_demand_curve", "clear"]
 
@@ -36,28 +39,23 @@ DEFAULT_PRICE_TICK = 0.01
 
 @dataclass(frozen=True, eq=False)
 class DemandCurve:
-    """Aggregate demand as descending-price levels over the sorted bids.
+    """Aggregate demand as descending-price levels over the bids.
 
-    ``prices`` holds the distinct bid prices, strictly decreasing.
-    ``quantities`` holds every bid quantity, sorted by price descending,
-    and ``ends[k]`` is the number of bids priced at or above
-    ``prices[k]``. ``approx_cumulative[k]`` is the float running sum of
-    those bids: close to, but not always equal to, the exact demand.
+    ``prices`` holds the distinct bid prices, strictly decreasing, and
+    ``approx_cumulative[k]`` the float running sum of the quantities bid at
+    or above ``prices[k]``: close to, but not always equal to, the exact
+    demand. ``bids`` is the caller's array of bid prices (not a copy: the
+    curve holds while it is unchanged) and ``table`` the limb table of the
+    bid quantities in the same order; every exact demand is one total of it.
     """
 
     prices: np.ndarray
-    quantities: np.ndarray
-    ends: np.ndarray
     approx_cumulative: np.ndarray
+    bids: np.ndarray
+    table: LimbTable
 
     def __len__(self) -> int:
         return len(self.prices)
-
-    def cumulative(self, levels: int) -> float:
-        """Exact demand of the top ``levels`` price levels, rounded once, kW."""
-        if levels == 0:
-            return 0.0
-        return math.fsum(memoryview(self.quantities[: self.ends[levels - 1]]))
 
     @property
     def max_price(self) -> float:
@@ -65,8 +63,8 @@ class DemandCurve:
         return float(self.prices[0]) if len(self) else 0.0
 
     def demand(self, price: float) -> float:
-        """Total quantity bid at or above ``price``, kW (non-increasing)."""
-        return self.cumulative(len(self) - int(np.count_nonzero(self.prices < price)))
+        """Exact total quantity bid at or above ``price``, kW; a NaN price excludes no bid."""
+        return self.table.total(~(self.bids < price))
 
 
 @dataclass(frozen=True)
@@ -81,56 +79,49 @@ class ClearingResult:
     @staticmethod
     def unconstrained(base_price: float, base_demand: float) -> "ClearingResult":
         """The outcome when the demand at the base price fits: settle there."""
-        return ClearingResult(
-            clearing_price=base_price,
-            cleared_demand=base_demand,
-            constrained=False,
-            base_demand=base_demand,
-        )
+        return ClearingResult(base_price, base_demand, False, base_demand)
 
 
 def build_demand_curve(prices, quantities) -> DemandCurve:
     """Stack bids, given as aligned price and quantity arrays, into a curve.
 
-    Bids are sorted by price descending and equal-price bids merge into one
-    level. Zero-price bids stay on the curve (they clear only at a clearing
-    price of zero). A bad bid is reported by its index, which is the
-    bidding TCL's id.
+    Equal-price bids merge into one level. Zero-price bids stay on the
+    curve (they clear only at a clearing price of zero). A bad bid is
+    reported by its index, which is the bidding TCL's id. ``quantities``
+    may also be a :class:`LimbTable` of the quantities, which the curve then
+    uses as it is.
     """
     prices = np.asarray(prices, dtype=np.float64)
-    quantities = np.asarray(quantities, dtype=np.float64)
+    table = quantities if isinstance(quantities, LimbTable) else None
+    quantities = np.asarray(quantities, dtype=np.float64) if table is None else table.values
     if prices.shape != quantities.shape or prices.ndim != 1:
         raise ValueError(
             f"prices {prices.shape} and quantities {quantities.shape} "
             "must be aligned 1-D arrays"
         )
     bad_price = ~(np.isfinite(prices) & (prices >= 0))
-    bad_quantity = ~(np.isfinite(quantities) & (quantities > 0))
-    bad = bad_price | bad_quantity
+    bad = bad_price | ~(np.isfinite(quantities) & (quantities > 0))
     if bad.any():
         i = int(np.argmax(bad))
-        if bad_price[i]:
-            raise ValueError(f"bid from TCL {i}: price must be finite and >= 0")
-        raise ValueError(f"bid from TCL {i}: quantity must be finite and > 0")
+        why = "price must be finite and >= 0" if bad_price[i] else "quantity must be finite and > 0"
+        raise ValueError(f"bid from TCL {i}: {why}")
+    if table is None:
+        check_exact_sum(quantities, "quantity", "bid from TCL {}")
     # Each intermediate is dropped as soon as the curve has taken what it
-    # keeps from it.
+    # keeps from it; a new table is built last, beside the curve alone.
     order = np.argsort(-prices)
-    quantities = quantities[order]
-    prices = prices[order]
+    approx_cumulative = np.cumsum(quantities[order])
+    levels = prices[order]
     del order
-    level_end = np.ones(len(prices), dtype=bool)  # last bid of its price level
-    np.not_equal(prices[1:], prices[:-1], out=level_end[:-1])
+    level_end = np.ones(len(levels), dtype=bool)  # last bid of its price level
+    np.not_equal(levels[1:], levels[:-1], out=level_end[:-1])
     last = np.flatnonzero(level_end)
     del level_end
-    prices = prices[last]
-    approx_cumulative = np.cumsum(quantities)[last]
-    last += 1
-    return DemandCurve(
-        prices=prices,
-        quantities=quantities,
-        ends=last,
-        approx_cumulative=approx_cumulative,
-    )
+    levels = levels[last]
+    approx_cumulative = approx_cumulative[last]
+    del last
+    return DemandCurve(prices=levels, approx_cumulative=approx_cumulative, bids=prices,
+                       table=LimbTable(quantities) if table is None else table)
 
 
 def clear(
@@ -160,37 +151,28 @@ def clear(
     if base_demand <= feeder_limit:
         return ClearingResult.unconstrained(base_price, base_demand)
     above_base = len(curve) - int(np.count_nonzero(curve.prices <= base_price))
+
+    def demand_of(levels: int) -> float:   # exact demand of the top levels
+        return curve.demand(curve.prices[levels - 1]) if levels else 0.0
+
     # The float running sum picks the candidate level; the exact sums
     # decide, stepping down past levels it let through and up past levels
     # it held back. Comparisons count rather than bisect so that a NaN
     # limit admits no level and a NaN base excludes none.
     levels = int(np.count_nonzero(curve.approx_cumulative[:above_base] <= feeder_limit))
-    cleared = curve.cumulative(levels)
+    cleared = demand_of(levels)
     while levels > 0 and cleared > feeder_limit:
         levels -= 1
-        cleared = curve.cumulative(levels)
-    while levels < above_base:
-        deeper = curve.cumulative(levels + 1)
-        if not deeper <= feeder_limit:
-            break
+        cleared = demand_of(levels)
+    while levels < above_base and (deeper := demand_of(levels + 1)) <= feeder_limit:
         levels, cleared = levels + 1, deeper
-    if levels == 0:
-        above_every_bid = curve.max_price + price_tick
-        if not above_every_bid > curve.max_price:
-            raise ValueError(
-                f"price_tick ({price_tick!r}) does not raise the top bid price "
-                f"({curve.max_price!r}): nothing fits, and the price that sheds "
-                "every bid must lie above all of them"
-            )
-        return ClearingResult(
-            clearing_price=above_every_bid,
-            cleared_demand=0.0,
-            constrained=True,
-            base_demand=base_demand,
+    if levels:
+        return ClearingResult(float(curve.prices[levels - 1]), cleared, True, base_demand)
+    above_every_bid = curve.max_price + price_tick
+    if not above_every_bid > curve.max_price:
+        raise ValueError(
+            f"price_tick ({price_tick!r}) does not raise the top bid price "
+            f"({curve.max_price!r}): nothing fits, and the price that sheds "
+            "every bid must lie above all of them"
         )
-    return ClearingResult(
-        clearing_price=float(curve.prices[levels - 1]),
-        cleared_demand=cleared,
-        constrained=True,
-        base_demand=base_demand,
-    )
+    return ClearingResult(above_every_bid, 0.0, True, base_demand)

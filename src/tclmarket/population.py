@@ -25,9 +25,9 @@ import numpy as np
 
 __all__ = ["Population", "aggregate_power"]
 
-#: The most the frexp exponents of the largest and the smallest P/eta may
-#: differ: ``power_limbs`` scales the largest to below 2**(53 + difference),
-#: which float64 holds up to 2**1024.
+#: The most the frexp exponents of the largest and the smallest value of a
+#: :class:`LimbTable` may differ: the table scales the largest to below
+#: 2**(53 + difference), which float64 holds up to 2**1024.
 MAX_POWER_EXPONENT_SPAN = 1024 - 53
 
 #: Per-TCL parameter arrays of a :class:`Population`.
@@ -39,8 +39,8 @@ PARAM_FIELDS = (
 # The validity rules of a TCL's parameters, in the order they are checked:
 # the mask of offending TCLs, from the parameter arrays, and the message.
 # A rule that names an accepted range is written as its negation, so a NaN
-# offends it; the three written as bounds (deadband, bid slopes, P*R) let a
-# NaN pass. Scenarios never reach them with one: the validator rejects NaN.
+# offends it; the two written as bounds (deadband, bid slopes) let a NaN
+# pass. Scenarios never reach them with one: the validator rejects NaN.
 _PARAM_RULES = (
     (lambda p: ~((p.C > 0) & (p.R > 0) & (p.P > 0) & (p.eta > 0)),
      "TCL {id}: C, R, P and eta must all be positive"),
@@ -55,9 +55,10 @@ _PARAM_RULES = (
     (lambda p: ~((0 <= p.noise_std) & (p.noise_std < math.inf)),
      "TCL {id}: noise_std must be finite and >= 0"),
     # A unit whose full-on temperature pull cannot span its own deadband
-    # would stall mid-band and never cycle.
-    (lambda p: p.P * p.R <= p.deadband,
-     "TCL {id}: P*R={theta_gain:.3f} degC must exceed the deadband ({deadband} degC)"),
+    # would stall mid-band and never cycle; an infinite one has no step.
+    (lambda p: ~((p.deadband < p.P * p.R) & (p.P * p.R < math.inf)),
+     "TCL {id}: P*R={theta_gain:.3f} degC must be finite and exceed the deadband "
+     "({deadband} degC)"),
 )
 
 
@@ -131,24 +132,8 @@ class Population:
     """
 
     def __init__(
-        self,
-        *,
-        C,
-        R,
-        P,
-        eta,
-        theta_set,
-        deadband,
-        p0,
-        p_cap,
-        gamma1,
-        gamma2,
-        noise_std,
-        theta,
-        m,
-        v,
-        theta_ambient: float,
-        subgroup: Optional[np.ndarray] = None,
+        self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2, noise_std,
+        theta, m, v, theta_ambient: float, subgroup: Optional[np.ndarray] = None,
     ):
         self.C = np.asarray(C, dtype=np.float64)
         self.R = np.asarray(R, dtype=np.float64)
@@ -181,28 +166,18 @@ class Population:
             "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
         })
         check_switches(m, v)
-        low, high = int(np.argmin(self.elec_power)), int(np.argmax(self.elec_power))
-        x_low, x_high = float(self.elec_power[low]), float(self.elec_power[high])
-        if math.frexp(x_high)[1] - math.frexp(x_low)[1] > MAX_POWER_EXPONENT_SPAN:
-            raise ValueError(
-                "P/eta spans too many binary orders of magnitude for an exact power sum: "
-                f"smallest {x_low!r} (TCL {low}), largest {x_high!r} (TCL {high}); their "
-                f"frexp exponents may differ by at most {MAX_POWER_EXPONENT_SPAN}"
-            )
+        check_exact_sum(self.elec_power, "P/eta", "TCL {}")
         self.m = m.astype(bool)
         self.v = v.astype(bool)
 
         if self.theta_ambient <= self.theta_set.max():
-            raise ValueError(
-                "theta_ambient must exceed every set-point "
-                "(cooling-load regime)"
-            )
+            raise ValueError("theta_ambient must exceed every set-point (cooling-load regime)")
         if subgroup is not None and len(subgroup) != len(self.theta):
             raise ValueError("subgroup labels must align with the TCLs")
         self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
         self._step_terms: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._power_limbs: Optional[tuple[np.ndarray, int, int]] = None
+        self._power_limbs: Optional[LimbTable] = None
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
 
     def __len__(self) -> int:
@@ -219,8 +194,8 @@ class Population:
 
     @property
     def capacity_kw(self) -> float:
-        """Total electrical draw if every TCL consumed at once."""
-        return math.fsum(memoryview(self.elec_power))
+        """Total electrical draw if every TCL consumed at once, exact and rounded once."""
+        return self.power_limbs().total()
 
     def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-TCL terms ``(a, off, flip)`` of a thermal step of h seconds.
@@ -287,56 +262,97 @@ class Population:
         """Boolean mask of TCLs currently drawing power (m and v both 1)."""
         return self.m & self.v
 
-    def power_limbs(self) -> tuple[np.ndarray, int, int]:
-        """The exact integer form of P/eta: ``(limbs, lo, width)``.
+    def power_limbs(self) -> "LimbTable":
+        """The :class:`LimbTable` of P/eta, which :func:`aggregate_power` sums.
 
-        Every P/eta is a whole multiple of ``2**lo``, the unit in the last
-        place of the smallest one. Row j of the k x n float64 table
-        ``limbs`` holds digit j, base ``2**width``, of each ``(P/eta) / 2**lo``,
-        so ``P/eta = 2**lo * sum_j limbs[j] * 2**(width*j)`` exactly. The
-        width leaves room for n digits: any sum of one row is an integer
-        below 2**53, which float64 holds exactly whatever the order of the
-        additions. (The scaling by ``2**-lo`` keeps the largest P/eta finite
-        while its frexp exponent exceeds the smallest one's by at most
-        ``MAX_POWER_EXPONENT_SPAN``, which the constructor enforces.) Built
-        on first use.
+        Built on first use; the constructor has checked P/eta for it.
         """
         if self._power_limbs is None:
-            x = self.elec_power
-            lo = math.frexp(x.min())[1] - 53          # x = f * 2**e with 1/2 <= f < 1
-            span = math.frexp(x.max())[1] - lo        # bits in the largest x / 2**lo
-            width = 53 - len(x).bit_length()
-            limbs = np.empty((-(-span // width), len(x)))
-            for j, row in enumerate(limbs):
-                digits = np.ldexp(x, -(lo + width * j))   # exact: a power-of-2 scaling
-                np.floor(digits, out=digits)
-                np.fmod(digits, 2.0**width, out=row)
-            self._power_limbs = (limbs, lo, width)
+            self._power_limbs = LimbTable(self.elec_power)
         return self._power_limbs
+
+
+def check_exact_sum(values: np.ndarray, what: str, who: str) -> None:
+    """Raise ValueError unless a :class:`LimbTable` sums ``values`` exactly.
+
+    ``values`` is a 1-D array of positive finite float64. The frexp exponents
+    of the largest and the smallest may differ by at most
+    ``MAX_POWER_EXPONENT_SPAN``, and the exact total must round to a finite
+    float64 (then every partial total does). Messages call the values
+    ``what`` and value i ``who.format(i)``.
+    """
+    if len(values) == 0:
+        return
+    low, high = int(np.argmin(values)), int(np.argmax(values))
+    x_low, x_high = float(values[low]), float(values[high])
+    if math.frexp(x_high)[1] - math.frexp(x_low)[1] > MAX_POWER_EXPONENT_SPAN:
+        raise ValueError(
+            f"{what} spans too many binary orders of magnitude for an exact sum: "
+            f"smallest {x_low!r} ({who.format(low)}), largest {x_high!r} ({who.format(high)}); "
+            f"their frexp exponents may differ by at most {MAX_POWER_EXPONENT_SPAN}"
+        )
+    if not len(values) * x_high <= 2.0**1023:   # else n times the largest bounds the total
+        try:
+            LimbTable(values).total()
+        except OverflowError:
+            raise ValueError(
+                f"{what} sums past the float64 range: the exact total of all {len(values)} "
+                f"values exceeds {np.finfo(np.float64).max!r} (largest {x_high!r}, "
+                f"{who.format(high)})"
+            ) from None
+
+
+class LimbTable:
+    """The exact integer form of fixed values, and their exact totals.
+
+    ``values`` is a 1-D array of positive finite float64 that passes
+    :func:`check_exact_sum`; the table keeps a reference to it. Every value
+    is a whole multiple of ``2**lo``, the unit in the last place of the
+    smallest. Row j of the k x n float64 array ``limbs`` holds digit j, base
+    ``2**width``, of each ``value / 2**lo``, so ``value = 2**lo * sum_j
+    limbs[j] * 2**(width*j)`` exactly. The width leaves room for n digits:
+    any sum over one row is an integer below 2**53, so float64 adds it
+    exactly in any order. An empty table has one row of no digits.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.lo = math.frexp(values.min(initial=math.inf))[1] - 53   # x = f * 2**e, 1/2 <= f < 1
+        span = math.frexp(values.max(initial=0.0))[1] - self.lo     # bits in the largest x / 2**lo
+        self.width = 53 - len(values).bit_length()
+        self.limbs = np.empty((-(-span // self.width), len(values)))
+        for j, row in enumerate(self.limbs):
+            np.ldexp(values, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
+            np.floor(row, out=row)
+            np.fmod(row, 2.0**self.width, out=row)
+
+    def total(self, mask: Optional[np.ndarray] = None):
+        """The exact total of the values each row of a boolean ``mask`` selects.
+
+        ``mask`` has length n, or B x n with one row per total (None = every
+        value). One matrix product sums every limb row over every mask row,
+        exactly; each mask row's limb sums are combined as Python integers,
+        and one integer division by ``2**-lo`` rounds the total correctly
+        (OverflowError past float64). Returns a float for a 1-D mask or None,
+        and an array of B floats for a B x n one.
+        """
+        limbs = self.limbs
+        row_sums = limbs.sum(axis=1) if mask is None else limbs @ mask.T.astype(np.float64)
+        shifts = [self.width * j for j in range(len(limbs))]
+        scale, divisor = 1 << max(self.lo, 0), 1 << max(-self.lo, 0)
+        totals = [
+            sum(map(operator.lshift, digits, shifts)) * scale / divisor
+            for digits in row_sums.T.reshape(-1, len(limbs)).astype(np.int64).tolist()
+        ]
+        return np.array(totals) if mask is not None and mask.ndim == 2 else totals[0]
 
 
 def aggregate_power(population: Population, consuming: Optional[np.ndarray] = None):
     """Total electrical power drawn, kW, by each row of a consuming mask.
 
-    ``consuming`` is a boolean mask of the TCLs drawing power, of length n
-    or B x n with one row per instant (None = ``population.consuming()``).
-    Each total is the exact sum of P/eta over the row's consuming TCLs,
-    rounded once, so it equals ``math.fsum`` of those values bit for bit and
-    does not depend on index order. One matrix product sums every limb row
-    of ``population.power_limbs()`` over every mask row: each partial sum is
-    an integer below 2**53, so the product is exact in any order. Each
-    mask row's limb sums are combined as Python integers, and one integer
-    division by ``2**-lo`` rounds its total correctly. Returns a float for a
-    1-D mask and an array of B floats for a B x n one.
+    The exact sum of P/eta over the row's consuming TCLs, rounded once: the
+    :meth:`LimbTable.total` of ``consuming`` (None = ``population.consuming()``).
     """
     if consuming is None:
         consuming = population.consuming()
-    limbs, lo, width = population.power_limbs()
-    row_sums = limbs @ consuming.T.astype(np.float64)
-    shifts = [width * j for j in range(len(limbs))]
-    scale, divisor = 1 << max(lo, 0), 1 << max(-lo, 0)
-    totals = [
-        sum(map(operator.lshift, digits, shifts)) * scale / divisor
-        for digits in row_sums.T.reshape(-1, len(limbs)).astype(np.int64).tolist()
-    ]
-    return totals[0] if consuming.ndim == 1 else np.array(totals)
+    return population.power_limbs().total(consuming)

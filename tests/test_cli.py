@@ -5,12 +5,15 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tclmarket import cli
 from tclmarket.cli import (
     BUILTIN_SCENARIOS, TABLE_CHUNK_ROWS, _write_table, builtin_scenario, main, write_steps_csv,
 )
@@ -102,6 +105,25 @@ def test_validate_only_accepts_and_echoes(small_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("OK")
     assert '"cli-small"' in out
+
+
+def test_closed_standard_output_ends_without_a_traceback():
+    # `tclmarket --scenario stepprice --validate-only | head -0`: the reader
+    # is gone before the command writes its first line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tclmarket.cli", "--scenario", "stepprice", "--validate-only"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr and "Error" not in result.stderr, result.stderr
 
 
 def test_validate_only_reports_every_violation(tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tclmarket.population import MAX_POWER_EXPONENT_SPAN, LimbTable
 from tclmarket.reference import Bid
 from tclmarket.market import (
     DEFAULT_PRICE_TICK,
@@ -58,6 +59,33 @@ def test_curve_order_independent():
     a = curve_of(bids)
     b = curve_of(list(reversed(bids)))
     assert points(a) == points(b)
+
+
+def test_curve_takes_a_limb_table_of_the_quantities():
+    prices, quantities = [30.0, 50.0, 30.0, 10.0], np.array([1.5, 2.0, 0.5, 2.5])
+    table = LimbTable(quantities)
+    curve = build_demand_curve(prices, table)
+    assert curve.table is table
+    assert points(curve) == points(build_demand_curve(prices, quantities))
+    assert points(curve) == ((50.0, 2.0), (30.0, 4.0), (10.0, 6.5))
+    with pytest.raises(ValueError, match="TCL 2: price"):
+        build_demand_curve([30.0, 50.0, -1.0, 10.0], table)
+    with pytest.raises(ValueError, match="aligned"):
+        build_demand_curve([30.0, 50.0], table)
+
+
+def test_curve_rejects_quantities_no_limb_table_sums_exactly():
+    tiny = 2.0**-971
+    # frexp exponents 2 and -970 differ by one more than a table holds
+    assert math.frexp(3.0)[1] - math.frexp(tiny)[1] == MAX_POWER_EXPONENT_SPAN + 1
+    with pytest.raises(ValueError, match=r"quantity spans too many binary orders.*"
+                       rf"smallest {tiny!r} \(bid from TCL 1\), largest 3\.0 \(bid from TCL 2\); "
+                       r"their frexp exponents may differ by at most 971"):
+        build_demand_curve([10.0, 20.0, 30.0], [1.0, tiny, 3.0])
+    curve = build_demand_curve([10.0, 20.0, 30.0], [1.0, tiny, 1.5])   # a span of 971 fits
+    assert curve.demand(0.0) == 2.5   # the exact 2.5 + tiny, rounded once
+    with pytest.raises(ValueError, match=r"quantity sums past the float64 range.*bid from TCL 0"):
+        build_demand_curve([10.0, 20.0], [1.5e308, 1.5e308])
 
 
 def test_curve_rejects_bad_bids():
@@ -267,9 +295,53 @@ def test_build_demand_curve_allocates_little_beyond_the_curve(traced_peak):
     rng = np.random.default_rng(2)
     prices, quantities = rng.uniform(0.0, 40.0, n), rng.uniform(1.0, 6.0, n)
     curve, peak = traced_peak(lambda: build_demand_curve(prices, quantities))
-    assert len(curve) == n   # every price distinct: the curve keeps 32 B per load
-    kept = sum(a.nbytes for a in (curve.prices, curve.quantities, curve.ends,
-                                  curve.approx_cumulative))
-    # about one length-n intermediate at a time beside the curve (measured
-    # 43.0 B per load in all; keeping every intermediate to the end took 60.0)
-    assert peak <= kept + 12.5 * n
+    assert len(curve) == n
+    # every price distinct, and the quantities take two limb rows: the curve
+    # keeps 32 B per load (it refers to the bid prices and quantities given)
+    assert curve.bids is prices and curve.table.values is quantities
+    kept = sum(a.nbytes for a in (curve.prices, curve.approx_cumulative, curve.table.limbs))
+    assert kept == 32 * n
+    # the sorting intermediates are gone before the table is built (measured
+    # 35.0 B per load in all; building the table beside them took 67.0)
+    assert peak <= kept + 4.5 * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
+    # Quantities from 2**-300 to 2**300 give the curve's limb table three or
+    # more rows, so every level check combines digits across rows. Feeder
+    # limits sit at each level's exact total rounded, and one ulp either side;
+    # the reference sums in rationals.
+    n = data.draw(st.integers(2, 12))
+    exponents = [-300, 300] + data.draw(st.lists(st.integers(-300, 300), min_size=n - 2,
+                                                 max_size=n - 2))
+    mantissas = data.draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=n,
+                                   max_size=n))
+    quantities = [math.ldexp(m, e) for m, e in zip(mantissas, exponents)]
+    prices = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 42.5]),
+                                min_size=n, max_size=n))
+    curve = build_demand_curve(prices, quantities)
+    assert len(curve.table.limbs) >= 3
+
+    def demand_at(p):
+        return float(sum(Fraction(q) for q, b in zip(quantities, prices) if b >= p))
+
+    levels = sorted(set(prices), reverse=True)
+    base = data.draw(st.sampled_from([0.0, 7.5, 20.0, 50.0] + levels))
+    limits = {f for p in levels
+              for f in (math.nextafter(demand_at(p), -math.inf), demand_at(p),
+                        math.nextafter(demand_at(p), math.inf))
+              if f > 0}
+    for feeder in sorted(limits):
+        base_demand = demand_at(base)
+        if base_demand <= feeder:
+            want = (base, base_demand, False, base_demand)
+        else:
+            fits = [p for p in levels if p > base and demand_at(p) <= feeder]
+            want = ((min(fits), demand_at(min(fits)), True, base_demand) if fits
+                    else (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand))
+        got = clear(curve, base, feeder)
+        assert (got.clearing_price, got.cleared_demand,
+                got.constrained, got.base_demand) == want, (base, feeder)
+        assert got.cleared_demand <= feeder

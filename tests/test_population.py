@@ -194,7 +194,8 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     n = 2**17 - 1
     P = np.full(n, 8.0 - 2.0**-50)
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
-    limbs, lo, width = pop.power_limbs()
+    table = pop.power_limbs()
+    limbs, lo, width = table.limbs, table.lo, table.width
     assert sum(int(d) << (width * j) for j, d in enumerate(limbs[:, 0])) == 2**53 - 1
     assert lo == -50
     exact = [sum(map(int, row.tolist())) for row in limbs]
@@ -225,13 +226,37 @@ def test_aggregate_power_is_exact_at_the_exponent_span_bound():
     R, P, eta = [2.0**963, 2.0, 2.0], [2.0**-962, big, 14.0], [1.0, 1.0, 2.5]
     pop = _spread_population(R, P, eta, [1, 1, 1])
     assert math.frexp(big)[1] - math.frexp(2.0**-962)[1] == 971
-    assert pop.power_limbs()[0].max() < 2.0**53
+    assert pop.power_limbs().limbs.max() < 2.0**53
     for mask in itertools.product([False, True], repeat=3):
         consuming = np.array(mask)
         expected = math.fsum(pop.elec_power[consuming].tolist())
         assert aggregate_power(pop, consuming) == expected, mask
     with pytest.raises(ValueError, match="at most 971"):
         _spread_population(R, [2.0**-963, big, 14.0], eta, [1, 1, 1])
+
+
+def test_population_rejects_p_over_eta_whose_exact_total_overflows():
+    # two loads of 1.5e308 kW each: every load is finite, their total is not
+    huge = [1.5e308, 1.5e308]
+    with pytest.raises(ValueError, match=r"P/eta sums past the float64 range.*TCL 0"):
+        _spread_population([1e-300] * 2, huge, [1.0] * 2, [1, 1])
+    # At the float64 limit the exact total decides: the largest float plus
+    # 2**970 is the midpoint to 2**1024 and rounds up; one ulp less fits.
+    top = float(np.finfo(np.float64).max)
+    with pytest.raises(ValueError, match="sums past the float64 range"):
+        _spread_population([28.0 / top, 28.0 / 2.0**970], [top, 2.0**970], [1.0] * 2, [1, 1])
+    below = math.nextafter(2.0**970, 0.0)
+    pop = _spread_population([28.0 / top, 28.0 / below], [top, below], [1.0] * 2, [1, 1])
+    assert pop.capacity_kw == aggregate_power(pop) == top
+    assert pop.capacity_kw == math.fsum([top, below])
+
+
+def test_population_rejects_an_infinite_p_times_r():
+    # 1e200 kW with 1e200 degC/kW: P/eta is finite, P*R is not
+    with pytest.raises(ValueError, match=r"TCL 1: P\*R=inf degC must be finite"):
+        _spread_population([2.0, 1e200], [14.0, 1e200], [2.5, 2.5], [1, 1])
+    with pytest.raises(ValueError, match=r"TCL 0: P\*R=inf degC must be finite"):
+        TclParams(id=0, P=1e200, R=1e200)
 
 
 def test_population_capacity_sums_electrical_power():
@@ -321,8 +346,8 @@ def test_select_equals_np_where_bit_for_bit(entries):
 
 @pytest.mark.parametrize("base", ["tied with bids", "above every bid", "zero"])
 def test_base_demand_from_limb_sum_equals_the_curve(base):
-    # run() takes the demand at the base price from the limb table instead of
-    # the sorted curve; the two must agree bit for bit
+    # run() takes the demand at the base price from the population's limb
+    # table instead of a curve; both must equal the exact sum, rounded once
     rng = np.random.default_rng(9)
     n = 2000
     P = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(0, 8, n)
@@ -330,9 +355,10 @@ def test_base_demand_from_limb_sum_equals_the_curve(base):
     pop = _population_of(P, eta, np.ones(n), np.ones(n))
     prices = rng.choice([0.0, 9.0, 20.0, 31.25], n)
     base_price = {"tied with bids": 20.0, "above every bid": 42.0, "zero": 0.0}[base]
-    expected = build_demand_curve(prices, pop.elec_power).demand(base_price)
+    expected = math.fsum(pop.elec_power[prices >= base_price].tolist())
     got = aggregate_power(pop, prices >= base_price)
     assert got == expected
+    assert build_demand_curve(prices, pop.elec_power).demand(base_price) == expected
     assert math.copysign(1.0, got) == math.copysign(1.0, expected)
     assert (got == 0.0) == (base == "above every bid")
 
