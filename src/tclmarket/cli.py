@@ -110,8 +110,16 @@ def load_scenario(spec: str) -> Scenario:
         raise ScenarioError(
             f"scenario file not found: {spec} (and it is not a built-in name)"
         )
-    with open(spec, "r", encoding="utf-8") as fh:
-        return Scenario.from_json(fh.read())
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"scenario file cannot be read: {spec} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"scenario file is not UTF-8 text: {spec} ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return Scenario.from_json(text)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .bidding import bid_prices, predict_temperatures
-from .market import DEFAULT_PRICE_TICK, ClearingResult, build_demand_curve, clear
+from .market import DEFAULT_PRICE_TICK, build_demand_curve, clear
 from .population import Population, aggregate_power
 
 __all__ = [
@@ -190,7 +190,7 @@ class PriceSignal:
                     )
                 if not all(_is_finite(v) and v >= 0 for v in self.values):
                     errs.append("price_signal.values must all be >= 0")
-            level_of = self.values.__getitem__
+                level_of = self.values.__getitem__
         return errs, level_of
 
 
@@ -834,11 +834,9 @@ def run(scenario: Scenario) -> Trace:
     one B x n draw, the same numbers as B draws of n. Raises ScenarioError
     when a step power, theta mean or theta std is not finite.
 
-    Each interval first sums the demand at the base price exactly from the
-    limb table (:func:`aggregate_power` of the bids at or above it). When
-    that fits under the feeder limit the market settles at the base price,
-    as :func:`clear` would; only otherwise are the bids sorted into a
-    demand curve over the same table and cleared. The population's
+    Each interval clears once: :func:`clear` of the bids' demand curve over
+    the population's limb table, which sorts the bids only when the exact
+    demand at the base price exceeds the feeder limit. The population's
     capacity is summed once.
 
     The returned :class:`Trace` is allocated before the first interval, and
@@ -902,18 +900,11 @@ def run(scenario: Scenario) -> Trace:
         # The predicted temperatures and the demand curve are never bound to a
         # name: each is freed after its one use, not kept into the next interval.
         prices = bid_prices(pop, predict_temperatures(pop, plan.lookahead_steps, h))
-        pi_base = float(plan.base_price[t])
-        # Every bid offers its load's P/eta, so the demand at the base price is
-        # an exact limb sum, equal to the curve's bit for bit; the bids are
-        # sorted only when it exceeds the limit.
-        demand = aggregate_power(pop, prices >= pi_base)
-        if demand <= feeder_limit:
-            result = ClearingResult.unconstrained(pi_base, demand)
-        else:
-            result = clear(
-                build_demand_curve(prices, pop.power_limbs()), pi_base, feeder_limit,
-                scenario.price_tick,
-            )
+        # Every bid offers its load's P/eta: the curve sums on the population's table.
+        result = clear(
+            build_demand_curve(prices, pop.power_limbs), float(plan.base_price[t]),
+            feeder_limit, scenario.price_tick,
+        )
         pop.set_dispatch(prices, result.clearing_price)
 
         first = t * steps_per

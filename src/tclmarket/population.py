@@ -124,11 +124,12 @@ class Population:
     message of the first offending one. The population never draws noise;
     callers pass samples in.
 
-    Two tables are derived from the parameters on first use and kept: the
-    per-step thermal terms for each step length h (see ``step_terms``),
-    and the integer limb table of P/eta that :func:`aggregate_power` sums
-    exactly (see ``power_limbs``). ``step_physics`` works in one length-n
-    int64 scratch buffer, allocated with the population.
+    Two tables are derived from the parameters and kept: ``power_limbs``,
+    the :class:`LimbTable` of P/eta that :func:`aggregate_power` sums
+    exactly, built by the constructor (which so rejects a P/eta it cannot
+    sum exactly), and the per-step thermal terms for each step length h,
+    built on first use (see ``step_terms``). ``step_physics`` works in one
+    length-n int64 scratch buffer, allocated with the population.
     """
 
     def __init__(
@@ -166,7 +167,7 @@ class Population:
             "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
         })
         check_switches(m, v)
-        check_exact_sum(self.elec_power, "P/eta", "TCL {}")
+        self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
         self.m = m.astype(bool)
         self.v = v.astype(bool)
 
@@ -177,7 +178,6 @@ class Population:
         self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
         self._step_terms: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._power_limbs: Optional[LimbTable] = None
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
 
     def __len__(self) -> int:
@@ -195,7 +195,7 @@ class Population:
     @property
     def capacity_kw(self) -> float:
         """Total electrical draw if every TCL consumed at once, exact and rounded once."""
-        return self.power_limbs().total()
+        return self.power_limbs.total()
 
     def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-TCL terms ``(a, off, flip)`` of a thermal step of h seconds.
@@ -262,69 +262,56 @@ class Population:
         """Boolean mask of TCLs currently drawing power (m and v both 1)."""
         return self.m & self.v
 
-    def power_limbs(self) -> "LimbTable":
-        """The :class:`LimbTable` of P/eta, which :func:`aggregate_power` sums.
-
-        Built on first use; the constructor has checked P/eta for it.
-        """
-        if self._power_limbs is None:
-            self._power_limbs = LimbTable(self.elec_power)
-        return self._power_limbs
-
-
-def check_exact_sum(values: np.ndarray, what: str, who: str) -> None:
-    """Raise ValueError unless a :class:`LimbTable` sums ``values`` exactly.
-
-    ``values`` is a 1-D array of positive finite float64. The frexp exponents
-    of the largest and the smallest may differ by at most
-    ``MAX_POWER_EXPONENT_SPAN``, and the exact total must round to a finite
-    float64 (then every partial total does). Messages call the values
-    ``what`` and value i ``who.format(i)``.
-    """
-    if len(values) == 0:
-        return
-    low, high = int(np.argmin(values)), int(np.argmax(values))
-    x_low, x_high = float(values[low]), float(values[high])
-    if math.frexp(x_high)[1] - math.frexp(x_low)[1] > MAX_POWER_EXPONENT_SPAN:
-        raise ValueError(
-            f"{what} spans too many binary orders of magnitude for an exact sum: "
-            f"smallest {x_low!r} ({who.format(low)}), largest {x_high!r} ({who.format(high)}); "
-            f"their frexp exponents may differ by at most {MAX_POWER_EXPONENT_SPAN}"
-        )
-    if not len(values) * x_high <= 2.0**1023:   # else n times the largest bounds the total
-        try:
-            LimbTable(values).total()
-        except OverflowError:
-            raise ValueError(
-                f"{what} sums past the float64 range: the exact total of all {len(values)} "
-                f"values exceeds {np.finfo(np.float64).max!r} (largest {x_high!r}, "
-                f"{who.format(high)})"
-            ) from None
-
 
 class LimbTable:
     """The exact integer form of fixed values, and their exact totals.
 
-    ``values`` is a 1-D array of positive finite float64 that passes
-    :func:`check_exact_sum`; the table keeps a reference to it. Every value
-    is a whole multiple of ``2**lo``, the unit in the last place of the
-    smallest. Row j of the k x n float64 array ``limbs`` holds digit j, base
-    ``2**width``, of each ``value / 2**lo``, so ``value = 2**lo * sum_j
-    limbs[j] * 2**(width*j)`` exactly. The width leaves room for n digits:
-    any sum over one row is an integer below 2**53, so float64 adds it
-    exactly in any order. An empty table has one row of no digits.
+    The table keeps a reference to ``values``, a 1-D float64 array. Every
+    value is a whole multiple of ``2**lo``, the unit in the last place of
+    the smallest. Row j of the k x n float64 array ``limbs`` holds digit j,
+    base ``2**width``, of each ``value / 2**lo``, so ``value = 2**lo *
+    sum_j limbs[j] * 2**(width*j)`` exactly. The width leaves room for n
+    digits: any sum over one row is an integer below 2**53, so float64 adds
+    it exactly in any order. An empty table has one row of no digits.
+
+    A table exists only for values it sums exactly: the constructor raises
+    ValueError unless every value is finite and positive, the frexp
+    exponents of the largest and the smallest differ by at most
+    ``MAX_POWER_EXPONENT_SPAN``, and the exact total rounds to a finite
+    float64 (then every partial total does). Messages call the values
+    ``what`` and value i ``who.format(i)``.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, what: str, who: str):
         self.values = values
-        self.lo = math.frexp(values.min(initial=math.inf))[1] - 53   # x = f * 2**e, 1/2 <= f < 1
-        span = math.frexp(values.max(initial=0.0))[1] - self.lo     # bits in the largest x / 2**lo
+        smallest, largest = float(values.min(initial=math.inf)), float(values.max(initial=0.0))
+        if not (smallest > 0 and largest < math.inf):   # a NaN fails both
+            i = int(np.argmax(~(np.isfinite(values) & (values > 0))))
+            raise ValueError(f"{who.format(i)}: {what} must be finite and > 0")
+        self.lo = math.frexp(smallest)[1] - 53   # x = f * 2**e, 1/2 <= f < 1
+        span = math.frexp(largest)[1] - self.lo  # bits in the largest x / 2**lo
+        if span - 53 > MAX_POWER_EXPONENT_SPAN:
+            raise ValueError(
+                f"{what} spans too many binary orders of magnitude for an exact sum: "
+                f"smallest {smallest!r} ({who.format(int(np.argmin(values)))}), largest "
+                f"{largest!r} ({who.format(int(np.argmax(values)))}); their frexp exponents "
+                f"may differ by at most {MAX_POWER_EXPONENT_SPAN}"
+            )
         self.width = 53 - len(values).bit_length()
         self.limbs = np.empty((-(-span // self.width), len(values)))
         for j, row in enumerate(self.limbs):
             np.ldexp(values, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
             np.floor(row, out=row)
             np.fmod(row, 2.0**self.width, out=row)
+        if not len(values) * largest <= 2.0**1023:   # else n times the largest bounds the total
+            try:
+                self.total()
+            except OverflowError:
+                raise ValueError(
+                    f"{what} sums past the float64 range: the exact total of all {len(values)} "
+                    f"values exceeds {float(np.finfo(np.float64).max)!r} (largest {largest!r}, "
+                    f"{who.format(int(np.argmax(values)))})"
+                ) from None
 
     def total(self, mask: Optional[np.ndarray] = None):
         """The exact total of the values each row of a boolean ``mask`` selects.
@@ -355,4 +342,4 @@ def aggregate_power(population: Population, consuming: Optional[np.ndarray] = No
     """
     if consuming is None:
         consuming = population.consuming()
-    return population.power_limbs().total(consuming)
+    return population.power_limbs.total(consuming)

@@ -87,6 +87,21 @@ def test_missing_scenario_file_names_it(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "cannot be read: {path} (Is a directory)"),
+    (lambda path: path.write_bytes(b'{"name": "caf\xe9"}'),
+     "is not UTF-8 text: {path} (invalid continuation byte at byte 13)"),
+], ids=["directory", "latin-1"])
+def test_unreadable_scenario_file_is_an_error_not_a_traceback(tmp_path, capsys, make, reason):
+    path = tmp_path / "scenario.json"
+    make(path)
+    for flags in (["--validate-only"], ["--out", str(tmp_path / "o")]):
+        assert main(["--scenario", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scenario file {reason.format(path=path)}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_builtin_lists_available_names():
     with pytest.raises(ScenarioError) as exc:
         builtin_scenario("mystery")
@@ -296,6 +311,10 @@ def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields,
     ({"population": {"count": 16, "p0_range": 5}}, [], "population.p0_range must be two numbers"),
     ({"population": {"count": 16, "p0_range": [1, 2, 3]}}, [],
      "population.p0_range must be two numbers"),
+    ({"population": {"count": 16}, "price_signal": {"kind": "series"}}, [],
+     "price_signal.values must be non-empty"),
+    ({"population": {"count": 16}, "price_signal": {"kind": "series", "values": 5}}, [],
+     "price_signal.values must be a list of prices"),
 ])
 def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violation):
     path = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclmarket.engine as engine
+import tclmarket.market as market
 from tclmarket.engine import (
     N_BID_SAMPLES,
     PopulationSpec,
@@ -251,13 +252,13 @@ def test_run_builds_no_per_load_objects(monkeypatch):
 
 def test_run_sorts_bids_only_in_constrained_intervals(monkeypatch):
     sorted_bids = []
-    build_demand_curve = engine.build_demand_curve
+    price_levels = market.price_levels
 
-    def record_curve(prices, quantities):
-        sorted_bids.append(len(prices))
-        return build_demand_curve(prices, quantities)
+    def record_levels(curve, base_price):
+        sorted_bids.append(len(curve))
+        return price_levels(curve, base_price)
 
-    monkeypatch.setattr(engine, "build_demand_curve", record_curve)
+    monkeypatch.setattr(market, "price_levels", record_levels)
     trace = run(Scenario(
         population=PopulationSpec(count=200),
         price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
@@ -440,6 +441,54 @@ def test_scenario_from_dict_rejects_unknown_fields():
 def test_scenario_from_json_reports_parse_position():
     with pytest.raises(ScenarioError, match=r"line 1"):
         Scenario.from_json("{not json")
+
+
+#: One value of each kind JSON can hold, and values at the edges of float64.
+JSON_VALUES = (0, -1, 1.5, True, None, "x", [], [1], [1, 2], [[0, 1]], {}, 1e308, 10**30)
+MISSING = object()   # the field left out of the JSON object
+
+#: A valid price signal of each kind, as JSON.
+SIGNALS = {
+    "constant": {"kind": "constant", "level": 20},
+    "step": {"kind": "step", "schedule": [[0, 42], [10, 20]]},
+    "square": {"kind": "square", "low": 10, "high": 30, "period_min": 10},
+    "series": {"kind": "series", "values": [20] * 12},
+}
+
+
+def _scenarios_with_one_odd_field():
+    """(where, scenario JSON) with one field of a valid scenario replaced."""
+    def put(d, name, value):
+        d = {k: v for k, v in d.items() if k != name}
+        return d if value is MISSING else {**d, name: value}
+
+    for value in JSON_VALUES:
+        for f in dataclasses.fields(Scenario):
+            yield f"{f.name}={value!r}", put({"horizon_min": 60}, f.name, value)
+        for f in dataclasses.fields(PopulationSpec):
+            yield f"population.{f.name}={value!r}", {
+                "horizon_min": 60, "population": put({}, f.name, value)}
+    for kind, signal in SIGNALS.items():
+        for f in dataclasses.fields(PriceSignal):
+            for value in (*JSON_VALUES, MISSING):
+                shown = "(missing)" if value is MISSING else repr(value)
+                yield f"{kind} price_signal.{f.name}={shown}", {
+                    "horizon_min": 60, "price_signal": put(signal, f.name, value)}
+
+
+def test_no_field_value_makes_validation_raise_anything_but_scenario_error():
+    # Every field of Scenario, PopulationSpec and PriceSignal (under each
+    # kind) given each kind of JSON value: the scenario is read and validated,
+    # or refused with a ScenarioError, never with another exception.
+    crashes = []
+    for where, d in _scenarios_with_one_odd_field():
+        try:
+            assert isinstance(Scenario.from_dict(d).validate(), list)
+        except ScenarioError:
+            pass
+        except Exception as exc:
+            crashes.append(f"{where}: {type(exc).__name__}: {exc}")
+    assert crashes == []
 
 
 # ------------------------------------------------------------------ run loop

@@ -20,6 +20,7 @@ from tclmarket.market import (
     ClearingResult,
     build_demand_curve,
     clear,
+    price_levels,
 )
 
 
@@ -30,7 +31,7 @@ def curve_of(bids):
 
 def points(curve):
     """(price, cumulative demand) per price level, highest price first."""
-    return tuple((float(p), curve.demand(p)) for p in curve.prices)
+    return tuple((p, curve.demand(p)) for p in sorted(set(curve.bids.tolist()), reverse=True))
 
 
 # ----------------------------------------------------------------- the curve
@@ -51,7 +52,7 @@ def test_curve_from_empty_bid_list():
 def test_curve_merges_equal_prices():
     curve = curve_of([Bid(0, 30.0, 2.0), Bid(1, 30.0, 3.0)])
     assert points(curve) == ((30.0, 5.0),)
-    assert len(curve) == 1
+    assert len(curve) == 2   # the number of bids
 
 
 def test_curve_order_independent():
@@ -63,7 +64,7 @@ def test_curve_order_independent():
 
 def test_curve_takes_a_limb_table_of_the_quantities():
     prices, quantities = [30.0, 50.0, 30.0, 10.0], np.array([1.5, 2.0, 0.5, 2.5])
-    table = LimbTable(quantities)
+    table = LimbTable(quantities, "quantity", "bid from TCL {}")
     curve = build_demand_curve(prices, table)
     assert curve.table is table
     assert points(curve) == points(build_demand_curve(prices, quantities))
@@ -98,6 +99,12 @@ def test_curve_rejects_bad_bids():
         curve_of(bids_with(3, 10.0, 0.0))
     with pytest.raises(ValueError, match="TCL 9: price"):
         curve_of(bids_with(9, float("nan"), 2.0))
+    with pytest.raises(ValueError, match="TCL 4: price"):
+        curve_of(bids_with(4, math.inf, 2.0))
+    with pytest.raises(ValueError, match="TCL 5: quantity"):
+        curve_of(bids_with(5, 10.0, float("nan")))
+    with pytest.raises(ValueError, match="TCL 6: quantity"):
+        curve_of(bids_with(6, 10.0, math.inf))
     with pytest.raises(ValueError, match="aligned"):
         build_demand_curve([10.0, 20.0], [2.0])
 
@@ -111,7 +118,6 @@ def test_demand_lookup_steps_at_breakpoints():
     assert curve.demand(10.0) == 6.0
     assert curve.demand(0.0) == 6.0
     assert curve.demand(0.0) == 6.0
-    assert curve.max_price == 50.0
 
 
 # ----------------------------------------------------------------- clearing
@@ -277,7 +283,8 @@ def test_clear_is_exact_at_large_n_near_the_limit():
         return (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand)
 
     probes = rng.choice(n, 100, replace=False)
-    drifted = sum(curve.approx_cumulative[j] != cums[j] for j in probes)
+    running = price_levels(curve, 0.0)[1]   # every price is distinct and above 0
+    drifted = sum(running[j] != cums[j] for j in probes)
     assert drifted > 0, "the float running sum never left the exact sum"
     for probe, j in enumerate(probes):
         base = 0.0 if probe % 2 else levels[n // 2]
@@ -290,20 +297,28 @@ def test_clear_is_exact_at_large_n_near_the_limit():
             assert got.cleared_demand <= feeder
 
 
-def test_build_demand_curve_allocates_little_beyond_the_curve(traced_peak):
+@pytest.mark.parametrize("base", [0.0, 20.0])
+def test_build_and_constrained_clear_allocate_little_beyond_the_table(traced_peak, base):
     n = 100_000
     rng = np.random.default_rng(2)
     prices, quantities = rng.uniform(0.0, 40.0, n), rng.uniform(1.0, 6.0, n)
-    curve, peak = traced_peak(lambda: build_demand_curve(prices, quantities))
-    assert len(curve) == n
-    # every price distinct, and the quantities take two limb rows: the curve
-    # keeps 32 B per load (it refers to the bid prices and quantities given)
+    limit = 0.3 * math.fsum(quantities.tolist())   # below the demand at either base
+
+    def build_and_clear():
+        curve = build_demand_curve(prices, quantities)
+        return curve, clear(curve, base, limit)
+
+    (curve, result), peak = traced_peak(build_and_clear)
+    assert result.constrained and len(np.unique(prices)) == len(curve) == n
+    # the curve refers to the bid prices and quantities given and keeps their
+    # table: two limb rows, 16 B per load
     assert curve.bids is prices and curve.table.values is quantities
-    kept = sum(a.nbytes for a in (curve.prices, curve.approx_cumulative, curve.table.limbs))
-    assert kept == 32 * n
-    # the sorting intermediates are gone before the table is built (measured
-    # 35.0 B per load in all; building the table beside them took 67.0)
-    assert peak <= kept + 4.5 * n
+    assert curve.table.limbs.nbytes == 16 * n
+    # measured 40.1 B per load at base 0 and 29.0 at base 20; a curve that
+    # stored every bid sorted into levels measured 41.04, keeping the running
+    # sum through the exact steps 41.03, and compacting both the prices and
+    # the running sum into levels at once 50.0
+    assert peak <= 41.0 * n
 
 
 @settings(max_examples=300, deadline=None)

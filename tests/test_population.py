@@ -194,7 +194,7 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     n = 2**17 - 1
     P = np.full(n, 8.0 - 2.0**-50)
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
-    table = pop.power_limbs()
+    table = pop.power_limbs
     limbs, lo, width = table.limbs, table.lo, table.width
     assert sum(int(d) << (width * j) for j, d in enumerate(limbs[:, 0])) == 2**53 - 1
     assert lo == -50
@@ -226,7 +226,7 @@ def test_aggregate_power_is_exact_at_the_exponent_span_bound():
     R, P, eta = [2.0**963, 2.0, 2.0], [2.0**-962, big, 14.0], [1.0, 1.0, 2.5]
     pop = _spread_population(R, P, eta, [1, 1, 1])
     assert math.frexp(big)[1] - math.frexp(2.0**-962)[1] == 971
-    assert pop.power_limbs().limbs.max() < 2.0**53
+    assert pop.power_limbs.limbs.max() < 2.0**53
     for mask in itertools.product([False, True], repeat=3):
         consuming = np.array(mask)
         expected = math.fsum(pop.elec_power[consuming].tolist())
