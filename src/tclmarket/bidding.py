@@ -47,7 +47,7 @@ def predict_temperatures(population: Population, steps: int, h: float) -> np.nda
     :func:`~tclmarket.population.select`, and the steps update a copy of
     the temperatures in place.
     """
-    a, off, flip = population.step_terms(h)
+    a, off, flip, _ = population.step_terms(h)
     forcing = select(population.consuming(), off, flip)
     theta = population.theta.copy()
     for _ in range(steps):

@@ -365,7 +365,13 @@ def _main(argv: Optional[list[str]]) -> int:
     )
     print(f"feeder hits (constrained intervals): {report.feeder_hits}")
     print(f"max sync index: {report.max_sync:.3f}")
-    print(f"max windowed demand peak-to-peak: {report.max_p2p_kw:.1f} kW")
+    if report.n_windows:
+        print(f"max windowed demand peak-to-peak: {report.max_p2p_kw:.1f} kW")
+    else:
+        print(
+            f"max windowed demand peak-to-peak: none, the {scenario.horizon_min:g}-min "
+            f"horizon holds no complete {report.window_min:g}-min window"
+        )
     print("wrote " + ", ".join(os.path.join(out_dir, name) for name in written))
     return 0
 

@@ -23,6 +23,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -612,6 +613,16 @@ def _subgroup_labels(n: int, K: int) -> np.ndarray:
     return (np.arange(n) * K) // n
 
 
+def _subgroup_slices(labels: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` range of each subgroup, in ascending label order.
+
+    ``labels`` are contiguous ascending blocks, as :func:`_subgroup_labels`
+    draws them, so each subgroup is one range of TCL ids.
+    """
+    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), len(labels)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _drawn_subgroups(n: int, K: int) -> np.ndarray:
     """The subgroups that n TCLs in K blocks fill, in ascending order (all K unless K > n)."""
     return np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
@@ -797,21 +808,6 @@ def _exact_mean(values: list[float]) -> float:
     return total / (denominator * len(values))
 
 
-def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``mean()`` and ``std()``, from one sum of each row of x.
-
-    The same operations, in the same order, as numpy's own ``mean`` and
-    ``std`` of one row (pairwise sum over the row; squared deviations from
-    that mean summed the same way), so both results are bit-identical to
-    them. ``x`` is C-contiguous, so each row is summed as a 1-D array is.
-    """
-    n = x.shape[1]
-    mean = x.sum(axis=1) / n
-    deviation = x - mean[:, None]
-    np.multiply(deviation, deviation, out=deviation)
-    return mean, np.sqrt(deviation.sum(axis=1) / n)
-
-
 # --------------------------------------------------------------------------
 # The run loop
 
@@ -837,7 +833,9 @@ def run(scenario: Scenario) -> Trace:
     Each interval clears once: :func:`clear` of the bids' demand curve over
     the population's limb table, which sorts the bids only when the exact
     demand at the base price exceeds the feeder limit. The population's
-    capacity is summed once.
+    capacity is summed once. The sync index of the whole population and
+    of each subgroup comes from one :func:`~tclmarket.metrics.sync_index`
+    call per interval, over one phasor array.
 
     The returned :class:`Trace` is allocated before the first interval, and
     every record is written into it where it is computed.
@@ -862,9 +860,8 @@ def run(scenario: Scenario) -> Trace:
     n_steps = n_intervals * steps_per
     sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
     n_samples = min(N_BID_SAMPLES, n)
-    subgroups = []
-    if pop.subgroup is not None:
-        subgroups = [np.flatnonzero(pop.subgroup == g) for g in np.unique(pop.subgroup)]
+    # one phasor array per interval: the whole population, then each subgroup
+    slices = [(0, n)] + ([] if pop.subgroup is None else _subgroup_slices(pop.subgroup))
     trace = Trace(
         scenario=scenario,
         population=pop,
@@ -890,7 +887,7 @@ def run(scenario: Scenario) -> Trace:
         bid_sample=np.empty((n_intervals, n_samples)),
         sync=np.empty(n_intervals),
         dispersion_degc=np.empty(n_intervals),
-        subgroup_sync=np.empty((len(subgroups), n_intervals)) if subgroups else None,
+        subgroup_sync=None if pop.subgroup is None else np.empty((len(slices) - 1, n_intervals)),
     )
     block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
     theta_block = np.empty((block, n))
@@ -918,17 +915,17 @@ def run(scenario: Scenario) -> Trace:
                     noise *= pop.noise_std
                 # Step j reads row j-1 (or the previous block's last row) and
                 # writes row j, so no row is overwritten before it is read.
-                for j in range(b):
-                    pop.step_physics(
-                        h, None if noise is None else noise[j], theta_block[j], consuming_block[j]
-                    )
+                for theta_row, consuming_row, noise_row in zip(
+                    theta_block[:b], consuming_block[:b], repeat(None) if noise is None else noise
+                ):
+                    pop.step_physics(h, noise_row, theta_row, consuming_row)
                 stepped = slice(start, start + b)
                 trace.step_power_kw[stepped] = aggregate_power(pop, consuming_block[:b])
                 # per row: count_nonzero(axis=1) is several times slower
                 trace.step_on_fraction[stepped] = [
                     np.count_nonzero(row) / n for row in consuming_block[:b]
                 ]
-                trace.step_theta_mean[stepped], trace.step_theta_std[stepped] = _mean_std(
+                trace.step_theta_mean[stepped], trace.step_theta_std[stepped] = metrics.mean_std(
                     theta_block[:b]
                 )
         rows = slice(first, first + steps_per)
@@ -955,13 +952,12 @@ def run(scenario: Scenario) -> Trace:
         trace.bid_price_mean[t] = prices.mean()
         trace.bid_price_max[t] = prices.max()
         trace.bid_sample[t] = prices[trace.bid_sample_ids]
-        trace.sync[t] = metrics.sync_index(pop.theta, pop.m, pop.theta_min, pop.theta_max)
+        trace.sync[t], *subgroup_sync = metrics.sync_index(
+            pop.theta, pop.m, pop.theta_min, pop.theta_max, slices
+        )
+        if subgroup_sync:
+            trace.subgroup_sync[:, t] = subgroup_sync
         trace.dispersion_degc[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
-        for g, members in enumerate(subgroups):
-            trace.subgroup_sync[g, t] = metrics.sync_index(
-                pop.theta[members], pop.m[members],
-                pop.theta_min[members], pop.theta_max[members],
-            )
 
     pop.theta = pop.theta.copy()   # a row of theta_block until now
     return trace

@@ -15,7 +15,7 @@ de-meaned interval-average demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -72,13 +72,20 @@ def sync_index(
     m: np.ndarray,
     theta_min: np.ndarray,
     theta_max: np.ndarray,
-) -> float:
+    slices: Optional[Sequence[tuple[int, int]]] = None,
+) -> float | list[float]:
     """Order parameter |mean(exp(i*phase))| in [0, 1].
 
     The phasors are built in one complex array: real part +0.0, imaginary
     part the phases, exponentiated in place. ``1j * phases`` is that same
     array (its real part is ``0*phase - 1*0 = +0.0``), so the result equals
     ``np.exp(1j * phases)`` bit for bit, without the product's temporary.
+
+    With ``slices``, a sequence of nonempty ``(start, stop)`` index ranges,
+    returns the list of the order parameters of those ranges of the one
+    phasor array. Each equals the index of the range's loads taken alone
+    bit for bit: a phase depends only on its own load, and a contiguous
+    range's mean sums its phasors as a copy of them would be summed.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
@@ -87,13 +94,35 @@ def sync_index(
     phasors = np.zeros(phases.shape, dtype=np.complex128)
     phasors.imag = phases
     np.exp(phasors, out=phasors)
+    if slices is None:
+        return _order_parameter(phasors)
+    return [_order_parameter(phasors[start:stop]) for start, stop in slices]
+
+
+def _order_parameter(phasors: np.ndarray) -> float:
     # rounding in the phasor mean can land an ulp above 1 for identical phases
     return min(1.0, float(np.abs(phasors.mean())))
 
 
+def mean_std(x: np.ndarray) -> tuple:
+    """The ``mean()`` and ``std()`` along the last axis of x, from one sum of each row.
+
+    The same operations, in the same order, as numpy's own ``mean`` and
+    ``std`` of one row (pairwise sum over the row; squared deviations from
+    that mean summed the same way), so both results are bit-identical to
+    them, without their per-call overhead. ``x`` is C-contiguous, so each
+    row is summed as a 1-D array is. A 1-D x gives two float64 scalars.
+    """
+    n = x.shape[-1]
+    mean = x.sum(axis=-1) / n
+    deviation = x - mean[..., None]
+    np.multiply(deviation, deviation, out=deviation)
+    return mean, np.sqrt(deviation.sum(axis=-1) / n)
+
+
 def temperature_dispersion(theta: np.ndarray, theta_set: np.ndarray) -> float:
     """Population standard deviation of theta - theta_set, degC."""
-    return float(np.std(np.asarray(theta) - np.asarray(theta_set)))
+    return float(mean_std(np.subtract(theta, theta_set))[1])
 
 
 def demand_oscillation(

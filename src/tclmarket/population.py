@@ -177,8 +177,9 @@ class Population:
             raise ValueError("subgroup labels must align with the TCLs")
         self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
-        self._step_terms: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
+        self._forcing = self._forcing_bits.view(np.float64)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -197,8 +198,8 @@ class Population:
         """Total electrical draw if every TCL consumed at once, exact and rounded once."""
         return self.power_limbs.total()
 
-    def step_terms(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-TCL terms ``(a, off, flip)`` of a thermal step of h seconds.
+    def step_terms(self, h: float) -> tuple[np.ndarray, ...]:
+        """Per-TCL terms ``(a, off, flip, off_bits)`` of a thermal step of h seconds.
 
         One step is ``theta' = a*theta + (on if m*v else off)`` with
         ``a = exp(-h/(C*R*3600))``, ``off = (1-a)*theta_ambient`` and
@@ -206,7 +207,8 @@ class Population:
         same order, as :func:`tclmarket.reference.thermal_step`. ``a`` is
         computed element by element with math.exp, so the array path matches
         the per-device reference bit for bit. ``on`` is kept as its
-        ``flip = flip_bits(on, off)``, the form :func:`select` reads.
+        ``flip = flip_bits(on, off)``, the form :func:`select` reads, and
+        ``off_bits`` is the int64 view of ``off`` that a select xors into.
         """
         terms = self._step_terms.get(h)
         if terms is None:
@@ -214,7 +216,8 @@ class Population:
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
             pull = 1.0 - a
             off = pull * self.theta_ambient
-            terms = (a, off, flip_bits(pull * (self.theta_ambient - self.P * self.R), off))
+            flip = flip_bits(pull * (self.theta_ambient - self.P * self.R), off)
+            terms = (a, off, flip, off.view(np.int64))
             self._step_terms[h] = terms
         return terms
 
@@ -237,21 +240,26 @@ class Population:
 
         Everything happens in place: ``m`` is updated as
         ``m = (m | (theta > theta_max)) > (theta < theta_min)``, which a NaN
-        theta leaves unchanged, and the forcing term is a :func:`select` into
-        a scratch buffer. Given both output arrays, a step allocates no
-        length-n temporaries.
+        theta leaves unchanged, and the forcing term is a :func:`select`,
+        written out inline, into a scratch buffer. Given both output arrays,
+        a step allocates no length-n temporaries. At a thousand loads a step
+        costs mostly call overhead, so it makes no call but its ufuncs' (nine,
+        ten with noise), each with positional outputs.
         """
-        a, off, flip = self.step_terms(h)
+        a, _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
         theta, m = self.theta, self.m
         # the consuming mask's array holds each band crossing first
-        consuming = np.greater(theta, self.theta_max, out=consuming_out)
-        np.logical_or(m, consuming, out=m)
-        np.greater(m, np.less(theta, self.theta_min, out=consuming), out=m)
-        np.logical_and(m, self.v, out=consuming)
-        stepped = np.multiply(a, theta, out=theta_out)
-        stepped += select(consuming, off, flip, out=self._forcing_bits)
+        consuming = np.greater(theta, self.theta_max, consuming_out)
+        np.logical_or(m, consuming, m)
+        np.greater(m, np.less(theta, self.theta_min, consuming), m)
+        np.logical_and(m, self.v, consuming)
+        stepped = np.multiply(a, theta, theta_out)
+        bits = self._forcing_bits
+        np.multiply(consuming, flip, bits)
+        np.bitwise_xor(off_bits, bits, bits)
+        np.add(stepped, self._forcing, stepped)
         if noise is not None:
-            stepped += noise
+            np.add(stepped, noise, stepped)
         self.theta = stepped
 
     def set_dispatch(self, bid_prices: np.ndarray, clearing_price: float) -> None:

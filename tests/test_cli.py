@@ -39,6 +39,29 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+@pytest.mark.parametrize("horizon_min, windows", [(30.0, 0), (125.0, 2)])
+def test_summary_peak_to_peak_says_when_no_window_fits(tmp_path, capsys, horizon_min, windows):
+    scenario = Scenario(
+        population=PopulationSpec(count=16),
+        price_signal=PriceSignal.step([(0.0, 42.0), (10.0, 9.0)]),
+        horizon_min=horizon_min,
+    )
+    path = tmp_path / "s.json"
+    path.write_text(scenario.to_json())
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_lines(out / "windows.csv")))
+    assert len(rows) == windows
+    summary = capsys.readouterr().out
+    if windows:
+        p2p = max(float(row["demand_p2p_kw"]) for row in rows)
+        assert f"max windowed demand peak-to-peak: {p2p:.1f} kW" in summary
+    else:
+        assert ("max windowed demand peak-to-peak: none, the 30-min horizon holds no "
+                "complete 120-min window") in summary
+        assert "0.0 kW" not in summary
+
+
 def test_run_writes_default_artifacts(small_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--scenario", small_file, "--out", str(out)]) == 0

@@ -617,6 +617,30 @@ def test_exact_mean_matches_the_fraction_mean(values):
     assert engine._exact_mean(values) == _fraction_mean(values)
 
 
+@pytest.mark.parametrize("population", [
+    PopulationSpec(count=16),
+    # 2000 loads step in blocks of 16 rows, so an interval of 30 steps ends in a
+    # partial block; noise and subgroups take their own paths through the loop
+    PopulationSpec(count=2000, noise_std=0.02, subgroups=3),
+])
+def test_run_calls_step_physics_once_per_physics_step(monkeypatch, population):
+    # one call per step on the run's population is what a profile of
+    # Population.step_physics counts as physics steps and load-steps
+    scenario = tiny_scenario(population=population, horizon_min=20.0)
+    callers = []
+    step_physics = Population.step_physics
+
+    def record_step(pop, *args, **kwargs):
+        callers.append(pop)
+        return step_physics(pop, *args, **kwargs)
+
+    monkeypatch.setattr(Population, "step_physics", record_step)
+    trace = run(scenario)
+    plan = scenario.plan()
+    assert len(callers) == plan.n_intervals * plan.steps_per_interval == 4 * 30
+    assert all(pop is trace.population for pop in callers)
+
+
 @pytest.mark.parametrize("block", [60, 7, 1])   # a whole interval, not a divisor of 60, one step
 def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     # unequal P/eta, spread set-points, noise and subgroups: none of the

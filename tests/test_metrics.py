@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, run
+from tclmarket.engine import (
+    PopulationSpec, PriceSignal, Scenario, _drawn_subgroups, _subgroup_labels, _subgroup_slices,
+    run,
+)
 from tclmarket.metrics import (
     compute_metrics,
     cycle_phases,
     demand_oscillation,
+    mean_std,
     sync_index,
     temperature_dispersion,
 )
@@ -149,6 +153,29 @@ def test_sync_index_equals_the_phasor_product_form(n, seed, edge_share, theta_mo
     assert sync_index(theta, m, theta_min, theta_max) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), K=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+@example(n=1003, K=4, seed=0)   # K does not divide n
+@example(n=3, K=8, seed=0)      # K > n: only three groups are drawn
+@example(n=1, K=2, seed=0)
+def test_subgroup_slices_give_the_sync_index_of_each_subgroup(n, K, seed):
+    rng = np.random.default_rng(seed)
+    theta_min = rng.uniform(18.0, 22.0, n)
+    theta_max = theta_min + rng.choice([0.5, 1.7], n)
+    theta = rng.uniform(theta_min - 0.5, theta_max + 0.5)
+    m = rng.integers(0, 2, n).astype(bool)
+    labels = _subgroup_labels(n, K)
+    slices = _subgroup_slices(labels)
+    groups = _drawn_subgroups(n, K)
+    assert len(slices) == len(groups) == min(n, K)
+    expected = [sync_index(theta, m, theta_min, theta_max)] + [
+        sync_index(theta[labels == g], m[labels == g],
+                   theta_min[labels == g], theta_max[labels == g])
+        for g in groups
+    ]
+    assert sync_index(theta, m, theta_min, theta_max, [(0, n)] + slices) == expected
+
+
 def test_sync_index_allocates_only_the_phasors(traced_peak):
     n = 100_000
     rng = np.random.default_rng(5)
@@ -168,6 +195,20 @@ def test_sync_index_rejects_empty_population():
 def test_temperature_dispersion():
     assert temperature_dispersion(np.array([20.5, 21.5]), np.array([20.0, 21.0])) == 0.0
     assert temperature_dispersion(np.array([20.5, 19.5]), np.array([20.0, 20.0])) == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_mean_std_equals_numpy_bit_for_bit(rows, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(20.0, scale, (rows, n))
+    mean, std = mean_std(x)
+    assert mean.tobytes() == np.array([row.mean() for row in x]).tobytes()
+    assert std.tobytes() == np.array([row.std() for row in x]).tobytes()
+    theta, theta_set = x[0], rng.uniform(19.0, 21.0, n)
+    assert mean_std(theta) == (theta.mean(), theta.std())
+    assert temperature_dispersion(theta, theta_set) == float(np.std(theta - theta_set))
 
 
 # ------------------------------------------------------------- oscillations
