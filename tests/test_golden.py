@@ -3,7 +3,9 @@
 The benchmark pins the six built-ins at seed 0. These pin them at seed 1,
 and add a noisy scenario whose four subgroups do not divide its 1003 loads:
 no benchmark workload draws noise, and only ``subgroups`` has subgroups
-(four, dividing its 1000 loads). Every output is emitted, steps included.
+(four, dividing its 1000 loads). A third scenario has more subgroups (12)
+than loads (7), so the drawn subgroups are not 0..K-1. Every output is
+emitted, steps included.
 A change that moves one byte of any of these files changes behaviour.
 """
 
@@ -22,6 +24,12 @@ NOISY_SUBGROUPS = {
     "horizon_min": 60,
     "feeder_fraction": 0.6,
     "price_signal": {"kind": "square", "low": 22, "high": 23.5, "period_min": 20},
+}
+
+SPARSE_SUBGROUPS = {
+    "population": {"count": 7, "subgroups": 12, "noise_std": 0.01},
+    "horizon_min": 60,
+    "feeder_fraction": 0.6,
 }
 
 GOLDEN = {
@@ -74,6 +82,13 @@ GOLDEN = {
         "bids_sample.csv": "b05955eacf63dd923981dc9271eb3e5bbd22b5255252cdd458b611a59e583b67",
         "steps.csv": "2b1bd71dccf1da7602832425ad4ad1708672577050b6ce95d6f3f409c5095500",
     },
+    "sparse-subgroups": {
+        "trace.csv": "0f51d09ac2ad344864d060f73c4d1733f75bf238049bd871c70cafbf2ef73b62",
+        "metrics.csv": "e1a72e3df4ede04155931e25e675cfe9ecedae299872095f20cce1a4ef9fc887",
+        "windows.csv": "a7796266f6214f3c104f4e797a8b633e33d13e9f3a174f9992506a05544b1de9",
+        "bids_sample.csv": "4e798c09be3a964491257529f28c0792aae786eda24405f1988a36b929140489",
+        "steps.csv": "9fa5a5dc3d1fc3d399efeeb0df36157fea5e67f4cb89ab7a01b12837bafe73dc",
+    },
 }
 
 
@@ -84,7 +99,7 @@ def csv_hashes(out_dir):
 
 
 def test_golden_covers_every_builtin():
-    assert set(GOLDEN) == set(BUILTIN_SCENARIOS) | {"noisy-subgroups"}
+    assert set(GOLDEN) == set(BUILTIN_SCENARIOS) | {"noisy-subgroups", "sparse-subgroups"}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -94,9 +109,17 @@ def test_builtin_csvs_at_seed_1_match_their_hashes(name, tmp_path, capsys):
     assert csv_hashes(out) == GOLDEN[name]
 
 
-def test_noisy_uneven_subgroups_csvs_match_their_hashes(tmp_path, capsys):
-    path = tmp_path / "noisy.json"
-    path.write_text(json.dumps(NOISY_SUBGROUPS))
+def custom_csv_hashes(scenario, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
     out = tmp_path / "out"
     assert main(["--scenario", str(path), "--emit", EMIT, "--out", str(out)]) == 0
-    assert csv_hashes(out) == GOLDEN["noisy-subgroups"]
+    return csv_hashes(out)
+
+
+def test_noisy_uneven_subgroups_csvs_match_their_hashes(tmp_path, capsys):
+    assert custom_csv_hashes(NOISY_SUBGROUPS, tmp_path) == GOLDEN["noisy-subgroups"]
+
+
+def test_more_subgroups_than_loads_csvs_match_their_hashes(tmp_path, capsys):
+    assert custom_csv_hashes(SPARSE_SUBGROUPS, tmp_path) == GOLDEN["sparse-subgroups"]
