@@ -22,9 +22,9 @@ noise-free thermal model forward (holding its current on/off consumption
 state fixed) and bids on where it will be mid-interval.
 
 Both steps run over a whole :class:`~tclmarket.population.Population` at
-once. :mod:`tclmarket.reference` states them for one device
-(``temperature_for_bidding`` and ``make_bid``); the test suite requires
-the two to agree bit for bit.
+once. The test suite's per-device oracle, ``tests/oracle.py``, states
+them for one device (``temperature_for_bidding`` and ``make_bid``) and
+requires the two to agree bit for bit.
 """
 
 from __future__ import annotations

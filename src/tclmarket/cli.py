@@ -33,7 +33,7 @@ from .engine import (
     Trace,
     run,
 )
-from .metrics import MetricsReport, compute_metrics
+from .metrics import WINDOW_MIN, MetricsReport, compute_metrics
 
 __all__ = ["main", "builtin_scenario", "load_scenario", "BUILTIN_SCENARIOS"]
 
@@ -185,7 +185,7 @@ def write_metrics_csv(path: str, trace: Trace, report: MetricsReport) -> None:
 def write_windows_csv(path: str, report: MetricsReport) -> None:
     _write_table(path, [
         ("window_start_min", report.window_start_min),
-        ("window_min", np.full(report.n_windows, report.window_min)),
+        ("window_min", np.full(report.n_windows, WINDOW_MIN)),
         ("demand_p2p_kw", report.window_p2p_kw),
         ("dominant_period_min", report.window_period_min),
         ("mean_sync_index", report.window_sync),
@@ -267,7 +267,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``tclmarket`` command: returns its exit code.
 
     A reader that closes standard output early (``tclmarket ... | head``)
-    ends the command with exit code 1 and no traceback.
+    ends the command with exit code 1 and no traceback, and so does an
+    allocation the machine refuses, at any stage from validation to the
+    writers, with an ``error:`` line.
     """
     try:
         code = _main(argv)
@@ -275,6 +277,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:
         # Python flushes stdout once more at exit: point it at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     return code
 
@@ -370,7 +375,7 @@ def _main(argv: Optional[list[str]]) -> int:
     else:
         print(
             f"max windowed demand peak-to-peak: none, the {scenario.horizon_min:g}-min "
-            f"horizon holds no complete {report.window_min:g}-min window"
+            f"horizon holds no complete {WINDOW_MIN:g}-min window"
         )
     print("wrote " + ", ".join(os.path.join(out_dir, name) for name in written))
     return 0

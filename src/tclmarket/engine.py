@@ -81,7 +81,9 @@ class PriceSignal:
               (t + offset) mod period < period/2, starting at t=0).
     series:   explicit per-interval ``values``.
 
-    All levels are $/MWh and must be >= 0 (NaN is not a price).
+    All levels are $/MWh and must be >= 0 (NaN is not a price). A field
+    its kind does not read must be left unset (None, or 0 for
+    ``offset_min``).
     """
 
     kind: str
@@ -93,7 +95,9 @@ class PriceSignal:
     offset_min: float = 0.0
     values: Optional[tuple[float, ...]] = None
 
-    KINDS = ("constant", "step", "square", "series")
+    #: Each kind, and the fields it reads.
+    KINDS = {"constant": ("level",), "step": ("schedule",),
+             "square": ("low", "high", "period_min", "offset_min"), "series": ("values",)}
 
     @staticmethod
     def constant(level: float) -> "PriceSignal":
@@ -132,9 +136,15 @@ class PriceSignal:
         """
         errs: list[str] = []
         level_of = None
-        if self.kind not in self.KINDS:
-            errs.append(f"price_signal.kind must be one of {self.KINDS}, got {self.kind!r}")
-        elif self.kind == "constant":
+        kinds = tuple(self.KINDS)   # a kind from JSON may be unhashable
+        if self.kind not in kinds:
+            return [f"price_signal.kind must be one of {kinds}, got {self.kind!r}"], None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            unset = _is_real(value) and value == 0 if f.name == "offset_min" else value is None
+            if not (unset or f.name in ("kind", *self.KINDS[self.kind])):
+                errs.append(f"price_signal.{f.name} is not read by kind {self.kind!r}")
+        if self.kind == "constant":
             if not (_is_finite(self.level) and self.level >= 0):
                 errs.append("price_signal.level must be a price >= 0")
             level_of = lambda i: self.level
@@ -303,7 +313,7 @@ class PopulationSpec:
             # relative, so p0 <= p_cap needs p0_anchor*(1+w) <= p_cap_anchor*
             # (1-w) in every group that is drawn (all K unless K > count).
             K, w = self.subgroups, self.subgroup_rel_width
-            groups = _drawn_subgroups(self.count, K)
+            groups = _subgroup_ranges(self.count, K)[0]
             p0_anchor = _subgroup_anchors(self.p0_range, groups, K)
             cap_anchor = _subgroup_anchors(self.p_cap_range, groups, K)
             clash = np.flatnonzero(p0_anchor * (1.0 + w) > cap_anchor * (1.0 - w))
@@ -351,7 +361,7 @@ class PopulationSpec:
             lo, hi = map(float, self.p_cap_range)
             return lo + (hi - lo)
         K = self.subgroups
-        anchors = _subgroup_anchors(self.p_cap_range, _drawn_subgroups(self.count, K), K)
+        anchors = _subgroup_anchors(self.p_cap_range, _subgroup_ranges(self.count, K)[0], K)
         return float(anchors.max() * (1.0 + self.subgroup_rel_width))
 
 
@@ -434,7 +444,7 @@ class Scenario:
         elif ok("market_interval_min"):
             interval = self.market_interval_min
             try:
-                metrics.window_intervals(metrics.WINDOW_MIN, interval)
+                metrics.window_intervals(interval)
             except ValueError as exc:
                 errs.append(f"market_interval_min ({interval} min) is too long: {exc}")
             if h is not None:
@@ -522,16 +532,13 @@ class Scenario:
         if not isinstance(d, dict):
             raise ScenarioError("scenario must be a JSON object")
         d = dict(d)
-        pop_d = d.pop("population", {})
-        sig_d = d.pop("price_signal", None)
-        population = _dataclass_from_dict(PopulationSpec, pop_d, "population")
-        if sig_d is None:
-            signal = PriceSignal.constant(25.0)
-        else:
-            signal = _dataclass_from_dict(PriceSignal, sig_d, "price_signal")
-        return _dataclass_from_dict(
-            Scenario, d, "scenario", population=population, price_signal=signal
-        )
+        # an absent part takes its default; any given one must be an object
+        parts = {
+            name: _dataclass_from_dict(cls, d.pop(name), name)
+            for name, cls in (("population", PopulationSpec), ("price_signal", PriceSignal))
+            if name in d
+        }
+        return _dataclass_from_dict(Scenario, d, "scenario", **parts)
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
@@ -608,24 +615,23 @@ def _format_count(k: int) -> str:
     return f"{float(k):.3g}" if k <= sys.float_info.max else "inf"
 
 
-def _subgroup_labels(n: int, K: int) -> np.ndarray:
-    """Subgroup of each of n TCLs: K contiguous blocks of (nearly) equal size."""
-    return (np.arange(n) * K) // n
+def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subgroups that n TCLs fill when TCL i is in subgroup ``i*K // n``, and their ranges.
 
-
-def _subgroup_slices(labels: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` range of each subgroup, in ascending label order.
-
-    ``labels`` are contiguous ascending blocks, as :func:`_subgroup_labels`
-    draws them, so each subgroup is one range of TCL ids.
+    Returns int64 ``groups``, those that get a TCL, ascending (all K unless
+    K > n, then one per TCL), and ``edges``: ``groups[j]`` holds the TCL ids
+    ``edges[j] <= i < edges[j + 1]``. Exact for every n and K below 2**63.
     """
-    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), len(labels)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _drawn_subgroups(n: int, K: int) -> np.ndarray:
-    """The subgroups that n TCLs in K blocks fill, in ascending order (all K unless K > n)."""
-    return np.arange(K) if K <= n else np.unique(_subgroup_labels(n, K))
+    m = min(n, K)
+    # x*a//b as x*(a//b) + x*(a % b)//b, where x*(a % b) < m*m: int64 holds it
+    # up to m = 3.04e9, and Python ints carry it past that
+    x = np.arange(m + 1, dtype=np.int64 if m * m < 2**63 else object)
+    if K > n:
+        groups = x[:-1] * (K // n) + x[:-1] * (K % n) // n
+        return groups.astype(np.int64), np.arange(n + 1)
+    # subgroup g starts at the first TCL i with i*K >= g*n, so at ceil(g*n/K)
+    edges = x * (n // K) + (x * (n % K) + K - 1) // K
+    return np.arange(K), edges.astype(np.int64)
 
 
 def _subgroup_anchors(value_range, groups: np.ndarray, K: int) -> np.ndarray:
@@ -688,18 +694,18 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     theta_set = spec.theta_set_mean + spec.theta_set_width * g.uniform(-1.0, 1.0, n)
 
     if spec.subgroups == 1:
-        subgroup = None
         p0 = g.uniform(spec.p0_range[0], spec.p0_range[1], n)
         p_cap = g.uniform(spec.p_cap_range[0], spec.p_cap_range[1], n)
         gamma1 = g.uniform(spec.gamma_range[0], spec.gamma_range[1], n)
         gamma2 = g.uniform(spec.gamma_range[0], spec.gamma_range[1], n)
     else:
         K = spec.subgroups
-        subgroup = _subgroup_labels(n, K)
+        groups, edges = _subgroup_ranges(n, K)
+        sizes = np.diff(edges)
         w = spec.subgroup_rel_width
 
         def group_values(value_range: tuple[float, float]) -> np.ndarray:
-            anchors = _subgroup_anchors(value_range, subgroup, K)
+            anchors = np.repeat(_subgroup_anchors(value_range, groups, K), sizes)
             return anchors * (1.0 + w * g.uniform(-1.0, 1.0, n))
 
         p0 = group_values(spec.p0_range)
@@ -729,7 +735,6 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
         m=m0,
         v=np.ones(n, dtype=np.int8),
         theta_ambient=spec.theta_ambient,
-        subgroup=subgroup,
     )
 
 
@@ -749,8 +754,9 @@ class Trace:
     synchronization statistics of the end-of-interval state: ``sync``
     (:func:`~tclmarket.metrics.sync_index` of the whole population),
     ``dispersion_degc`` (:func:`~tclmarket.metrics.temperature_dispersion`)
-    and, when the population has subgroups, ``subgroup_sync[g, t]`` (the
-    sync index of the g-th subgroup label in ascending order; None
+    and, when the scenario has subgroups, ``subgroup_sync[j, t]`` (the sync
+    index of the j-th subgroup that holds a TCL, in ascending order: one
+    contiguous range of TCL ids, from :func:`_subgroup_ranges`; None
     otherwise). Per physics step: instantaneous aggregate power, consuming
     fraction and temperature summary. ``population`` carries the final
     state and the per-TCL parameter arrays. No record holds one value per
@@ -861,7 +867,9 @@ def run(scenario: Scenario) -> Trace:
     sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
     n_samples = min(N_BID_SAMPLES, n)
     # one phasor array per interval: the whole population, then each subgroup
-    slices = [(0, n)] + ([] if pop.subgroup is None else _subgroup_slices(pop.subgroup))
+    K = scenario.population.subgroups
+    edges = _subgroup_ranges(n, K)[1].tolist() if K > 1 else []
+    slices = [(0, n), *zip(edges[:-1], edges[1:])]
     trace = Trace(
         scenario=scenario,
         population=pop,
@@ -887,7 +895,7 @@ def run(scenario: Scenario) -> Trace:
         bid_sample=np.empty((n_intervals, n_samples)),
         sync=np.empty(n_intervals),
         dispersion_degc=np.empty(n_intervals),
-        subgroup_sync=None if pop.subgroup is None else np.empty((len(slices) - 1, n_intervals)),
+        subgroup_sync=None if len(slices) == 1 else np.empty((len(slices) - 1, n_intervals)),
     )
     block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
     theta_block = np.empty((block, n))

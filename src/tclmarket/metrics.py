@@ -33,7 +33,7 @@ __all__ = [
     "compute_metrics",
 ]
 
-#: Default length of compute_metrics' sliding windows, minutes.
+#: Length of compute_metrics' sliding windows, minutes.
 WINDOW_MIN = 120.0
 
 
@@ -151,7 +151,7 @@ def demand_oscillation(
 class MetricsReport:
     """Statistics derived from a trace, per interval and per sliding window.
 
-    Window quantities use sliding windows of ``window_min`` minutes
+    Window quantities use sliding windows of ``WINDOW_MIN`` minutes
     stepping one market interval; window s covers intervals
     [s, s + window), stamped by the window start time
     (``window_start_min`` is a view of the first ``n_windows`` entries of
@@ -160,7 +160,6 @@ class MetricsReport:
     itself; the report keeps none of it.
     """
 
-    window_min: float
     # per market interval
     price_divergence: np.ndarray  # clearing - base, $/MWh
     # per sliding window
@@ -178,22 +177,22 @@ class MetricsReport:
         return len(self.window_start_min)
 
 
-def window_intervals(window_min: float, interval_min: float) -> int:
-    """Market intervals in one sliding window: window_min/interval_min, rounded.
+def window_intervals(interval_min: float) -> int:
+    """Market intervals in one sliding window: WINDOW_MIN/interval_min, rounded.
 
     Raises ValueError below 4, the fewest :func:`demand_oscillation`
     takes. A ratio past 2**62 counts as 2**62, longer than any horizon.
     """
-    w = int(round(min(window_min / interval_min, 2.0**62)))
+    w = int(round(min(WINDOW_MIN / interval_min, 2.0**62)))
     if w < 4:
         raise ValueError(
-            f"window_min ({window_min:g}) must span at least 4 market intervals "
+            f"window_min ({WINDOW_MIN:g}) must span at least 4 market intervals "
             f"of {interval_min:g} min, not {w}"
         )
     return w
 
 
-def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsReport:
+def compute_metrics(trace: Trace) -> MetricsReport:
     """Reduce a trace to the synchronization/oscillation report.
 
     The per-interval statistics ``run()`` recorded at the end of each
@@ -201,7 +200,7 @@ def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsRepo
     the sliding-window statistics.
     """
     interval_min = trace.scenario.market_interval_min
-    w = window_intervals(window_min, interval_min)
+    w = window_intervals(interval_min)
     n_int = trace.n_intervals
 
     n_windows = max(n_int - w + 1, 0)
@@ -215,7 +214,6 @@ def compute_metrics(trace: Trace, window_min: float = WINDOW_MIN) -> MetricsRepo
         window_sync[s] = trace.sync[s : s + w].mean()
 
     return MetricsReport(
-        window_min=window_min,
         price_divergence=trace.clearing_price - trace.base_price,
         window_start_min=window_start,
         window_p2p_kw=window_p2p,

@@ -10,8 +10,8 @@ market interval). A TCL draws electrical power only while ``m`` and
 :class:`Population` holds the parameters and state of every TCL as numpy
 arrays, indexed by TCL id, and advances all devices at once. This module
 also holds the validity rules of one TCL and their messages, which the
-per-device reference in :mod:`tclmarket.reference` applies as well. The
-vectorized steps are required to be bit-identical to that reference
+test suite's per-device oracle (``tests/oracle.py``) applies as well. The
+vectorized steps are required to be bit-identical to that oracle
 evaluated in index order, which the test suite pins.
 """
 
@@ -132,10 +132,8 @@ class Population:
     length-n int64 scratch buffer, allocated with the population.
     """
 
-    def __init__(
-        self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2, noise_std,
-        theta, m, v, theta_ambient: float, subgroup: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2,
+                 noise_std, theta, m, v, theta_ambient: float):
         self.C = np.asarray(C, dtype=np.float64)
         self.R = np.asarray(R, dtype=np.float64)
         self.P = np.asarray(P, dtype=np.float64)
@@ -173,25 +171,14 @@ class Population:
 
         if self.theta_ambient <= self.theta_set.max():
             raise ValueError("theta_ambient must exceed every set-point (cooling-load regime)")
-        if subgroup is not None and len(subgroup) != len(self.theta):
-            raise ValueError("subgroup labels must align with the TCLs")
-        self.subgroup = None if subgroup is None else np.asarray(subgroup, dtype=int)
 
         self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
         self._forcing = self._forcing_bits.view(np.float64)
 
-    def __len__(self) -> int:
-        return len(self.theta)
-
     @property
     def size(self) -> int:
         return len(self.theta)
-
-    @property
-    def theta_gain(self) -> np.ndarray:
-        """P*R per TCL, degC: the full-on temperature pull (computed on each read)."""
-        return self.P * self.R
 
     @property
     def capacity_kw(self) -> float:
@@ -204,9 +191,9 @@ class Population:
         One step is ``theta' = a*theta + (on if m*v else off)`` with
         ``a = exp(-h/(C*R*3600))``, ``off = (1-a)*theta_ambient`` and
         ``on = (1-a)*(theta_ambient - P*R)``: the same operations, in the
-        same order, as :func:`tclmarket.reference.thermal_step`. ``a`` is
+        same order, as the per-device oracle's ``thermal_step``. ``a`` is
         computed element by element with math.exp, so the array path matches
-        the per-device reference bit for bit. ``on`` is kept as its
+        the per-device oracle bit for bit. ``on`` is kept as its
         ``flip = flip_bits(on, off)``, the form :func:`select` reads, and
         ``off_bits`` is the int64 view of ``off`` that a select xors into.
         """
@@ -231,7 +218,7 @@ class Population:
         """One physics step: switches first (from current theta), then theta.
 
         The switch turns off strictly below the deadband, on strictly above
-        it, and holds otherwise (as :func:`tclmarket.reference.hysteresis_update`);
+        it, and holds otherwise (as the oracle's ``hysteresis_update``);
         ``noise`` is degC per TCL (None = 0). The new theta is written into
         ``theta_out`` and the mask of consuming TCLs (``m & v``, as the step
         used it) into ``consuming_out``, each a length-n array the caller owns

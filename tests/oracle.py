@@ -9,9 +9,9 @@ and scalar functions, and converts between them and a
 
 It is the test oracle for the vectorized code: ``Population.step_physics``,
 ``predict_temperatures`` and ``bid_prices`` must equal these functions,
-evaluated per TCL in index order, bit for bit. No production path imports
-it. Parameters and states are checked with the same rules, and the same
-messages, as a ``Population``.
+evaluated per TCL in index order, bit for bit. It lives with the tests,
+outside the package. Parameters and states are checked with the same
+rules, and the same messages, as a ``Population``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .population import PARAM_FIELDS, Population, check_params, check_switches
+from tclmarket.population import PARAM_FIELDS, Population, check_params, check_switches
 
 __all__ = [
     "TclParams",
@@ -197,7 +197,6 @@ def population_from_devices(
     params: Sequence[TclParams],
     states: Sequence[TclState],
     theta_ambient: float,
-    subgroup: Optional[np.ndarray] = None,
 ) -> Population:
     """Unpack scalar TCL objects, in index order, into a Population.
 
@@ -210,7 +209,6 @@ def population_from_devices(
         m=[s.m for s in states],
         v=[s.v for s in states],
         theta_ambient=theta_ambient,
-        subgroup=subgroup,
     )
 
 

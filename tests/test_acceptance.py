@@ -26,7 +26,7 @@ from tclmarket.cli import builtin_scenario, main
 from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, run
 from tclmarket.market import DEFAULT_PRICE_TICK, build_demand_curve, clear
 from tclmarket.metrics import compute_metrics
-from tclmarket.reference import Bid, TclParams, TclState, make_bid, population_from_devices
+from oracle import Bid, TclParams, TclState, make_bid, population_from_devices
 
 
 # --------------------------------------------------------------- shared runs
@@ -184,7 +184,7 @@ def test_criterion_02_clearing_matches_bruteforce_oracle():
 def test_criterion_03_natural_cycling_duty_baseline(natural_trace):
     pop = natural_trace.population
     predicted = float(np.sum(
-        pop.elec_power * (pop.theta_ambient - pop.theta_set) / pop.theta_gain
+        pop.elec_power * (pop.theta_ambient - pop.theta_set) / (pop.P * pop.R)
     ))
     tail = natural_trace.avg_demand_kw[natural_trace.time_min >= 720.0]
     observed = float(tail.mean())

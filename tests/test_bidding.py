@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from tclmarket.bidding import bid_prices, predict_temperatures
 from tclmarket.engine import PopulationSpec, generate_population
 from tclmarket.population import Population
-from tclmarket.reference import (
+from oracle import (
     Bid,
     TclParams,
     TclState,

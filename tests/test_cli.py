@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -338,6 +339,23 @@ def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields,
      "price_signal.values must be non-empty"),
     ({"population": {"count": 16}, "price_signal": {"kind": "series", "values": 5}}, [],
      "price_signal.values must be a list of prices"),
+    # a field the kind does not read would be echoed as if it applied
+    ({"population": {"count": 16},
+      "price_signal": {"kind": "constant", "level": 5, "low": 3, "values": [1]}}, [],
+     "price_signal.low is not read by kind 'constant'"),
+    ({"population": {"count": 16},
+      "price_signal": {"kind": "constant", "level": 5, "low": 3, "values": [1]}}, [],
+     "price_signal.values is not read by kind 'constant'"),
+    ({"population": {"count": 16},
+      "price_signal": {"kind": "step", "schedule": [[0, 30]], "offset_min": 5}}, [],
+     "price_signal.offset_min is not read by kind 'step'"),
+    ({"population": {"count": 16},
+      "price_signal": {"kind": "series", "values": [20] * 6, "level": 20}}, [],
+     "price_signal.level is not read by kind 'series'"),
+    ({"population": {"count": 16},
+      "price_signal": {"kind": "square", "low": 20, "high": 30, "period_min": 10,
+                       "schedule": [[0, 30]]}}, [],
+     "price_signal.schedule is not read by kind 'square'"),
 ])
 def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violation):
     path = tmp_path / "bad.json"
@@ -352,6 +370,60 @@ def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violati
     assert f"invalid scenario: {violation}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("part", ["population", "price_signal"])
+def test_null_population_or_price_signal_is_an_error(tmp_path, capsys, part):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"horizon_min": 30, part: None}))
+    for flags in (["--validate-only"], ["--out", str(tmp_path / "o")]):
+        assert main(["--scenario", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {part} must be a JSON object\n"
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_more_subgroups_than_an_int64_label_product_holds_run(tmp_path, capsys):
+    # np.arange(1000) * K wraps in int64 for this K; each load is its own subgroup
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(
+        {"horizon_min": 5, "population": {"count": 1000, "subgroups": 10**16}}
+    ))
+    assert main(["--scenario", str(path), "--validate-only"]) == 0
+    out = tmp_path / "o"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    assert read_lines(out / "metrics.csv")[0].split(",")[-1] == "subgroup999_sync_index"
+
+
+def _limit_address_space():
+    """Cap this process's address space at 16 GiB (or its hard limit, if lower)."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 16 * 2**30 if hard == resource.RLIM_INFINITY else min(16 * 2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize("scenario, flags", [
+    ({"horizon_min": 30, "population": {"count": 10**13, "subgroups": 10**13}},
+     ["--validate-only"]),
+    ({"horizon_min": 5, "population": {"count": 10**13}}, ["--out", "o"]),
+], ids=["validate", "run"])
+def test_refused_allocation_is_an_error_not_a_traceback(tmp_path, scenario, flags):
+    # 10**13 loads or subgroups ask for 72.8 TiB per array; under an address
+    # space cap far below that, the refusal does not depend on the host's
+    # overcommit policy
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tclmarket.cli", "--scenario", str(path), *flags],
+        cwd=tmp_path, preexec_fn=_limit_address_space, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: not enough memory: Unable to allocate 72.8 TiB")
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 @pytest.mark.parametrize("field", ["theta_ambient", "noise_std"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tclmarket.engine as engine
 import tclmarket.market as market
@@ -26,7 +26,7 @@ from tclmarket.engine import (
 )
 from tclmarket.metrics import sync_index, temperature_dispersion
 from tclmarket.population import PARAM_FIELDS, Population
-from tclmarket.reference import (
+from oracle import (
     Bid,
     TclParams,
     TclState,
@@ -178,17 +178,27 @@ def test_default_population_capacity():
 def test_four_subgroups_width_zero_gives_four_curves():
     spec = PopulationSpec(count=100, subgroups=4, subgroup_rel_width=0.0)
     pop = generate_population(spec, seed=1)
-    curves = {
-        (p.p0, p.p_cap, p.gamma1, p.gamma2) for p in devices(pop)[0]
-    }
-    assert len(curves) == 4
-    assert pop.subgroup is not None
-    counts = np.bincount(pop.subgroup)
-    assert list(counts) == [25, 25, 25, 25]
-    # members of one subgroup share one bid curve
+    curves = [(p.p0, p.p_cap, p.gamma1, p.gamma2) for p in devices(pop)[0]]
+    assert len(set(curves)) == 4
+    # the subgroups are four blocks of 25 consecutive ids, each sharing one bid curve
     for g in range(4):
-        sel = [p for p, s in zip(devices(pop)[0], pop.subgroup) if s == g]
-        assert len({(p.p0, p.p_cap, p.gamma1, p.gamma2) for p in sel}) == 1
+        assert len(set(curves[25 * g : 25 * (g + 1)])) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 300), other=st.integers(1, 2**63 - 1), more_groups=st.booleans())
+@example(m=1000, other=10**16, more_groups=True)   # np.arange(1000) * K wraps in int64
+@example(m=3, other=2**63 - 1, more_groups=False)
+def test_subgroup_ranges_are_exact_for_every_int64_size(m, other, more_groups):
+    n, K = (m, max(m, other)) if more_groups else (max(m, other), m)
+    groups, edges = engine._subgroup_ranges(n, K)
+    assert groups.dtype == edges.dtype == np.int64
+    assert len(groups) == len(edges) - 1 == min(n, K)
+    assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(groups) > 0)
+    # TCL i belongs to subgroup i*K // n, in Python's exact integers: each
+    # range starts and ends inside its subgroup, so it holds all of it
+    for g, start, stop in zip(groups.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
+        assert start < stop and start * K // n == g == (stop - 1) * K // n
 
 
 def test_generation_is_deterministic_and_seed_sensitive():
@@ -224,15 +234,12 @@ def test_generated_arrays_match_from_devices_bit_for_bit(subgroups):
     fields = tuple(f.name for f in dataclasses.fields(TclParams) if f.name != "id")
     assert PARAM_FIELDS == fields
     params, states = devices(pop)
-    again = population_from_devices(params, states, pop.theta_ambient, pop.subgroup)
-    names = PARAM_FIELDS + ("theta", "m", "v", "theta_min", "theta_max",
-                            "theta_gain", "elec_power")
+    again = population_from_devices(params, states, pop.theta_ambient)
+    names = PARAM_FIELDS + ("theta", "m", "v", "theta_min", "theta_max", "elec_power")
     for name in names:
         a, b = getattr(pop, name), getattr(again, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert [p.id for p in params] == list(range(200))
-    if subgroups > 1:
-        assert again.subgroup.tobytes() == pop.subgroup.tobytes()
 
 
 def test_run_builds_no_per_load_objects(monkeypatch):
@@ -270,8 +277,9 @@ def test_run_sorts_bids_only_in_constrained_intervals(monkeypatch):
 
 
 def test_production_path_never_imports_the_reference(tmp_path):
-    # A fresh interpreter imports the package and runs the command line;
-    # the per-device reference is the tests' oracle and must stay unloaded.
+    # A fresh interpreter imports the package and runs the command line,
+    # which must load every module of the package: a module only the tests
+    # use (such as the per-device oracle) belongs in tests/, not in src/.
     scenario = Scenario(
         population=PopulationSpec(count=200, noise_std=0.01, subgroups=2),
         price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
@@ -280,10 +288,13 @@ def test_production_path_never_imports_the_reference(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(scenario.to_json())
     code = (
-        "import sys, tclmarket, tclmarket.cli\n"
+        "import os, sys, tclmarket, tclmarket.cli\n"
         "assert tclmarket.cli.main(sys.argv[1:]) == 0\n"
-        "assert 'tclmarket.reference' not in sys.modules, "
-        "'a production module imported tclmarket.reference'\n"
+        "package = os.path.dirname(tclmarket.__file__)\n"
+        "unused = sorted(f'tclmarket.{name[:-3]}' for name in os.listdir(package)\n"
+        "                if name.endswith('.py') and name != '__init__.py'\n"
+        "                and f'tclmarket.{name[:-3]}' not in sys.modules)\n"
+        "assert not unused, f'modules no run loads: {unused}'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -698,7 +709,7 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     assert trace.bid_price_max.tolist() == matrix.max(axis=1).tolist()
     # the synchronization record is the statistics of each interval's last step
     pop = trace.population
-    members = [pop.subgroup == g for g in range(3)]
+    members = [slice(50 * g, 50 * (g + 1)) for g in range(3)]   # 150 loads in 3 blocks
     for t in range(12):
         theta, m, _ = steps[60 * t + 59]
         assert trace.sync[t] == sync_index(theta, m, pop.theta_min, pop.theta_max)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tclmarket.population import MAX_POWER_EXPONENT_SPAN, LimbTable
-from tclmarket.reference import Bid
+from oracle import Bid
 from tclmarket.market import (
     DEFAULT_PRICE_TICK,
     ClearingResult,

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tclmarket.engine import (
-    PopulationSpec, PriceSignal, Scenario, _drawn_subgroups, _subgroup_labels, _subgroup_slices,
-    run,
-)
+from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, _subgroup_ranges, run
 from tclmarket.metrics import (
     compute_metrics,
     cycle_phases,
@@ -164,9 +161,9 @@ def test_subgroup_slices_give_the_sync_index_of_each_subgroup(n, K, seed):
     theta_max = theta_min + rng.choice([0.5, 1.7], n)
     theta = rng.uniform(theta_min - 0.5, theta_max + 0.5)
     m = rng.integers(0, 2, n).astype(bool)
-    labels = _subgroup_labels(n, K)
-    slices = _subgroup_slices(labels)
-    groups = _drawn_subgroups(n, K)
+    labels = np.arange(n) * K // n
+    groups, edges = _subgroup_ranges(n, K)
+    slices = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     assert len(slices) == len(groups) == min(n, K)
     expected = [sync_index(theta, m, theta_min, theta_max)] + [
         sync_index(theta[labels == g], m[labels == g],
@@ -261,14 +258,14 @@ def small_trace():
 
 
 def test_report_shapes_and_scalars(small_trace):
-    report = compute_metrics(small_trace, window_min=60.0)
+    report = compute_metrics(small_trace)
     n = small_trace.n_intervals
-    assert n == 24
+    assert n == 24   # the 120-min horizon holds one 120-min window
     assert small_trace.sync.shape == (n,)
     assert small_trace.dispersion_degc.shape == (n,)
     assert np.all((small_trace.sync >= 0.0) & (small_trace.sync <= 1.0))
     assert np.all(small_trace.dispersion_degc >= 0.0)
-    assert report.n_windows == n - 12 + 1
+    assert report.n_windows == n - 24 + 1 == 1
     assert np.array_equal(report.window_start_min, small_trace.time_min[: report.n_windows])
     assert report.feeder_hits == int(small_trace.constrained.sum())
     assert report.max_sync == small_trace.sync.max()
@@ -290,7 +287,3 @@ def test_trace_carries_per_subgroup_sync():
     assert trace.subgroup_sync.shape == (4, trace.n_intervals)
     assert np.all((trace.subgroup_sync >= 0.0) & (trace.subgroup_sync <= 1.0))
 
-
-def test_report_rejects_tiny_windows(small_trace):
-    with pytest.raises(ValueError):
-        compute_metrics(small_trace, window_min=10.0)

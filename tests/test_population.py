@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tclmarket.market import build_demand_curve
 from tclmarket.population import PARAM_FIELDS, Population, aggregate_power, flip_bits, select
-from tclmarket.reference import (
+from oracle import (
     TclParams,
     TclState,
     hysteresis_update,
