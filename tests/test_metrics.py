@@ -286,4 +286,3 @@ def test_trace_carries_per_subgroup_sync():
     assert trace.subgroup_sync is not None
     assert trace.subgroup_sync.shape == (4, trace.n_intervals)
     assert np.all((trace.subgroup_sync >= 0.0) & (trace.subgroup_sync <= 1.0))
-
