@@ -2,15 +2,8 @@
 
 from .population import Population, aggregate_power
 from .market import ClearingResult, DemandCurve, build_demand_curve, clear
-from .engine import (
-    PopulationSpec,
-    PriceSignal,
-    Scenario,
-    ScenarioError,
-    Trace,
-    generate_population,
-    run,
-)
+from .scenario import PopulationSpec, PriceSignal, Scenario, ScenarioError
+from .engine import Trace, generate_population, run
 from .metrics import (
     MetricsReport,
     compute_metrics,

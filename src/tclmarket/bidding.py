@@ -42,7 +42,7 @@ def predict_temperatures(population: Population, steps: int, h: float) -> np.nda
     Iterates the noise-free thermal step ``steps`` times with each TCL's
     current consumption state m*v held fixed (a device does not anticipate
     its own thermostat or the market). steps=0 returns the measured
-    temperatures. :meth:`~tclmarket.engine.Scenario.plan` gives the step
+    temperatures. :meth:`~tclmarket.scenario.Scenario.plan` gives the step
     count of a scenario's ``lookahead_s``. The forcing term is one
     :func:`~tclmarket.population.select`, and the steps update a copy of
     the temperatures in place.

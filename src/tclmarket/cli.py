@@ -25,15 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (
-    PopulationSpec,
-    PriceSignal,
-    Scenario,
-    ScenarioError,
-    Trace,
-    run,
-)
+from .engine import Trace, run
 from .metrics import WINDOW_MIN, MetricsReport, compute_metrics
+from .scenario import PopulationSpec, PriceSignal, Scenario, ScenarioError
 
 __all__ = ["main", "builtin_scenario", "load_scenario", "BUILTIN_SCENARIOS"]
 

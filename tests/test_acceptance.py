@@ -23,9 +23,10 @@ import pytest
 
 from tclmarket.bidding import bid_prices
 from tclmarket.cli import builtin_scenario, main
-from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, run
+from tclmarket.engine import run
 from tclmarket.market import DEFAULT_PRICE_TICK, build_demand_curve, clear
 from tclmarket.metrics import compute_metrics
+from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario
 from oracle import Bid, TclParams, TclState, make_bid, population_from_devices
 
 

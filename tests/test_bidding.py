@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tclmarket.bidding import bid_prices, predict_temperatures
-from tclmarket.engine import PopulationSpec, generate_population
+from tclmarket.engine import generate_population
 from tclmarket.population import Population
+from tclmarket.scenario import PopulationSpec
 from oracle import (
     Bid,
     TclParams,

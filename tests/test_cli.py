@@ -18,7 +18,8 @@ from tclmarket import cli
 from tclmarket.cli import (
     BUILTIN_SCENARIOS, TABLE_CHUNK_ROWS, _write_table, builtin_scenario, main, write_steps_csv,
 )
-from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, ScenarioError, run
+from tclmarket.engine import run
+from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario, ScenarioError
 
 
 @pytest.fixture()
@@ -301,6 +302,7 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     ({"population": {"count": 16}, "feeder_limit_kw": 1.0, "price_tick": 1e-300},
      "price_tick (1e-300) must be at least the float spacing 7.11e-15 at the largest "
      "possible bid price (40 $/MWh)"),
+    ({"population": {"count": 2**52}}, "population.count must be below 2**52"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"

@@ -14,18 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import tclmarket.engine as engine
 import tclmarket.market as market
-from tclmarket.engine import (
-    N_BID_SAMPLES,
+from tclmarket.engine import N_BID_SAMPLES, generate_population, price_signal_value, run
+from tclmarket.metrics import sync_index, temperature_dispersion
+from tclmarket.population import PARAM_FIELDS, Population
+from tclmarket.scenario import (
     PopulationSpec,
     PriceSignal,
     Scenario,
     ScenarioError,
-    generate_population,
-    price_signal_value,
-    run,
+    _subgroup_ranges,
 )
-from tclmarket.metrics import sync_index, temperature_dispersion
-from tclmarket.population import PARAM_FIELDS, Population
 from oracle import (
     Bid,
     TclParams,
@@ -191,7 +189,7 @@ def test_four_subgroups_width_zero_gives_four_curves():
 @example(m=3, other=2**63 - 1, more_groups=False)
 def test_subgroup_ranges_are_exact_for_every_int64_size(m, other, more_groups):
     n, K = (m, max(m, other)) if more_groups else (max(m, other), m)
-    groups, edges = engine._subgroup_ranges(n, K)
+    groups, edges = _subgroup_ranges(n, K)
     assert groups.dtype == edges.dtype == np.int64
     assert len(groups) == len(edges) - 1 == min(n, K)
     assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(groups) > 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tclmarket.engine import PopulationSpec, PriceSignal, Scenario, _subgroup_ranges, run
+from tclmarket.engine import run
 from tclmarket.metrics import (
     compute_metrics,
     cycle_phases,
@@ -15,6 +15,7 @@ from tclmarket.metrics import (
     sync_index,
     temperature_dispersion,
 )
+from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario, _subgroup_ranges
 
 LO = np.array([19.75])
 HI = np.array([20.25])

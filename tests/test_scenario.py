@@ -1,10 +1,23 @@
-"""Scenario validation: the message of every violation, pinned word for word."""
+"""Scenario validation: the message of every violation, pinned word for word, and the
+field rules that find them."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from tclmarket import Scenario
+from tclmarket.scenario import (
+    INTEGER,
+    PAIR,
+    REAL,
+    REAL_OR_NONE,
+    PopulationSpec,
+    _POPULATION_RULES,
+    _SCENARIO_RULES,
+)
 
 #: One scenario (as JSON, read by ``Scenario.from_dict``) per place a
 #: violation is found, and the whole list ``validate()`` returns for it.
@@ -166,3 +179,42 @@ VIOLATIONS = [
                          ids=[case[0] for case in VIOLATIONS])
 def test_every_violation_message(fields, expected):
     assert Scenario.from_dict(fields).validate() == expected
+
+
+
+def test_count_must_leave_the_exact_power_sums_a_bit():
+    # LimbTable gives each digit 53 - count.bit_length() bits: none at 2**52
+    assert Scenario(population=PopulationSpec(count=2**52 - 1)).validate() == []
+    assert Scenario(population=PopulationSpec(count=2**52)).validate() == [
+        "population.count must be below 2**52 = 4503599627370496, where the exact power sums "
+        "run out of bits"
+    ]
+
+
+def _kinds(rules) -> dict:
+    """Each field's kind, from the rows ``(name, kind)`` of a rule table."""
+    return {row[0]: row[1] for row in rules if isinstance(row[0], str)}
+
+
+def test_every_field_has_a_rule_giving_its_kind():
+    ranges = ("p0_range", "p_cap_range", "gamma_range")
+    assert _kinds(_POPULATION_RULES) == {
+        **{f.name: REAL for f in dataclasses.fields(PopulationSpec)
+           if f.name not in ("count", "subgroups", *ranges)},
+        "count": INTEGER, "subgroups": INTEGER, **dict.fromkeys(ranges, PAIR),
+    }
+    assert _kinds(_SCENARIO_RULES) == {
+        **dict.fromkeys(("horizon_min", "market_interval_min", "h_seconds", "lookahead_s",
+                         "feeder_fraction", "price_tick"), REAL),
+        "feeder_limit_kw": REAL_OR_NONE, "seed": INTEGER,
+    }
+    # a field added later gets a kind, or this fails; the name is free text,
+    # and the two parts have tables of their own
+    assert set(_kinds(_SCENARIO_RULES)) == {
+        f.name for f in dataclasses.fields(Scenario)} - {"name", "population", "price_signal"}
+
+
+def test_readme_shows_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads(Scenario().to_json())
