@@ -4,8 +4,10 @@ The benchmark pins the six built-ins at seed 0. These pin them at seed 1,
 and add a noisy scenario whose four subgroups do not divide its 1003 loads:
 no benchmark workload draws noise, and only ``subgroups`` has subgroups
 (four, dividing its 1000 loads). A third scenario has more subgroups (12)
-than loads (7), so the drawn subgroups are not 0..K-1. Every output is
-emitted, steps included.
+than loads (7), so the drawn subgroups are not 0..K-1. A fourth draws R,
+P, eta and the set-point with nonzero widths, so every parameter differs
+from load to load: no built-in does that. Every output is emitted, steps
+included.
 A change that moves one byte of any of these files changes behaviour.
 """
 
@@ -30,6 +32,16 @@ SPARSE_SUBGROUPS = {
     "population": {"count": 7, "subgroups": 12, "noise_std": 0.01},
     "horizon_min": 60,
     "feeder_fraction": 0.6,
+}
+
+SPREAD_PARAMETERS = {
+    "population": {
+        "count": 999, "r_rel_width": 0.1, "p_rel_width": 0.05, "eta_rel_width": 0.08,
+        "theta_set_width": 0.5,
+    },
+    "horizon_min": 120,
+    "feeder_fraction": 0.6,
+    "price_signal": {"kind": "step", "schedule": [[0, 42], [40, 20], [80, 9]]},
 }
 
 GOLDEN = {
@@ -89,6 +101,13 @@ GOLDEN = {
         "bids_sample.csv": "4e798c09be3a964491257529f28c0792aae786eda24405f1988a36b929140489",
         "steps.csv": "9fa5a5dc3d1fc3d399efeeb0df36157fea5e67f4cb89ab7a01b12837bafe73dc",
     },
+    "spread-parameters": {
+        "trace.csv": "caa26cefe7a81ba0e1f97e36ab813014f3a849847b447d824fcb53d539ac9b40",
+        "metrics.csv": "129bc79957bb9309fe6c78e85601d4b9d5ccf1cd4fa0be01171db910effcfadf",
+        "windows.csv": "b903783a09a9381b3601177d9b78c684fd06d7b33bdabf1179c1e95fa106907b",
+        "bids_sample.csv": "434cf2883770cb60d02d0e3601a9b2474bde389a37f130e4e5c37e12a734021d",
+        "steps.csv": "325a393e673c1435bdd971870818fa727a3c47959446a0884e496f984eda7fc4",
+    },
 }
 
 
@@ -99,7 +118,9 @@ def csv_hashes(out_dir):
 
 
 def test_golden_covers_every_builtin():
-    assert set(GOLDEN) == set(BUILTIN_SCENARIOS) | {"noisy-subgroups", "sparse-subgroups"}
+    assert set(GOLDEN) == set(BUILTIN_SCENARIOS) | {
+        "noisy-subgroups", "sparse-subgroups", "spread-parameters"
+    }
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -123,3 +144,7 @@ def test_noisy_uneven_subgroups_csvs_match_their_hashes(tmp_path, capsys):
 
 def test_more_subgroups_than_loads_csvs_match_their_hashes(tmp_path, capsys):
     assert custom_csv_hashes(SPARSE_SUBGROUPS, tmp_path) == GOLDEN["sparse-subgroups"]
+
+
+def test_spread_parameters_csvs_match_their_hashes(tmp_path, capsys):
+    assert custom_csv_hashes(SPREAD_PARAMETERS, tmp_path) == GOLDEN["spread-parameters"]
