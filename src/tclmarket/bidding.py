@@ -64,8 +64,9 @@ def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
     clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
 
     The price is built in its one output array: ``p0 + gamma*(theta -
-    theta_set)`` with gamma the slope of theta's side, then the two band
-    overrides and the clamp in place. Below the set-point this is
+    theta_set)`` with gamma the slope of theta's side (two masked
+    multiplies over one side mask, so no array of slopes), then the two
+    band overrides and the clamp in place. Below the set-point this is
     ``p0 - gamma2*(theta_set - theta)`` bit for bit: ``theta_set - theta``
     is exactly ``-(theta - theta_set)``, rounding to nearest commutes with
     negation so the product is exactly ``-(gamma2*(theta - theta_set))``,
@@ -73,7 +74,10 @@ def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
     """
     theta_set = population.theta_set
     price = np.subtract(theta_bid, theta_set)
-    price *= np.where(theta_bid >= theta_set, population.gamma1, population.gamma2)
+    upper = np.greater_equal(theta_bid, theta_set)
+    np.multiply(price, population.gamma1, out=price, where=upper)
+    np.multiply(price, population.gamma2, out=price, where=np.logical_not(upper, out=upper))
+    del upper
     price += population.p0
     np.copyto(price, population.p_cap, where=theta_bid > population.theta_max)
     np.copyto(price, 0.0, where=theta_bid < population.theta_min)

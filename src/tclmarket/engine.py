@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .bidding import bid_prices, predict_temperatures
 from .market import build_demand_curve, clear
-from .population import Population, aggregate_power
+from .population import Population, aggregate_power, is_one_value, one_value, per_load
 from .scenario import (
     PopulationSpec,
     PriceSignal,
@@ -79,9 +79,11 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     """Draw a population from the configured distributions, deterministically.
 
     Every distribution consumes its draws whether or not its width is zero,
-    so narrowing one parameter never reshuffles the others. ``deadband``
-    and ``noise_std``, one value for every TCL, are read-only zero-stride
-    views of that value rather than n copies of it.
+    so narrowing one parameter never reshuffles the others. A parameter
+    with one value for every TCL (``deadband``, ``noise_std``, and any draw
+    of width zero) is a read-only zero-stride view of that value rather
+    than n copies of it: each draw passes through
+    :func:`~tclmarket.population.one_value` as soon as it is made.
     """
     errs = spec.violations()
     if errs:
@@ -90,17 +92,17 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     g = np.random.default_rng(params_seed)
     n = spec.count
 
-    C = spec.c_mean * (1.0 + spec.c_rel_width * g.uniform(-1.0, 1.0, n))
-    R = spec.r_mean * (1.0 + spec.r_rel_width * g.uniform(-1.0, 1.0, n))
-    P = spec.p_mean * (1.0 + spec.p_rel_width * g.uniform(-1.0, 1.0, n))
-    eta = spec.eta_mean * (1.0 + spec.eta_rel_width * g.uniform(-1.0, 1.0, n))
-    theta_set = spec.theta_set_mean + spec.theta_set_width * g.uniform(-1.0, 1.0, n)
+    C = one_value(spec.c_mean * (1.0 + spec.c_rel_width * g.uniform(-1.0, 1.0, n)))
+    R = one_value(spec.r_mean * (1.0 + spec.r_rel_width * g.uniform(-1.0, 1.0, n)))
+    P = one_value(spec.p_mean * (1.0 + spec.p_rel_width * g.uniform(-1.0, 1.0, n)))
+    eta = one_value(spec.eta_mean * (1.0 + spec.eta_rel_width * g.uniform(-1.0, 1.0, n)))
+    theta_set = one_value(spec.theta_set_mean + spec.theta_set_width * g.uniform(-1.0, 1.0, n))
 
     if spec.subgroups == 1:
-        p0 = g.uniform(spec.p0_range[0], spec.p0_range[1], n)
-        p_cap = g.uniform(spec.p_cap_range[0], spec.p_cap_range[1], n)
-        gamma1 = g.uniform(spec.gamma_range[0], spec.gamma_range[1], n)
-        gamma2 = g.uniform(spec.gamma_range[0], spec.gamma_range[1], n)
+        p0 = one_value(g.uniform(spec.p0_range[0], spec.p0_range[1], n))
+        p_cap = one_value(g.uniform(spec.p_cap_range[0], spec.p_cap_range[1], n))
+        gamma1 = one_value(g.uniform(spec.gamma_range[0], spec.gamma_range[1], n))
+        gamma2 = one_value(g.uniform(spec.gamma_range[0], spec.gamma_range[1], n))
     else:
         K = spec.subgroups
         groups, edges = _subgroup_ranges(n, K)
@@ -109,18 +111,20 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
 
         def group_values(value_range: tuple[float, float]) -> np.ndarray:
             anchors = np.repeat(_subgroup_anchors(value_range, groups, K), sizes)
-            return anchors * (1.0 + w * g.uniform(-1.0, 1.0, n))
+            return one_value(anchors * (1.0 + w * g.uniform(-1.0, 1.0, n)))
 
         p0 = group_values(spec.p0_range)
         p_cap = group_values(spec.p_cap_range)
         gamma1 = group_values(spec.gamma_range)
-        gamma2 = gamma1.copy()
+        gamma2 = gamma1 if is_one_value(gamma1) else gamma1.copy()   # a view is read-only
 
     g_init = np.random.default_rng(init_seed)
-    theta_min = theta_set - spec.deadband / 2.0
-    theta_max = theta_set + spec.deadband / 2.0
+    theta_min = per_load(lambda s: s - spec.deadband / 2.0, theta_set)
+    theta_max = per_load(lambda s: s + spec.deadband / 2.0, theta_set)
     theta0 = g_init.uniform(theta_min, theta_max)
-    duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
+    duty = per_load(
+        lambda s, p, r: np.clip((spec.theta_ambient - s) / (p * r), 0.0, 1.0), theta_set, P, R
+    )
     m0 = (g_init.uniform(0.0, 1.0, n) < duty).astype(np.int8)
     return Population(
         C=C,
@@ -314,6 +318,11 @@ def run(scenario: Scenario) -> Trace:
             feeder_limit, scenario.price_tick,
         )
         pop.set_dispatch(prices, result.clearing_price)
+        trace.bid_price_min[t] = prices.min()
+        trace.bid_price_mean[t] = prices.mean()
+        trace.bid_price_max[t] = prices.max()
+        trace.bid_sample[t] = prices[trace.bid_sample_ids]
+        del prices   # not kept through the physics and the next prediction
 
         first = t * steps_per
         # An overflow reaches the finiteness check below as a value.
@@ -331,11 +340,10 @@ def run(scenario: Scenario) -> Trace:
                 ):
                     pop.step_physics(h, noise_row, theta_row, consuming_row)
                 stepped = slice(start, start + b)
-                trace.step_power_kw[stepped] = aggregate_power(pop, consuming_block[:b])
                 # per row: count_nonzero(axis=1) is several times slower
-                trace.step_on_fraction[stepped] = [
-                    np.count_nonzero(row) / n for row in consuming_block[:b]
-                ]
+                counts = [np.count_nonzero(row) for row in consuming_block[:b]]
+                trace.step_power_kw[stepped] = aggregate_power(pop, consuming_block[:b], counts)
+                trace.step_on_fraction[stepped] = [count / n for count in counts]
                 trace.step_theta_mean[stepped], trace.step_theta_std[stepped] = metrics.mean_std(
                     theta_block[:b]
                 )
@@ -359,10 +367,6 @@ def run(scenario: Scenario) -> Trace:
         trace.constrained[t] = result.constrained
         trace.avg_demand_kw[t] = _exact_mean(trace.step_power_kw[rows].tolist())
         trace.n_dispatched[t] = np.count_nonzero(pop.v)
-        trace.bid_price_min[t] = prices.min()
-        trace.bid_price_mean[t] = prices.mean()
-        trace.bid_price_max[t] = prices.max()
-        trace.bid_sample[t] = prices[trace.bid_sample_ids]
         trace.sync[t], *subgroup_sync = metrics.sync_index(
             pop.theta, pop.m, pop.theta_min, pop.theta_max, slices
         )

@@ -87,6 +87,38 @@ def check_switches(m: np.ndarray, v: np.ndarray) -> None:
         raise ValueError(f"m and v must be 0 or 1, got m={m.item(i)}, v={v.item(i)}")
 
 
+def one_value(values: np.ndarray) -> np.ndarray:
+    """``values`` as a read-only zero-stride view of its first value, if all share its bits.
+
+    Float64 values are compared as their int64 bits, so -0.0 and 0.0 never
+    merge and every value the view gives back is the one stored. Any other
+    array (values that differ, or not 1-D of at least one value) comes back
+    unchanged.
+    """
+    if values.ndim != 1 or not len(values):
+        return values
+    bits = values.view(np.int64)
+    if bits.min() != bits.max():
+        return values
+    return np.broadcast_to(values[0], values.shape)
+
+
+def is_one_value(values: np.ndarray) -> bool:
+    """Whether ``values`` is a 1-D zero-stride view of one value (see :func:`one_value`)."""
+    return values.ndim == 1 and len(values) > 0 and values.strides == (0,)
+
+
+def per_load(f: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """``f(*arrays)`` for an element-wise ``f`` of arrays of one length.
+
+    When every array is a one-value view, ``f`` runs on one element, and
+    the result is a one-value view of it.
+    """
+    if all(map(is_one_value, arrays)):
+        return np.broadcast_to(f(*(a[:1] for a in arrays))[0], arrays[0].shape)
+    return f(*arrays)
+
+
 def flip_bits(on: np.ndarray, off: np.ndarray, out=None) -> np.ndarray:
     """The bits that turn each float64 ``off`` into ``on``: ``on ^ off`` as int64.
 
@@ -117,9 +149,12 @@ class Population:
 
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
-    construction, and one value shared by every TCL may be passed as a
-    read-only zero-stride view (``np.broadcast_to``); the thermal/switch
-    state (float64 ``theta``, boolean ``m`` and ``v``) evolves. The
+    construction; the thermal/switch state (float64 ``theta``, boolean
+    ``m`` and ``v``) evolves. The constructor passes every parameter
+    through :func:`one_value`, so one value shared by every TCL is kept
+    once, as a read-only zero-stride view, however it was passed. The
+    derived ``theta_min``, ``theta_max`` and ``elec_power`` (P/eta) are
+    such views when all their inputs are (see :func:`per_load`). The
     constructor checks the validity rules of every TCL and raises the
     message of the first offending one. The population never draws noise;
     callers pass samples in.
@@ -134,17 +169,10 @@ class Population:
 
     def __init__(self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2,
                  noise_std, theta, m, v, theta_ambient: float):
-        self.C = np.asarray(C, dtype=np.float64)
-        self.R = np.asarray(R, dtype=np.float64)
-        self.P = np.asarray(P, dtype=np.float64)
-        self.eta = np.asarray(eta, dtype=np.float64)
-        self.theta_set = np.asarray(theta_set, dtype=np.float64)
-        self.deadband = np.asarray(deadband, dtype=np.float64)
-        self.p0 = np.asarray(p0, dtype=np.float64)
-        self.p_cap = np.asarray(p_cap, dtype=np.float64)
-        self.gamma1 = np.asarray(gamma1, dtype=np.float64)
-        self.gamma2 = np.asarray(gamma2, dtype=np.float64)
-        self.noise_std = np.asarray(noise_std, dtype=np.float64)
+        given = dict(C=C, R=R, P=P, eta=eta, theta_set=theta_set, deadband=deadband, p0=p0,
+                     p_cap=p_cap, gamma1=gamma1, gamma2=gamma2, noise_std=noise_std)
+        for name in PARAM_FIELDS:
+            setattr(self, name, one_value(np.asarray(given[name], dtype=np.float64)))
         self.theta = np.array(theta, dtype=np.float64)
         m = np.asarray(m)
         v = np.asarray(v)
@@ -157,9 +185,9 @@ class Population:
             raise ValueError("population must contain at least one TCL")
         self.theta_ambient = float(theta_ambient)
 
-        self.theta_min = self.theta_set - self.deadband / 2.0
-        self.theta_max = self.theta_set + self.deadband / 2.0
-        self.elec_power = self.P / self.eta
+        self.theta_min = per_load(lambda s, d: s - d / 2.0, self.theta_set, self.deadband)
+        self.theta_max = per_load(lambda s, d: s + d / 2.0, self.theta_set, self.deadband)
+        self.elec_power = per_load(np.divide, self.P, self.eta)
 
         check_params(self, lambda i: {
             "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
@@ -269,6 +297,11 @@ class LimbTable:
     digits: any sum over one row is an integer below 2**53, so float64 adds
     it exactly in any order. An empty table has one row of no digits.
 
+    When ``values`` is a zero-stride view of one value (see
+    :func:`one_value`), the table computes that value's k digits once,
+    keeps them as ``digits``, and ``limbs`` is their read-only k x n
+    broadcast; ``digits`` is None otherwise.
+
     A table exists only for values it sums exactly: the constructor raises
     ValueError unless every value is finite and positive, the frexp
     exponents of the largest and the smallest differ by at most
@@ -293,11 +326,16 @@ class LimbTable:
                 f"may differ by at most {MAX_POWER_EXPONENT_SPAN}"
             )
         self.width = 53 - len(values).bit_length()
-        self.limbs = np.empty((-(-span // self.width), len(values)))
-        for j, row in enumerate(self.limbs):
-            np.ldexp(values, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
+        shared = is_one_value(values)
+        source = values[:1] if shared else values
+        limbs = np.empty((-(-span // self.width), len(source)))
+        for j, row in enumerate(limbs):
+            np.ldexp(source, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
             np.floor(row, out=row)
             np.fmod(row, 2.0**self.width, out=row)
+        # one repeated value: its digits once, and each row a zero-stride view of its digit
+        self.digits = limbs[:, 0] if shared else None
+        self.limbs = np.broadcast_to(limbs, (len(limbs), len(values))) if shared else limbs
         if not len(values) * largest <= 2.0**1023:   # else n times the largest bounds the total
             try:
                 self.total()
@@ -308,18 +346,30 @@ class LimbTable:
                     f"{who.format(int(np.argmax(values)))})"
                 ) from None
 
-    def total(self, mask: Optional[np.ndarray] = None):
+    def total(self, mask: Optional[np.ndarray] = None, counts: Optional[list[int]] = None):
         """The exact total of the values each row of a boolean ``mask`` selects.
 
         ``mask`` has length n, or B x n with one row per total (None = every
         value). One matrix product sums every limb row over every mask row,
-        exactly; each mask row's limb sums are combined as Python integers,
-        and one integer division by ``2**-lo`` rounds the total correctly
+        exactly. A table of one repeated value needs only each mask row's
+        count of selected values: each digit times each count is an integer
+        below 2**53, so exact too. ``counts`` gives those counts, one per
+        mask row, when the caller has them; else they are counted here.
+        Each mask row's limb sums are combined as Python integers, and one
+        integer division by ``2**-lo`` rounds the total correctly
         (OverflowError past float64). Returns a float for a 1-D mask or None,
         and an array of B floats for a B x n one.
         """
         limbs = self.limbs
-        row_sums = limbs.sum(axis=1) if mask is None else limbs @ mask.T.astype(np.float64)
+        if self.digits is not None:
+            if counts is None:   # per row: count_nonzero(axis=1) is several times slower
+                counts = ([limbs.shape[1]] if mask is None
+                          else [np.count_nonzero(row) for row in np.atleast_2d(mask)])
+            row_sums = np.multiply.outer(self.digits, np.array(counts, dtype=np.float64))
+        elif mask is None:
+            row_sums = limbs.sum(axis=1)
+        else:
+            row_sums = limbs @ mask.T.astype(np.float64)
         shifts = [self.width * j for j in range(len(limbs))]
         scale, divisor = 1 << max(self.lo, 0), 1 << max(-self.lo, 0)
         totals = [
@@ -329,12 +379,17 @@ class LimbTable:
         return np.array(totals) if mask is not None and mask.ndim == 2 else totals[0]
 
 
-def aggregate_power(population: Population, consuming: Optional[np.ndarray] = None):
+def aggregate_power(
+    population: Population,
+    consuming: Optional[np.ndarray] = None,
+    counts: Optional[list[int]] = None,
+):
     """Total electrical power drawn, kW, by each row of a consuming mask.
 
     The exact sum of P/eta over the row's consuming TCLs, rounded once: the
-    :meth:`LimbTable.total` of ``consuming`` (None = ``population.consuming()``).
+    :meth:`LimbTable.total` of ``consuming`` (None = ``population.consuming()``),
+    given the ``counts`` of consuming TCLs per row if the caller has them.
     """
     if consuming is None:
         consuming = population.consuming()
-    return population.power_limbs.total(consuming)
+    return population.power_limbs.total(consuming, counts)

@@ -198,6 +198,6 @@ def test_bid_prices_allocate_only_their_result(traced_peak):
     pop = generate_population(PopulationSpec(count=n, theta_set_width=1.0), 3)
     theta = predict_temperatures(pop, 15, 10.0)
     prices, peak = traced_peak(lambda: bid_prices(pop, theta))
-    # 8 B per load for the result, 8 for the slopes and 1 for a mask
-    # (measured 17.0 B per load in all; the two-branch form took 33)
-    assert peak <= prices.nbytes + 9.5 * n
+    # 8 B per load for the result and 1 for a mask (measured 9.0 B per load
+    # in all; 17.0 with an array of slopes, and the two-branch form took 33)
+    assert peak <= prices.nbytes + 1.5 * n

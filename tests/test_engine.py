@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tclmarket.engine as engine
 import tclmarket.market as market
+from tclmarket.cli import BUILTIN_SCENARIOS
 from tclmarket.engine import N_BID_SAMPLES, generate_population, price_signal_value, run
 from tclmarket.metrics import sync_index, temperature_dispersion
 from tclmarket.population import PARAM_FIELDS, Population
@@ -418,11 +419,31 @@ def test_run_peak_memory_per_load(traced_peak):
         horizon_min=30.0,
     )
     trace, peak = traced_peak(lambda: run(scenario))
-    assert trace.constrained.sum() == 4   # the peak is set while clearing these
-    # measured 207.2 B per load; 288.4 while run() kept each interval's demand
-    # curve and predicted temperatures alive into the next interval and the
-    # population held n copies of deadband, noise_std and P*R
-    assert peak <= 215 * n
+    assert trace.constrained.sum() == 4
+    # measured 116.3 B per load; 189.0 while the population held n copies of
+    # R, P, eta, theta_set, the derived band edges and P/eta and its limb
+    # table, and 288.4 while run() also kept each interval's demand curve and
+    # predicted temperatures alive into the next interval and the population
+    # held n copies of deadband, noise_std and P*R
+    assert peak <= 135 * n
+
+
+def test_stepprice_draw_and_run_peak_memory_per_load(traced_peak):
+    # numpy imports its random module on first use; load it before tracing
+    np.random.SeedSequence(0)
+    n = 20_000
+    stepprice = BUILTIN_SCENARIOS["stepprice"]
+    scenario = dataclasses.replace(
+        stepprice, population=dataclasses.replace(stepprice.population, count=n),
+        horizon_min=30.0,
+    )
+    pop, peak = traced_peak(lambda: generate_population(scenario.population, scenario.seed))
+    # measured 74.6 B per load (58.2 of them kept); 164.4 (130.2 kept) while
+    # every draw, the band edges and P/eta were n-element arrays
+    assert pop.R.strides == (0,) and peak <= 85 * n
+    trace, peak = traced_peak(lambda: run(scenario))
+    # measured 116.2 B per load; 189.3 with the n-element arrays
+    assert not trace.constrained.any() and peak <= 135 * n
 
 
 def test_scenario_json_round_trip():

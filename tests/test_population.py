@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tclmarket.engine import generate_population
 from tclmarket.market import build_demand_curve
-from tclmarket.population import PARAM_FIELDS, Population, aggregate_power, flip_bits, select
+from tclmarket.population import (
+    PARAM_FIELDS,
+    LimbTable,
+    Population,
+    aggregate_power,
+    flip_bits,
+    one_value,
+    select,
+)
+from tclmarket.scenario import PopulationSpec
 from oracle import (
     TclParams,
     TclState,
@@ -405,3 +415,86 @@ def test_set_dispatch_grants_at_or_above_clearing_price():
     pop = _pop([TclState(20.0, 1, 1) for _ in range(3)])
     pop.set_dispatch(np.array([25.0, 20.0, 15.0]), 20.0)
     assert pop.v.tolist() == [1, 1, 0]   # equality clears
+
+
+# ---------------------------------------------------------------- one value
+
+def test_one_value_merges_only_equal_bits():
+    for values in ([2.5, 2.5, 2.5], [math.nan] * 2, [-0.0], [0.0, 0.0]):
+        view = one_value(np.array(values))
+        assert view.strides == (0,) and not view.flags.writeable, values
+        assert view.tobytes() == np.array(values).tobytes(), values
+    for values in ([0.0, -0.0], [-0.0, 0.0], [2.5, 2.5, math.nextafter(2.5, 3.0)], [1.0, 2.0]):
+        array = np.array(values)
+        assert one_value(array) is array, values
+    empty = np.empty(0)
+    assert one_value(empty) is empty
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 2**17 - 1, 2**17])
+@pytest.mark.parametrize("value", [5.6, 8.0 - 2.0**-50, 5e-324, 1.5e300])
+def test_one_value_limb_table_totals_equal_the_full_table(n, value):
+    # n = 2**k - 1 and 2**k give the two sides of a digit-width step
+    full = LimbTable(np.full(n, value), "P/eta", "TCL {}")
+    view = LimbTable(np.broadcast_to(value, n), "P/eta", "TCL {}")
+    assert full.digits is None and (view.digits is None) == (n == 0)
+    assert (view.lo, view.width) == (full.lo, full.width)
+    assert view.limbs.shape == full.limbs.shape
+    assert view.limbs.tobytes() == full.limbs.tobytes()
+    rng = np.random.default_rng(n)
+    masks = rng.random((4, n)) < rng.random((4, 1))
+    masks[0], masks[1] = True, False
+    assert view.total().hex() == full.total().hex()
+    for mask in masks:
+        assert view.total(mask).hex() == full.total(mask).hex()
+    totals = view.total(masks)
+    assert totals.tobytes() == full.total(masks).tobytes()
+    counts = [int(np.count_nonzero(mask)) for mask in masks]
+    assert view.total(masks, counts).tobytes() == totals.tobytes()
+    if n:
+        assert view.total(masks[2], counts[2:3]) == totals[2]
+        assert totals[0] == math.fsum([value] * n)
+
+
+def test_one_value_limb_table_rejects_a_total_past_float64():
+    for values in (np.full(2, 1.5e308), np.broadcast_to(1.5e308, 2)):
+        with pytest.raises(ValueError, match="sums past the float64 range.*TCL 0"):
+            LimbTable(values, "P/eta", "TCL {}")
+
+
+SHARED = ("R", "P", "eta", "theta_set", "deadband", "noise_std")
+DERIVED = ("theta_min", "theta_max", "elec_power")
+
+
+def test_parameters_every_load_shares_are_read_only_views():
+    pop = generate_population(PopulationSpec(count=500), 0)
+    for name in SHARED + DERIVED:
+        values = getattr(pop, name)
+        assert values.shape == (500,) and values.strides == (0,), name
+        assert not values.flags.writeable, name
+    assert pop.power_limbs.digits is not None and pop.power_limbs.limbs.strides[1] == 0
+    for name in ("C", "p0", "p_cap", "gamma1", "gamma2"):
+        assert getattr(pop, name).strides == (8,), name
+
+    spread = PopulationSpec(count=500, r_rel_width=0.1, p_rel_width=0.05,
+                            eta_rel_width=0.08, theta_set_width=0.5)
+    pop = generate_population(spread, 0)
+    for name in set(PARAM_FIELDS + DERIVED) - {"deadband", "noise_std"}:
+        assert getattr(pop, name).strides == (8,), name
+    assert pop.power_limbs.digits is None
+
+
+def test_population_constructor_makes_equal_parameters_views():
+    n = 4
+    arrays = {name: np.full(n, x) for name, x in (
+        ("C", 10.0), ("R", 2.0), ("P", 14.0), ("eta", 2.5), ("theta_set", 20.0),
+        ("deadband", 0.5), ("p0", 22.0), ("p_cap", 35.0), ("gamma1", 20.0), ("gamma2", 20.0),
+        ("noise_std", 0.0), ("theta", 20.0))}
+    arrays["theta_set"][2] = 20.5
+    pop = Population(**arrays, m=np.ones(n), v=np.ones(n), theta_ambient=32.0)
+    for name in set(PARAM_FIELDS + ("elec_power",)) - {"theta_set"}:
+        assert getattr(pop, name).strides == (0,), name
+    # a derived array is one value only if every input is
+    for name in ("theta_set", "theta_min", "theta_max"):
+        assert getattr(pop, name).strides == (8,), name
+    assert pop.theta.strides == (8,) and pop.theta.flags.writeable
