@@ -48,7 +48,7 @@ def predict_temperatures(population: Population, steps: int, h: float) -> np.nda
     the temperatures in place.
     """
     a, off, flip, _ = population.step_terms(h)
-    forcing = select(population.consuming(), off, flip)
+    forcing = select(population.m, off, flip)   # flip holds v: see step_terms
     theta = population.theta.copy()
     for _ in range(steps):
         np.multiply(a, theta, out=theta)

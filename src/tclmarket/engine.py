@@ -221,6 +221,15 @@ def _exact_mean(values: list[float]) -> float:
     return total / (denominator * len(values))
 
 
+def _row_counts(block: np.ndarray) -> np.ndarray:
+    """The number of True values in each row of a boolean block.
+
+    Each row is whole 8-byte words, zero past its values (run() pads its
+    consuming block so): one popcount per word, then one sum per row.
+    """
+    return np.bitwise_count(block.view(np.uint64)).sum(axis=1)
+
+
 # --------------------------------------------------------------------------
 # The run loop
 
@@ -235,13 +244,18 @@ def run(scenario: Scenario) -> Trace:
 
     Within a market interval the dispatch is fixed, so the physics steps
     run in blocks of B = min(steps per interval, BLOCK_ELEMENTS // n)
-    steps (at least 1). Each step writes its theta and consuming mask into
-    one row of a B x n block; after the block, every per-step statistic of
-    its rows is computed at once (one exact limb product for the powers,
-    row reductions for the on-fraction and the theta mean and std), equal
-    bit for bit to computing them step by step. The noise of a block is
-    one B x n draw, the same numbers as B draws of n. Raises ScenarioError
-    when a step power, theta mean or theta std is not finite.
+    steps (at least 1). Each step writes its theta and switches into one
+    row each of a B x n theta block and a B x n m block (the population's
+    m lives in the m block's last row from the start). After the block,
+    its consuming rows ``m & v`` are formed in one call, into a block
+    zero-padded to whole 8-byte words, and counted with one popcount per
+    word. Every per-step statistic of the block's rows is then computed at
+    once (the exact total of P/eta over each consuming row, given its
+    count; the counts over n for the on-fraction; row reductions for the
+    theta mean and std), equal bit for bit to computing them step by
+    step. The noise of a block is one B x n draw, the same numbers as B
+    draws of n. Raises ScenarioError when a step power, theta mean or
+    theta std is not finite.
 
     Each interval clears once: :func:`clear` of the bids' demand curve over
     the population's limb table, which sorts the bids only when the exact
@@ -306,7 +320,12 @@ def run(scenario: Scenario) -> Trace:
     )
     block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
     theta_block = np.empty((block, n))
-    consuming_block = np.empty((block, n), dtype=bool)
+    # the population's switches move into the last row, so the block adds block - 1 rows
+    m_block = np.empty((block, n), dtype=bool)
+    m_block[-1] = pop.m
+    pop.m = m_block[-1]
+    # zero-padded to whole 8-byte words, so each row's count is one popcount per word
+    consuming_block = np.zeros((block, -(-n // 8) * 8), dtype=bool)
 
     for t in range(n_intervals):
         # The predicted temperatures and the demand curve are never bound to a
@@ -319,7 +338,7 @@ def run(scenario: Scenario) -> Trace:
         )
         pop.set_dispatch(prices, result.clearing_price)
         trace.bid_price_min[t] = prices.min()
-        trace.bid_price_mean[t] = prices.mean()
+        trace.bid_price_mean[t] = prices.sum() / n   # as prices.mean(), without its wrapper
         trace.bid_price_max[t] = prices.max()
         trace.bid_sample[t] = prices[trace.bid_sample_ids]
         del prices   # not kept through the physics and the next prediction
@@ -335,15 +354,16 @@ def run(scenario: Scenario) -> Trace:
                     noise *= pop.noise_std
                 # Step j reads row j-1 (or the previous block's last row) and
                 # writes row j, so no row is overwritten before it is read.
-                for theta_row, consuming_row, noise_row in zip(
-                    theta_block[:b], consuming_block[:b], repeat(None) if noise is None else noise
+                for theta_row, m_row, noise_row in zip(
+                    theta_block[:b], m_block[:b], repeat(None) if noise is None else noise
                 ):
-                    pop.step_physics(h, noise_row, theta_row, consuming_row)
+                    pop.step_physics(h, noise_row, theta_row, m_row)
                 stepped = slice(start, start + b)
-                # per row: count_nonzero(axis=1) is several times slower
-                counts = [np.count_nonzero(row) for row in consuming_block[:b]]
-                trace.step_power_kw[stepped] = aggregate_power(pop, consuming_block[:b], counts)
-                trace.step_on_fraction[stepped] = [count / n for count in counts]
+                consuming = np.logical_and(m_block[:b], pop.v, consuming_block[:b, :n])
+                counts = _row_counts(consuming_block[:b])
+                trace.step_power_kw[stepped] = aggregate_power(pop, consuming, counts)
+                # exact counts below 2**53: each quotient rounds once, as count / n
+                np.divide(counts, n, out=trace.step_on_fraction[stepped])
                 trace.step_theta_mean[stepped], trace.step_theta_std[stepped] = metrics.mean_std(
                     theta_block[:b]
                 )
@@ -374,5 +394,5 @@ def run(scenario: Scenario) -> Trace:
             trace.subgroup_sync[:, t] = subgroup_sync
         trace.dispersion_degc[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
 
-    pop.theta = pop.theta.copy()   # a row of theta_block until now
+    pop.theta, pop.m = pop.theta.copy(), pop.m.copy()   # rows of the blocks until now
     return trace

@@ -101,7 +101,8 @@ def sync_index(
 
 def _order_parameter(phasors: np.ndarray) -> float:
     # rounding in the phasor mean can land an ulp above 1 for identical phases
-    return min(1.0, float(np.abs(phasors.mean())))
+    # the reduction and the scalar division of phasors.mean(), without its wrapper
+    return min(1.0, float(np.abs(phasors.sum() / len(phasors))))
 
 
 def mean_std(x: np.ndarray) -> tuple:

@@ -150,21 +150,23 @@ class Population:
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
     construction; the thermal/switch state (float64 ``theta``, boolean
-    ``m`` and ``v``) evolves. The constructor passes every parameter
-    through :func:`one_value`, so one value shared by every TCL is kept
-    once, as a read-only zero-stride view, however it was passed. The
-    derived ``theta_min``, ``theta_max`` and ``elec_power`` (P/eta) are
-    such views when all their inputs are (see :func:`per_load`). The
-    constructor checks the validity rules of every TCL and raises the
-    message of the first offending one. The population never draws noise;
-    callers pass samples in.
+    ``m`` and ``v``) evolves, ``v`` only by assignment (it is read-only).
+    The constructor passes every parameter through :func:`one_value`, so
+    one value shared by every TCL is kept once, as a read-only zero-stride
+    view, however it was passed. The derived ``theta_min``, ``theta_max``
+    and ``elec_power`` (P/eta) are such views when all their inputs are
+    (see :func:`per_load`). The constructor checks the validity rules of
+    every TCL and raises the message of the first offending one. The
+    population never draws noise; callers pass samples in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
     the :class:`LimbTable` of P/eta that :func:`aggregate_power` sums
     exactly, built by the constructor (which so rejects a P/eta it cannot
     sum exactly), and the per-step thermal terms for each step length h,
-    built on first use (see ``step_terms``). ``step_physics`` works in one
-    length-n int64 scratch buffer, allocated with the population.
+    built on first use (see ``step_terms``), into which every assignment of
+    ``v`` is folded. ``step_physics`` works in one length-n int64 scratch
+    buffer, allocated with the population, whose first n bytes also hold
+    its band tests.
     """
 
     def __init__(self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2,
@@ -194,15 +196,22 @@ class Population:
         })
         check_switches(m, v)
         self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
-        self.m = m.astype(bool)
-        self.v = v.astype(bool)
 
         if self.theta_ambient <= self.theta_set.max():
             raise ValueError("theta_ambient must exceed every set-point (cooling-load regime)")
 
+        # theta_ambient - P*R kept only as one value every load shares (see _on_gain)
+        self._shared_on_gain = (
+            per_load(lambda p, r: self.theta_ambient - p * r, self.P, self.R)
+            if is_one_value(self.P) and is_one_value(self.R) else None
+        )
         self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
         self._forcing = self._forcing_bits.view(np.float64)
+        # a step's band tests are done before it writes the forcing term
+        self._band = self._forcing_bits.view(bool)[: len(self.theta)]
+        self.m = m.astype(bool)
+        self.v = v
 
     @property
     def size(self) -> int:
@@ -213,6 +222,52 @@ class Population:
         """Total electrical draw if every TCL consumed at once, exact and rounded once."""
         return self.power_limbs.total()
 
+    @property
+    def v(self) -> np.ndarray:
+        """The boolean dispatch flags, a read-only array the population owns.
+
+        Assigning a mask (as :meth:`set_dispatch` does) stores a copy of it
+        and folds it into the ``flip`` of every cached step term; a write
+        into ``v`` in place raises, as it would leave ``flip`` stale.
+        """
+        return self._v
+
+    @v.setter
+    def v(self, v: np.ndarray) -> None:
+        self._dispatch(np.array(v, dtype=bool))
+
+    def _dispatch(self, v: np.ndarray) -> None:
+        """Make ``v``, a boolean array no one else holds, the dispatch flags."""
+        v.flags.writeable = False
+        self._v = v
+        for a, _, flip, off_bits in self._step_terms.values():
+            self._fold_dispatch(a, flip, off_bits)
+
+    def _on_gain(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``theta_ambient - P*R``, the temperature a step pulls towards while on.
+
+        The kept one-value view when every load shares P and R; otherwise
+        computed into ``out`` (None = a fresh array), so no population keeps
+        an n-element copy of it.
+        """
+        if self._shared_on_gain is not None:
+            return self._shared_on_gain
+        gain = np.multiply(self.P, self.R, out=out)
+        return np.subtract(self.theta_ambient, gain, out=gain)
+
+    def _fold_dispatch(self, a: np.ndarray, flip: np.ndarray, off_bits: np.ndarray) -> None:
+        """Rewrite ``flip`` in place: ``flip_bits(on, off)`` where v holds, 0 elsewhere.
+
+        ``on`` is recomputed from ``a`` in ``flip``'s own memory, by the
+        operations of :meth:`step_terms`: four ufunc calls, and two more
+        into the step scratch when P and R are not shared; no temporary.
+        """
+        on = flip.view(np.float64)
+        np.subtract(1.0, a, out=on)   # pull
+        np.multiply(on, self._on_gain(self._forcing), out=on)
+        np.bitwise_xor(flip, off_bits, out=flip)
+        np.multiply(flip, self._v, out=flip)
+
     def step_terms(self, h: float) -> tuple[np.ndarray, ...]:
         """Per-TCL terms ``(a, off, flip, off_bits)`` of a thermal step of h seconds.
 
@@ -221,9 +276,12 @@ class Population:
         ``on = (1-a)*(theta_ambient - P*R)``: the same operations, in the
         same order, as the per-device oracle's ``thermal_step``. ``a`` is
         computed element by element with math.exp, so the array path matches
-        the per-device oracle bit for bit. ``on`` is kept as its
-        ``flip = flip_bits(on, off)``, the form :func:`select` reads, and
-        ``off_bits`` is the int64 view of ``off`` that a select xors into.
+        the per-device oracle bit for bit. ``on`` is kept as ``flip``, the
+        form :func:`select` reads, with the dispatch flags folded in:
+        ``flip_bits(on, off)`` where v holds and 0 elsewhere, so a select on
+        ``m`` alone picks ``on`` exactly where ``m*v``. Every assignment of
+        v rewrites it in place. ``off_bits`` is the int64 view of ``off``
+        that a select xors into.
         """
         terms = self._step_terms.get(h)
         if terms is None:
@@ -231,7 +289,8 @@ class Population:
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
             pull = 1.0 - a
             off = pull * self.theta_ambient
-            flip = flip_bits(pull * (self.theta_ambient - self.P * self.R), off)
+            flip = flip_bits(pull * self._on_gain(), off)
+            np.multiply(flip, self._v, out=flip)
             terms = (a, off, flip, off.view(np.int64))
             self._step_terms[h] = terms
         return terms
@@ -241,45 +300,48 @@ class Population:
         h: float,
         noise: Optional[np.ndarray] = None,
         theta_out: Optional[np.ndarray] = None,
-        consuming_out: Optional[np.ndarray] = None,
+        m_out: Optional[np.ndarray] = None,
     ) -> None:
         """One physics step: switches first (from current theta), then theta.
 
         The switch turns off strictly below the deadband, on strictly above
         it, and holds otherwise (as the oracle's ``hysteresis_update``);
         ``noise`` is degC per TCL (None = 0). The new theta is written into
-        ``theta_out`` and the mask of consuming TCLs (``m & v``, as the step
-        used it) into ``consuming_out``, each a length-n array the caller owns
-        (None = a fresh one). ``theta`` then refers to ``theta_out``, so the
-        caller must not overwrite it before the next step has read it.
+        ``theta_out`` and the new switches into ``m_out``, a float64 and a
+        boolean length-n array the caller owns (None = a fresh one). ``theta``
+        and ``m`` then refer to them, so the caller must not overwrite either
+        before the next step has read it; either may be the array the step
+        reads, as the step works element by element.
 
-        Everything happens in place: ``m`` is updated as
-        ``m = (m | (theta > theta_max)) > (theta < theta_min)``, which a NaN
-        theta leaves unchanged, and the forcing term is a :func:`select`,
-        written out inline, into a scratch buffer. Given both output arrays,
-        a step allocates no length-n temporaries. At a thousand loads a step
-        costs mostly call overhead, so it makes no call but its ufuncs' (nine,
-        ten with noise), each with positional outputs.
+        The switches are ``m = (m | (theta > theta_max)) > (theta < theta_min)``,
+        which a NaN theta leaves unchanged; the band tests go through one
+        n-byte scratch. The forcing term is a :func:`select` on ``m`` of the
+        step terms' ``flip``, which holds the dispatch flags already, written
+        out inline into a scratch buffer. Given both output arrays, a step
+        allocates nothing. At a thousand loads a step costs mostly call
+        overhead, so it makes no call but its ufuncs' (eight, nine with
+        noise), each with positional outputs.
         """
         a, _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
-        theta, m = self.theta, self.m
-        # the consuming mask's array holds each band crossing first
-        consuming = np.greater(theta, self.theta_max, consuming_out)
-        np.logical_or(m, consuming, m)
-        np.greater(m, np.less(theta, self.theta_min, consuming), m)
-        np.logical_and(m, self.v, consuming)
+        theta, band = self.theta, self._band
+        np.greater(theta, self.theta_max, band)
+        m = np.logical_or(self.m, band, m_out)
+        np.greater(m, np.less(theta, self.theta_min, band), m)
         stepped = np.multiply(a, theta, theta_out)
-        bits = self._forcing_bits
-        np.multiply(consuming, flip, bits)
+        bits = self._forcing_bits   # band's memory: the band tests are done
+        np.multiply(m, flip, bits)
         np.bitwise_xor(off_bits, bits, bits)
         np.add(stepped, self._forcing, stepped)
         if noise is not None:
             np.add(stepped, noise, stepped)
-        self.theta = stepped
+        self.theta, self.m = stepped, m
 
     def set_dispatch(self, bid_prices: np.ndarray, clearing_price: float) -> None:
-        """Set v = 1 exactly for bids at or above the clearing price."""
-        self.v = bid_prices >= clearing_price
+        """Set v = 1 exactly for bids at or above the clearing price.
+
+        The new flags are folded into every cached step term (see ``v``).
+        """
+        self._dispatch(np.greater_equal(bid_prices, clearing_price))
 
     def consuming(self) -> np.ndarray:
         """Boolean mask of TCLs currently drawing power (m and v both 1)."""
@@ -289,25 +351,27 @@ class Population:
 class LimbTable:
     """The exact integer form of fixed values, and their exact totals.
 
-    The table keeps a reference to ``values``, a 1-D float64 array. Every
-    value is a whole multiple of ``2**lo``, the unit in the last place of
-    the smallest. Row j of the k x n float64 array ``limbs`` holds digit j,
+    The table keeps a reference to ``values``, a 1-D float64 array. When
+    ``values`` is a zero-stride view of one value (see :func:`one_value`),
+    that value is ``value`` and a total is the count of values selected
+    times it: one float64 product of an exact count (below 2**53) by the
+    value, so correctly rounded, as the exact total rounded once is.
+
+    Otherwise ``value`` is None and the table holds limbs. Every value is a
+    whole multiple of ``2**lo``, the unit in the last place of the
+    smallest. Row j of the k x n float64 array ``limbs`` holds digit j,
     base ``2**width``, of each ``value / 2**lo``, so ``value = 2**lo *
     sum_j limbs[j] * 2**(width*j)`` exactly. The width leaves room for n
     digits: any sum over one row is an integer below 2**53, so float64 adds
     it exactly in any order. An empty table has one row of no digits.
 
-    When ``values`` is a zero-stride view of one value (see
-    :func:`one_value`), the table computes that value's k digits once,
-    keeps them as ``digits``, and ``limbs`` is their read-only k x n
-    broadcast; ``digits`` is None otherwise.
-
     A table exists only for values it sums exactly: the constructor raises
     ValueError unless every value is finite and positive, the frexp
     exponents of the largest and the smallest differ by at most
     ``MAX_POWER_EXPONENT_SPAN``, and the exact total rounds to a finite
-    float64 (then every partial total does). Messages call the values
-    ``what`` and value i ``who.format(i)``.
+    float64 (then every partial total does; for one value, ``n * value``
+    is finite). Messages call the values ``what`` and value i
+    ``who.format(i)``.
     """
 
     def __init__(self, values: np.ndarray, what: str, who: str):
@@ -316,6 +380,21 @@ class LimbTable:
         if not (smallest > 0 and largest < math.inf):   # a NaN fails both
             i = int(np.argmax(~(np.isfinite(values) & (values > 0))))
             raise ValueError(f"{who.format(i)}: {what} must be finite and > 0")
+        self.value = smallest if is_one_value(values) else None
+        if self.value is not None:
+            fits = math.isfinite(len(values) * self.value)
+        else:
+            fits = self._build_limbs(smallest, largest, what, who)
+        if not fits:
+            raise ValueError(
+                f"{what} sums past the float64 range: the exact total of all {len(values)} "
+                f"values exceeds {float(np.finfo(np.float64).max)!r} (largest {largest!r}, "
+                f"{who.format(int(np.argmax(values)))})"
+            )
+
+    def _build_limbs(self, smallest: float, largest: float, what: str, who: str) -> bool:
+        """Set ``lo``, ``width`` and ``limbs``; whether the exact total is finite."""
+        values = self.values
         self.lo = math.frexp(smallest)[1] - 53   # x = f * 2**e, 1/2 <= f < 1
         span = math.frexp(largest)[1] - self.lo  # bits in the largest x / 2**lo
         if span - 53 > MAX_POWER_EXPONENT_SPAN:
@@ -326,50 +405,42 @@ class LimbTable:
                 f"may differ by at most {MAX_POWER_EXPONENT_SPAN}"
             )
         self.width = 53 - len(values).bit_length()
-        shared = is_one_value(values)
-        source = values[:1] if shared else values
-        limbs = np.empty((-(-span // self.width), len(source)))
-        for j, row in enumerate(limbs):
-            np.ldexp(source, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
+        self.limbs = np.empty((-(-span // self.width), len(values)))
+        for j, row in enumerate(self.limbs):
+            np.ldexp(values, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
             np.floor(row, out=row)
             np.fmod(row, 2.0**self.width, out=row)
-        # one repeated value: its digits once, and each row a zero-stride view of its digit
-        self.digits = limbs[:, 0] if shared else None
-        self.limbs = np.broadcast_to(limbs, (len(limbs), len(values))) if shared else limbs
-        if not len(values) * largest <= 2.0**1023:   # else n times the largest bounds the total
-            try:
-                self.total()
-            except OverflowError:
-                raise ValueError(
-                    f"{what} sums past the float64 range: the exact total of all {len(values)} "
-                    f"values exceeds {float(np.finfo(np.float64).max)!r} (largest {largest!r}, "
-                    f"{who.format(int(np.argmax(values)))})"
-                ) from None
+        if len(values) * largest <= 2.0**1023:   # n times the largest bounds the total
+            return True
+        try:
+            self.total()
+        except OverflowError:
+            return False
+        return True
 
-    def total(self, mask: Optional[np.ndarray] = None, counts: Optional[list[int]] = None):
+    def total(self, mask: Optional[np.ndarray] = None, counts: Optional[np.ndarray] = None):
         """The exact total of the values each row of a boolean ``mask`` selects.
 
         ``mask`` has length n, or B x n with one row per total (None = every
-        value). One matrix product sums every limb row over every mask row,
-        exactly. A table of one repeated value needs only each mask row's
-        count of selected values: each digit times each count is an integer
-        below 2**53, so exact too. ``counts`` gives those counts, one per
-        mask row, when the caller has them; else they are counted here.
-        Each mask row's limb sums are combined as Python integers, and one
-        integer division by ``2**-lo`` rounds the total correctly
-        (OverflowError past float64). Returns a float for a 1-D mask or None,
-        and an array of B floats for a B x n one.
+        value). A table of one value multiplies each mask row's count of
+        selected values by it; ``counts`` gives those counts, one per mask
+        row, when the caller has them, else they are counted here (one
+        ``count_nonzero`` for a 1-D mask). Otherwise one matrix product sums
+        every limb row over every mask row, exactly; each mask row's limb
+        sums are combined as Python integers, and one integer division by
+        ``2**-lo`` rounds the total correctly (OverflowError past float64).
+        Returns a float for a 1-D mask or None, and an array of B floats for
+        a B x n one.
         """
+        if self.value is not None:
+            if mask is not None and mask.ndim == 2:
+                return np.multiply(np.count_nonzero(mask, axis=1) if counts is None else counts,
+                                   self.value)
+            if counts is None:
+                counts = [len(self.values) if mask is None else np.count_nonzero(mask)]
+            return float(counts[0] * self.value)
         limbs = self.limbs
-        if self.digits is not None:
-            if counts is None:   # per row: count_nonzero(axis=1) is several times slower
-                counts = ([limbs.shape[1]] if mask is None
-                          else [np.count_nonzero(row) for row in np.atleast_2d(mask)])
-            row_sums = np.multiply.outer(self.digits, np.array(counts, dtype=np.float64))
-        elif mask is None:
-            row_sums = limbs.sum(axis=1)
-        else:
-            row_sums = limbs @ mask.T.astype(np.float64)
+        row_sums = limbs.sum(axis=1) if mask is None else limbs @ mask.T.astype(np.float64)
         shifts = [self.width * j for j in range(len(limbs))]
         scale, divisor = 1 << max(self.lo, 0), 1 << max(-self.lo, 0)
         totals = [
@@ -382,7 +453,7 @@ class LimbTable:
 def aggregate_power(
     population: Population,
     consuming: Optional[np.ndarray] = None,
-    counts: Optional[list[int]] = None,
+    counts: Optional[np.ndarray] = None,
 ):
     """Total electrical power drawn, kW, by each row of a consuming mask.
 

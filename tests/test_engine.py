@@ -647,6 +647,22 @@ def test_exact_mean_matches_the_fraction_mean(values):
     assert engine._exact_mean(values) == _fraction_mean(values)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 7, 8, 9, 1003]), B=st.sampled_from([1, 3, 30]),
+       density=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_row_counts_of_a_padded_block_equal_count_nonzero(n, B, density, seed):
+    # run() counts each consuming row of a block padded to whole 8-byte words
+    rng = np.random.default_rng(seed)
+    rows = rng.random((B, n)) < density
+    block = np.zeros((B, -(-n // 8) * 8), dtype=bool)
+    block[:, :n] = rows
+    b = int(rng.integers(1, B + 1))   # a partial block counts its first b rows
+    counts = engine._row_counts(block[:b])
+    assert counts.tolist() == [np.count_nonzero(row) for row in rows[:b]]
+    # the on-fraction divides the counts at once, as count / n does each
+    assert (counts / n).tolist() == [np.count_nonzero(row) / n for row in rows[:b]]
+
+
 @pytest.mark.parametrize("population", [
     PopulationSpec(count=16),
     # 2000 loads step in blocks of 16 rows, so an interval of 30 steps ends in a
@@ -686,12 +702,18 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     )
     steps, bids, noises = [], [], []
     step_physics, bid_prices = Population.step_physics, engine.bid_prices
+    aggregate_power = engine.aggregate_power
 
-    def record_step(pop, h, noise=None, theta_out=None, consuming_out=None):
-        assert theta_out.base.shape == consuming_out.base.shape == (block, 150)
+    def record_step(pop, h, noise=None, theta_out=None, m_out=None):
+        assert theta_out.base.shape == m_out.base.shape == (block, 150)
         noises.append(noise.copy())
-        step_physics(pop, h, noise, theta_out, consuming_out)
+        step_physics(pop, h, noise, theta_out, m_out)
         steps.append((pop.theta.copy(), pop.m.copy(), pop.v.copy()))
+
+    def record_power(pop, consuming, counts):
+        # the consuming rows sit in a block padded to whole 8-byte words
+        assert consuming.base.shape == (block, 152)
+        return aggregate_power(pop, consuming, counts)
 
     def record_bids(pop, theta_bid):
         prices = bid_prices(pop, theta_bid)
@@ -700,6 +722,7 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
 
     monkeypatch.setattr(Population, "step_physics", record_step)
     monkeypatch.setattr(engine, "bid_prices", record_bids)
+    monkeypatch.setattr(engine, "aggregate_power", record_power)
     trace = run(scenario)
     assert len(steps) == len(trace.step_power_kw) == 12 * 60
     assert trace.feeder_limit_kw < trace.capacity_kw and trace.constrained.any()
@@ -725,6 +748,9 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     assert trace.bid_sample.tobytes() == matrix[:, chosen].tobytes()
     assert trace.bid_price_min.tolist() == matrix.min(axis=1).tolist()
     assert trace.bid_price_mean.tolist() == [row.mean() for row in matrix]
+    # run() takes the mean as sum / n: the reduction and division of mean()
+    assert np.array([row.sum() / len(row) for row in matrix]).tobytes() == np.array(
+        [row.mean() for row in matrix]).tobytes()
     assert trace.bid_price_max.tolist() == matrix.max(axis=1).tolist()
     # the synchronization record is the statistics of each interval's last step
     pop = trace.population

@@ -65,9 +65,15 @@ def test_cycle_phases_match_the_remainder_formula_at_the_band_edges():
     assert (np.pi * (2.0 - x) == 2.0 * np.pi).sum() >= 4
     assert np.signbit(np.pi * x).any()
     for m in (np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool),
-              np.arange(len(rows)) % 2):
+              np.arange(len(rows)) % 2, np.arange(len(rows)) % 2 == 1):
         expected = _phases_oracle(theta, m, lo, hi)
         assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
+        # one band shared by every load, as zero-stride views of its edges
+        for band in set(zip(lo.tolist(), hi.tolist())):
+            rows_of = (lo == band[0]) & (hi == band[1])
+            views = (np.broadcast_to(edge, rows_of.sum()) for edge in band)
+            got = cycle_phases(theta[rows_of], m[rows_of], *views)
+            assert got.tobytes() == expected[rows_of].tobytes()
 
 
 # --------------------------------------------------------------- sync index
@@ -149,6 +155,9 @@ def test_sync_index_equals_the_phasor_product_form(n, seed, edge_share, theta_mo
          "all off": np.zeros(n, dtype=int)}[m_mode]
     expected = _sync_oracle(theta, m, theta_min, theta_max)
     assert sync_index(theta, m, theta_min, theta_max) == expected
+    # sync_index takes the phasor mean as sum / n: the reduction and division of mean()
+    phasors = np.exp(1j * cycle_phases(theta, m, theta_min, theta_max))
+    assert np.complex128(phasors.sum() / n).tobytes() == phasors.mean().tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import re
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,19 +204,23 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     # 131071 loads is the most that share one limb width (36 bits). With all
     # 53 mantissa bits set, every load's low limb is 2**36 - 1, so the
     # all-on row sum needs every bit of a float64 and must still be exact.
+    # A population keeps one shared P/eta as a one-value table, so the limb
+    # table is built from the full array here.
     n = 2**17 - 1
     P = np.full(n, 8.0 - 2.0**-50)
-    pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
-    table = pop.power_limbs
+    table = LimbTable(P, "P/eta", "TCL {}")
     limbs, lo, width = table.limbs, table.lo, table.width
     assert sum(int(d) << (width * j) for j, d in enumerate(limbs[:, 0])) == 2**53 - 1
     assert lo == -50
     exact = [sum(map(int, row.tolist())) for row in limbs]
     assert exact[0] > 2**52
     assert (limbs @ np.ones(n)).tolist() == exact
+    assert table.total() == math.fsum(P.tolist())
+    pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
     assert aggregate_power(pop) == math.fsum(P.tolist())
-    pop.v[::3] = False
+    pop.v = np.arange(n) % 3 != 0
     assert aggregate_power(pop) == math.fsum(P[pop.consuming()].tolist())
+    assert table.total(pop.consuming()) == aggregate_power(pop)
 
 
 def _spread_population(R, P, eta, m):
@@ -411,6 +418,65 @@ def test_population_requires_ambient_above_setpoints():
         population_from_devices(params, [TclState(20.0)], theta_ambient=32.0)
 
 
+@pytest.mark.parametrize("spread", [False, True])
+def test_set_dispatch_folds_v_into_every_cached_flip(spread):
+    # each cached flip is 0 where v is 0 and flip_bits(on, off) where v is 1
+    rng = np.random.default_rng(6)
+    n = 200
+    R = rng.uniform(1.8, 2.2, n) if spread else [2.0] * n
+    P = rng.uniform(13.0, 15.0, n) if spread else [14.0] * n
+    pop = _spread_population(R, P, [2.5] * n, rng.integers(0, 2, n))
+    cached = {h: pop.step_terms(h) for h in (10.0, 2.5)}
+
+    def check():
+        for h, (a, off, flip, _) in cached.items():
+            assert pop.step_terms(h)[2] is flip   # rewritten in place
+            on = (1.0 - a) * (32.0 - pop.P * pop.R)
+            assert flip.tolist() == np.where(pop.v, flip_bits(on, off), 0).tolist()
+
+    check()   # v from the constructor: every load dispatched
+    for prices, clearing_price in [(rng.uniform(0.0, 40.0, n), 20.0), (np.zeros(n), 1.0),
+                                   (np.zeros(n), 0.0), (rng.uniform(0.0, 40.0, n), 30.0)]:
+        pop.set_dispatch(prices, clearing_price)
+        assert pop.v.tolist() == (prices >= clearing_price).tolist()
+        check()
+
+
+def test_v_is_a_read_only_copy_the_population_owns():
+    # a write into v in place would leave the flip of every cached step term stale
+    pop = _population_of(np.full(4, 14.0), np.full(4, 2.5), np.ones(4), np.ones(4))
+    flip = pop.step_terms(10.0)[2]
+    mask = np.array([True, False, True, False])
+    pop.v = mask
+    mask[:] = True   # the caller's array is not the population's
+    assert pop.v.tolist() == [1, 0, 1, 0] and flip[1] == flip[3] == 0 != flip[0]
+    with pytest.raises(ValueError, match="read-only"):
+        pop.v[1] = True
+    pop.set_dispatch(np.array([1.0, 2.0, 3.0, 4.0]), 2.5)
+    with pytest.raises(ValueError, match="read-only"):
+        pop.v[::3] = False
+    assert pop.v.tolist() == [0, 0, 1, 1] and flip[0] == flip[1] == 0 != flip[3]
+
+
+def test_population_with_spread_p_and_r_keeps_bytes_per_load(traced_peak):
+    # numpy imports its random module on first use; load it before tracing
+    np.random.SeedSequence(0)
+    n = 20_000
+    spec = PopulationSpec(count=n, r_rel_width=0.1, p_rel_width=0.1)
+
+    def build():
+        pop = generate_population(spec, 0)
+        pop.step_terms(10.0)
+        pop.set_dispatch(np.arange(n) % 2.0, 0.5)
+        return pop, tracemalloc.get_traced_memory()[0]
+
+    (pop, kept), _ = traced_peak(build)
+    assert pop.R.strides == pop.P.strides == (8,)
+    # measured 122.4 B per load; 130.4 while the population kept
+    # theta_ambient - P*R for every load rather than folding v in from scratch
+    assert kept <= 125 * n
+
+
 def test_set_dispatch_grants_at_or_above_clearing_price():
     pop = _pop([TclState(20.0, 1, 1) for _ in range(3)])
     pop.set_dispatch(np.array([25.0, 20.0, 15.0]), 20.0)
@@ -437,10 +503,9 @@ def test_one_value_limb_table_totals_equal_the_full_table(n, value):
     # n = 2**k - 1 and 2**k give the two sides of a digit-width step
     full = LimbTable(np.full(n, value), "P/eta", "TCL {}")
     view = LimbTable(np.broadcast_to(value, n), "P/eta", "TCL {}")
-    assert full.digits is None and (view.digits is None) == (n == 0)
-    assert (view.lo, view.width) == (full.lo, full.width)
-    assert view.limbs.shape == full.limbs.shape
-    assert view.limbs.tobytes() == full.limbs.tobytes()
+    # the view's totals are count x value, the full array's come from its limbs
+    assert full.value is None and view.value == (None if n == 0 else value)
+    assert hasattr(full, "limbs") and hasattr(view, "limbs") == (n == 0)
     rng = np.random.default_rng(n)
     masks = rng.random((4, n)) < rng.random((4, 1))
     masks[0], masks[1] = True, False
@@ -454,6 +519,46 @@ def test_one_value_limb_table_totals_equal_the_full_table(n, value):
     if n:
         assert view.total(masks[2], counts[2:3]) == totals[2]
         assert totals[0] == math.fsum([value] * n)
+
+
+def _largest_shared_value(n):
+    """The largest float64 whose exact n-fold total rounds to a finite float64."""
+    # totals from halfway between the largest float64 and 2**1024 up round to inf
+    limit = Fraction(2**1024 - 2**970)
+    value = float(limit / n)
+    while n * Fraction(value) >= limit:
+        value = math.nextafter(value, 0.0)
+    while n * Fraction(math.nextafter(value, math.inf)) < limit:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@pytest.mark.parametrize("value", [5.6, 5e-324, 2.5e-310, "largest"])
+def test_one_value_totals_are_the_exact_total_rounded_once(value):
+    # an inexact value, two subnormals (the second's products round), and the
+    # largest value whose n-fold total is finite; every count from 0 to n
+    n = 300
+    value = _largest_shared_value(n) if value == "largest" else value
+    table = LimbTable(np.broadcast_to(value, n), "P/eta", "TCL {}")
+    full = LimbTable(np.full(n, value), "P/eta", "TCL {}")
+    masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c values
+    expected = [float(c * Fraction(value)) for c in range(n + 1)]
+    assert table.total(masks).tolist() == expected
+    assert table.total(masks, np.arange(n + 1)).tolist() == expected
+    assert [table.total(mask) for mask in masks] == expected
+    assert full.total(masks).tolist() == expected
+    assert table.total() == expected[-1] == full.total()
+
+
+def test_one_value_table_rejects_one_ulp_above_the_largest_value():
+    # the message is the one the limb table gives at the same threshold
+    n = 300
+    above = math.nextafter(_largest_shared_value(n), math.inf)
+    message = (f"P/eta sums past the float64 range: the exact total of all {n} values "
+               f"exceeds {sys.float_info.max!r} (largest {above!r}, TCL 0)")
+    for values in (np.broadcast_to(above, n), np.full(n, above)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LimbTable(values, "P/eta", "TCL {}")
 
 
 def test_one_value_limb_table_rejects_a_total_past_float64():
@@ -472,7 +577,8 @@ def test_parameters_every_load_shares_are_read_only_views():
         values = getattr(pop, name)
         assert values.shape == (500,) and values.strides == (0,), name
         assert not values.flags.writeable, name
-    assert pop.power_limbs.digits is not None and pop.power_limbs.limbs.strides[1] == 0
+    assert pop.power_limbs.value == pop.elec_power[0]
+    assert not hasattr(pop.power_limbs, "limbs")
     for name in ("C", "p0", "p_cap", "gamma1", "gamma2"):
         assert getattr(pop, name).strides == (8,), name
 
@@ -481,7 +587,7 @@ def test_parameters_every_load_shares_are_read_only_views():
     pop = generate_population(spread, 0)
     for name in set(PARAM_FIELDS + DERIVED) - {"deadband", "noise_std"}:
         assert getattr(pop, name).strides == (8,), name
-    assert pop.power_limbs.digits is None
+    assert pop.power_limbs.value is None
 
 
 def test_population_constructor_makes_equal_parameters_views():
