@@ -7,7 +7,6 @@ from .engine import Trace, generate_population, run
 from .metrics import (
     MetricsReport,
     compute_metrics,
-    demand_oscillation,
     sync_index,
     temperature_dispersion,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "run",
     "sync_index",
     "temperature_dispersion",
-    "demand_oscillation",
     "MetricsReport",
     "compute_metrics",
     "__version__",

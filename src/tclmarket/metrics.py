@@ -9,7 +9,8 @@ near 0 for phases spread around the loop.
 
 Demand oscillations are summarized per sliding window by peak-to-peak
 amplitude and the dominant period from the discrete spectrum of the
-de-meaned interval-average demand.
+de-meaned interval-average demand, every window in one pass over the rows
+of a sliding-window view.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-
-from .population import flip_bits, select
+from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:
     from .engine import Trace
@@ -28,7 +28,6 @@ __all__ = [
     "sync_index",
     "cycle_phases",
     "temperature_dispersion",
-    "demand_oscillation",
     "MetricsReport",
     "compute_metrics",
 ]
@@ -49,22 +48,25 @@ def cycle_phases(
     dispatch-blocked device drifting above theta_max reads as "waiting at
     the top of the warming leg" (phase pi when off and hot).
 
+    The warming leg is pi*x and the cooling leg pi*(2 - x) for the
+    clipped band position x. Both are pi*(x*t + (1 - t)) with t = +1 off
+    and -1 on, exactly: x*t is x or -x, and -x + 2 rounds as 2 - x does.
     The result equals ``np.where(m == 1, on, off) % (2*pi)`` bit for bit,
     without the remainder: every angle already lies in [0, 2*pi], so the
-    remainder only turns 2*pi (the bottom of the cooling leg) and -0.0
-    into +0.0, and those two are mapped directly.
+    remainder only turns -0.0 into +0.0, which adding 1 - t = +0.0 already
+    does, and 2*pi (the bottom of the cooling leg) into 0, which is mapped
+    directly. The only temporary array is t, 8 B per load.
     """
     x = theta - theta_min
     x /= theta_max - theta_min
     np.clip(x, 0.0, 1.0, out=x)
-    x += 0.0   # -0.0 -> +0.0
-    off = np.pi * x
-    on = np.subtract(2.0, x, out=x)
-    on *= np.pi
-    bits = flip_bits(on, off, out=on.view(np.int64))
-    phases = select(m == 1, off, bits, out=bits)
-    phases[phases == 2.0 * np.pi] = 0.0
-    return phases
+    t = np.multiply(m == 1, -2.0)
+    t += 1.0
+    x *= t
+    x += np.subtract(1.0, t, out=t)
+    x *= np.pi
+    x[x == 2.0 * np.pi] = 0.0
+    return x
 
 
 def sync_index(
@@ -126,28 +128,6 @@ def temperature_dispersion(theta: np.ndarray, theta_set: np.ndarray) -> float:
     return float(mean_std(np.subtract(theta, theta_set))[1])
 
 
-def demand_oscillation(
-    series: np.ndarray, interval_minutes: float = 5.0
-) -> tuple[float, float]:
-    """Peak-to-peak and dominant period of one demand window.
-
-    ``series`` is the interval-average demand over a single window of at
-    least 4 market intervals. The dominant period comes from the largest
-    nonzero-frequency bin of the de-meaned series' spectrum; a constant
-    window has no period and returns NaN for it.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.size < 4:
-        raise ValueError("demand_oscillation needs a window of >= 4 intervals")
-    p2p = float(x.max() - x.min())
-    if p2p == 0.0:
-        return 0.0, float("nan")
-    spectrum = np.abs(np.fft.rfft(x - x.mean()))
-    k = int(np.argmax(spectrum[1:])) + 1
-    period = x.size * interval_minutes / k
-    return p2p, float(period)
-
-
 @dataclass
 class MetricsReport:
     """Statistics derived from a trace, per interval and per sliding window.
@@ -156,9 +136,11 @@ class MetricsReport:
     stepping one market interval; window s covers intervals
     [s, s + window), stamped by the window start time
     (``window_start_min`` is a view of the first ``n_windows`` entries of
-    the trace's ``time_min``). What ``run()`` records per interval (times,
-    sync index, dispersion, per-subgroup sync) is read from the trace
-    itself; the report keeps none of it.
+    the trace's ``time_min``). Per window: the demand peak-to-peak, the
+    dominant period (NaN for a flat window) and the mean sync index. What
+    ``run()`` records per interval (times, sync index, dispersion,
+    per-subgroup sync) is read from the trace itself; the report keeps
+    none of it.
     """
 
     # per market interval
@@ -181,8 +163,9 @@ class MetricsReport:
 def window_intervals(interval_min: float) -> int:
     """Market intervals in one sliding window: WINDOW_MIN/interval_min, rounded.
 
-    Raises ValueError below 4, the fewest :func:`demand_oscillation`
-    takes. A ratio past 2**62 counts as 2**62, longer than any horizon.
+    Raises ValueError below 4, the shortest window whose spectrum the
+    dominant period is read from. A ratio past 2**62 counts as 2**62,
+    longer than any horizon.
     """
     w = int(round(min(WINDOW_MIN / interval_min, 2.0**62)))
     if w < 4:
@@ -198,28 +181,34 @@ def compute_metrics(trace: Trace) -> MetricsReport:
 
     The per-interval statistics ``run()`` recorded at the end of each
     interval stay in the trace; the report adds the price divergence and
-    the sliding-window statistics.
+    the sliding-window statistics. Every window is computed at once, as a
+    row of a sliding-window view of the trace: the peak-to-peak is the row
+    max minus the row min, the dominant period ``w * interval / k`` for
+    the largest nonzero-frequency bin k of the row's de-meaned spectrum
+    (one ``rfft`` along the rows), and the window sync the row mean. Each
+    row gives the bits that a 1-D array of that window gives.
     """
     interval_min = trace.scenario.market_interval_min
     w = window_intervals(interval_min)
     n_int = trace.n_intervals
 
     n_windows = max(n_int - w + 1, 0)
-    window_start = trace.time_min[:n_windows]
-    window_p2p = np.empty(n_windows)
-    window_period = np.empty(n_windows)
-    window_sync = np.empty(n_windows)
-    for s in range(n_windows):
-        seg = trace.avg_demand_kw[s : s + w]
-        window_p2p[s], window_period[s] = demand_oscillation(seg, interval_min)
-        window_sync[s] = trace.sync[s : s + w].mean()
+    if n_windows:
+        demand = sliding_window_view(trace.avg_demand_kw, w)
+        sync = sliding_window_view(trace.sync, w)
+    else:   # no rows; an empty array of w columns cannot be made for every w
+        demand = sync = np.empty((0, 4))
+    window_p2p = demand.max(axis=1) - demand.min(axis=1)
+    spectrum = np.fft.rfft(demand - demand.mean(axis=1)[:, None], axis=1)
+    window_period = w * interval_min / (np.abs(spectrum[:, 1:]).argmax(axis=1) + 1)
+    window_period[window_p2p == 0.0] = np.nan
 
     return MetricsReport(
         price_divergence=trace.clearing_price - trace.base_price,
-        window_start_min=window_start,
+        window_start_min=trace.time_min[:n_windows],
         window_p2p_kw=window_p2p,
         window_period_min=window_period,
-        window_sync=window_sync,
+        window_sync=sync.mean(axis=1),
         feeder_hits=int(trace.constrained.sum()),
         max_sync=float(trace.sync.max()) if n_int else 0.0,
         max_p2p_kw=float(window_p2p.max()) if n_windows else 0.0,

@@ -12,6 +12,10 @@ It is the test oracle for the vectorized code: ``Population.step_physics``,
 evaluated per TCL in index order, bit for bit. It lives with the tests,
 outside the package. Parameters and states are checked with the same
 rules, and the same messages, as a ``Population``.
+
+:func:`demand_oscillation` is the same kind of reference for the metrics:
+the peak-to-peak and dominant period of one demand window, which
+``compute_metrics`` computes for every window at once.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "make_bid",
     "population_from_devices",
     "devices",
+    "demand_oscillation",
 ]
 
 
@@ -226,3 +231,25 @@ def devices(pop: Population) -> tuple[tuple[TclParams, ...], list[TclState]]:
         for t, m, v in zip(pop.theta, pop.m, pop.v)
     ]
     return params, states
+
+
+def demand_oscillation(
+    series: np.ndarray, interval_minutes: float = 5.0
+) -> tuple[float, float]:
+    """Peak-to-peak and dominant period of one demand window.
+
+    ``series`` is the interval-average demand over a single window of at
+    least 4 market intervals. The dominant period comes from the largest
+    nonzero-frequency bin of the de-meaned series' spectrum; a constant
+    window has no period and returns NaN for it.
+    """
+    x = np.asarray(series, dtype=float)
+    if x.size < 4:
+        raise ValueError("demand_oscillation needs a window of >= 4 intervals")
+    p2p = float(x.max() - x.min())
+    if p2p == 0.0:
+        return 0.0, float("nan")
+    spectrum = np.abs(np.fft.rfft(x - x.mean()))
+    k = int(np.argmax(spectrum[1:])) + 1
+    period = x.size * interval_minutes / k
+    return p2p, float(period)

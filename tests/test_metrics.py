@@ -1,19 +1,21 @@
 """Phase mapping, synchronization index, and oscillation summaries."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import demand_oscillation
 from tclmarket.engine import run
 from tclmarket.metrics import (
     compute_metrics,
     cycle_phases,
-    demand_oscillation,
     mean_std,
     sync_index,
     temperature_dispersion,
+    window_intervals,
 )
 from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario, _subgroup_ranges
 
@@ -74,6 +76,51 @@ def test_cycle_phases_match_the_remainder_formula_at_the_band_edges():
             views = (np.broadcast_to(edge, rows_of.sum()) for edge in band)
             got = cycle_phases(theta[rows_of], m[rows_of], *views)
             assert got.tobytes() == expected[rows_of].tobytes()
+
+
+def _m_forms(n, rng):
+    """Dispatch states as bool and as 0/1 integers: random, all off, all on."""
+    random = rng.integers(0, 2, n)
+    return [random, random == 1, np.zeros(n, dtype=int), np.zeros(n, dtype=bool),
+            np.ones(n, dtype=int), np.ones(n, dtype=bool)]
+
+
+def test_cycle_phases_match_the_select_form_at_special_values():
+    # +-0.0, NaN and +-inf temperatures on a zero-based and a shifted band;
+    # then band widths of one ulp and of the smallest subnormal, with the
+    # temperature on, inside and either side of the band
+    rows = [(theta, lo, hi) for lo, hi in [(0.0, 0.5), (19.75, 20.25), (-0.5, 0.0)]
+            for theta in (0.0, -0.0, np.nan, np.inf, -np.inf)]
+    for lo, hi in [(20.0, np.nextafter(20.0, np.inf)), (0.0, 5e-324), (-5e-324, 0.0)]:
+        for theta in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                      (lo + hi) / 2, -0.0):
+            rows.append((theta, lo, hi))
+    # a NaN or infinite band edge
+    rows += [(20.0, np.nan, 20.25), (20.0, 19.75, np.nan), (20.0, -np.inf, 20.25),
+             (20.0, 19.75, np.inf), (np.inf, 19.75, np.inf)]
+    theta, lo, hi = (np.array(column) for column in zip(*rows))
+    for m in _m_forms(len(rows), np.random.default_rng(3)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = _phases_oracle(theta, m, lo, hi)
+            got = cycle_phases(theta, m, lo, hi)
+        assert got.tobytes() == expected.tobytes()
+    assert np.isnan(expected).any() and (expected == 0.0).any() and (expected == np.pi).any()
+
+
+def test_cycle_phases_match_the_select_form_on_random_and_edge_phases():
+    n = 50_000
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(18.0, 22.0, n)
+    hi = lo + rng.choice([0.5, 1.7, 1e-6, 1e-12], n)
+    theta = rng.uniform(lo - 0.5, hi + 0.5)
+    # half of the loads on a band edge or one ulp either side of it
+    edges = np.where(rng.random(n) < 0.5, lo, hi)
+    toward = np.choose(rng.integers(0, 3, n), [np.full(n, -np.inf), edges, np.full(n, np.inf)])
+    at_edge = rng.random(n) < 0.5
+    theta[at_edge] = np.nextafter(edges, toward)[at_edge]
+    for m in _m_forms(n, rng):
+        expected = _phases_oracle(theta, m, lo, hi)
+        assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------- sync index
@@ -252,6 +299,61 @@ def test_peak_to_peak_is_translation_invariant():
 def test_oscillation_window_must_cover_four_intervals():
     with pytest.raises(ValueError):
         demand_oscillation(np.array([1.0, 2.0, 3.0]))
+
+
+def _window_trace(demand, sync, interval_min):
+    """The fields of a trace that compute_metrics reads."""
+    n = len(demand)
+    return SimpleNamespace(
+        scenario=SimpleNamespace(market_interval_min=interval_min),
+        n_intervals=n, time_min=np.arange(n) * interval_min,
+        avg_demand_kw=demand, sync=sync, clearing_price=np.zeros(n),
+        base_price=np.zeros(n), constrained=np.zeros(n, dtype=bool),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # window lengths 4, 6, 12, 24, 30, 48 and 120 intervals
+    interval_min=st.sampled_from([30.0, 20.0, 10.0, 5.0, 4.0, 2.5, 1.0]),
+    horizon=st.sampled_from(["no window", "one window", "many windows"]),
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["noise", "whole kW", "flat runs", "constant"]),
+)
+@example(interval_min=5.0, horizon="many windows", extra=264, seed=0, shape="flat runs")
+@example(interval_min=30.0, horizon="one window", extra=0, seed=0, shape="constant")
+def test_windows_match_the_per_window_oracle(interval_min, horizon, extra, seed, shape):
+    w = window_intervals(interval_min)
+    n = {"no window": extra % w, "one window": w, "many windows": w + 1 + extra}[horizon]
+    rng = np.random.default_rng(seed)
+    demand = {
+        "noise": lambda: rng.normal(500.0, 80.0, n),
+        "whole kW": lambda: np.round(rng.normal(500.0, 80.0, n)),
+        # runs of up to w + 2 equal values, so some windows are flat
+        "flat runs": lambda: np.repeat(rng.normal(500.0, 80.0, n), rng.integers(1, w + 3, n))[:n],
+        "constant": lambda: np.full(n, 431.7),
+    }[shape]()
+    sync = rng.uniform(0.0, 1.0, n)
+    report = compute_metrics(_window_trace(demand, sync, interval_min))
+    windows = range(max(n - w + 1, 0))
+    expected = np.array([demand_oscillation(demand[s : s + w], interval_min)
+                         for s in windows]).reshape(-1, 2)
+    assert report.n_windows == len(windows)
+    assert report.window_p2p_kw.tobytes() == expected[:, 0].tobytes()
+    assert report.window_period_min.tobytes() == expected[:, 1].tobytes()
+    assert report.window_sync.tobytes() == np.array(
+        [sync[s : s + w].mean() for s in windows]).tobytes()
+    if shape == "constant":
+        assert np.isnan(report.window_period_min).all()
+
+
+def test_a_window_longer_than_any_array_gives_no_windows():
+    # 1e-300-min intervals make w = 2**62: no window fits, nor a 0 x w array
+    report = compute_metrics(_window_trace(np.arange(3.0), np.zeros(3), 1e-300))
+    assert window_intervals(1e-300) == 2**62
+    assert (report.n_windows, report.max_p2p_kw, report.max_sync) == (0, 0.0, 0.0)
+    assert report.window_period_min.shape == report.window_sync.shape == (0,)
 
 
 # ------------------------------------------------------------ trace reports
