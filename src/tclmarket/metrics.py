@@ -9,8 +9,8 @@ near 0 for phases spread around the loop.
 
 Demand oscillations are summarized per sliding window by peak-to-peak
 amplitude and the dominant period from the discrete spectrum of the
-de-meaned interval-average demand, every window in one pass over the rows
-of a sliding-window view.
+de-meaned interval-average demand, many windows per pass as the rows of a
+sliding-window view.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ __all__ = [
 
 #: Length of compute_metrics' sliding windows, minutes.
 WINDOW_MIN = 120.0
+
+#: Window elements compute_metrics holds at once: its rows go in blocks of
+#: about this many elements (a few MB of temporaries), whatever the horizon.
+_BLOCK_ELEMENTS = 2**18
 
 
 def cycle_phases(
@@ -181,26 +185,31 @@ def compute_metrics(trace: Trace) -> MetricsReport:
 
     The per-interval statistics ``run()`` recorded at the end of each
     interval stay in the trace; the report adds the price divergence and
-    the sliding-window statistics. Every window is computed at once, as a
-    row of a sliding-window view of the trace: the peak-to-peak is the row
-    max minus the row min, the dominant period ``w * interval / k`` for
-    the largest nonzero-frequency bin k of the row's de-meaned spectrum
-    (one ``rfft`` along the rows), and the window sync the row mean. Each
-    row gives the bits that a 1-D array of that window gives.
+    the sliding-window statistics. Each window is a row of a
+    sliding-window view of the trace: the peak-to-peak is the row max
+    minus the row min, the dominant period ``w * interval / k`` for the
+    largest nonzero-frequency bin k of the row's de-meaned spectrum (one
+    ``rfft`` along the rows), and the window sync the row mean. The rows
+    go in blocks of about ``_BLOCK_ELEMENTS`` window elements, so the
+    temporaries stay a few MB however long the horizon. Each row gives
+    the bits that a 1-D array of that window gives, whatever block it is in.
     """
     interval_min = trace.scenario.market_interval_min
     w = window_intervals(interval_min)
     n_int = trace.n_intervals
 
     n_windows = max(n_int - w + 1, 0)
-    if n_windows:
-        demand = sliding_window_view(trace.avg_demand_kw, w)
-        sync = sliding_window_view(trace.sync, w)
-    else:   # no rows; an empty array of w columns cannot be made for every w
-        demand = sync = np.empty((0, 4))
-    window_p2p = demand.max(axis=1) - demand.min(axis=1)
-    spectrum = np.fft.rfft(demand - demand.mean(axis=1)[:, None], axis=1)
-    window_period = w * interval_min / (np.abs(spectrum[:, 1:]).argmax(axis=1) + 1)
+    window_p2p = np.empty(n_windows)
+    window_period = np.empty(n_windows)
+    window_sync = np.empty(n_windows)
+    rows = max(_BLOCK_ELEMENTS // w, 1)
+    for a in range(0, n_windows, rows):
+        b = min(a + rows, n_windows)
+        demand = sliding_window_view(trace.avg_demand_kw[a : b + w - 1], w)
+        window_p2p[a:b] = demand.max(axis=1) - demand.min(axis=1)
+        spectrum = np.fft.rfft(demand - demand.mean(axis=1)[:, None], axis=1)
+        window_period[a:b] = w * interval_min / (np.abs(spectrum[:, 1:]).argmax(axis=1) + 1)
+        window_sync[a:b] = sliding_window_view(trace.sync[a : b + w - 1], w).mean(axis=1)
     window_period[window_p2p == 0.0] = np.nan
 
     return MetricsReport(
@@ -208,7 +217,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
         window_start_min=trace.time_min[:n_windows],
         window_p2p_kw=window_p2p,
         window_period_min=window_period,
-        window_sync=sync.mean(axis=1),
+        window_sync=window_sync,
         feeder_hits=int(trace.constrained.sum()),
         max_sync=float(trace.sync.max()) if n_int else 0.0,
         max_p2p_kw=float(window_p2p.max()) if n_windows else 0.0,

@@ -1,13 +1,16 @@
 """Phase mapping, synchronization index, and oscillation summaries."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import demand_oscillation
+from tclmarket import metrics
 from tclmarket.engine import run
 from tclmarket.metrics import (
     compute_metrics,
@@ -60,51 +63,36 @@ def test_cycle_phases_match_the_remainder_formula_at_the_band_edges():
         for lo, hi in bands for edge in (lo, hi) for toward in (-np.inf, edge, np.inf)
     ]
     rows += [(-0.0, 0.0, 0.5), (1.0, 0.0, 1e20)]
-    theta, lo, hi = (np.array(column) for column in zip(*rows))
-    x = np.clip((theta - lo) / (hi - lo), 0.0, 1.0)
-    # the cases the remainder changed: 2*pi on the cooling leg (x = 0, and x
-    # so small that 2 - x rounds to 2), and -0.0 on the warming leg
-    assert (np.pi * (2.0 - x) == 2.0 * np.pi).sum() >= 4
-    assert np.signbit(np.pi * x).any()
-    for m in (np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool),
-              np.arange(len(rows)) % 2, np.arange(len(rows)) % 2 == 1):
-        expected = _phases_oracle(theta, m, lo, hi)
-        assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
-        # one band shared by every load, as zero-stride views of its edges
-        for band in set(zip(lo.tolist(), hi.tolist())):
-            rows_of = (lo == band[0]) & (hi == band[1])
-            views = (np.broadcast_to(edge, rows_of.sum()) for edge in band)
-            got = cycle_phases(theta[rows_of], m[rows_of], *views)
-            assert got.tobytes() == expected[rows_of].tobytes()
-
-
-def _m_forms(n, rng):
-    """Dispatch states as bool and as 0/1 integers: random, all off, all on."""
-    random = rng.integers(0, 2, n)
-    return [random, random == 1, np.zeros(n, dtype=int), np.zeros(n, dtype=bool),
-            np.ones(n, dtype=int), np.ones(n, dtype=bool)]
-
-
-def test_cycle_phases_match_the_select_form_at_special_values():
-    # +-0.0, NaN and +-inf temperatures on a zero-based and a shifted band;
-    # then band widths of one ulp and of the smallest subnormal, with the
+    # +-0.0, NaN and +-inf temperatures on a zero-based and a shifted band
+    rows += [(theta, lo, hi) for lo, hi in [(0.0, 0.5), (19.75, 20.25), (-0.5, 0.0)]
+             for theta in (0.0, -0.0, np.nan, np.inf, -np.inf)]
+    # band widths of one ulp and of the smallest subnormal, with the
     # temperature on, inside and either side of the band
-    rows = [(theta, lo, hi) for lo, hi in [(0.0, 0.5), (19.75, 20.25), (-0.5, 0.0)]
-            for theta in (0.0, -0.0, np.nan, np.inf, -np.inf)]
     for lo, hi in [(20.0, np.nextafter(20.0, np.inf)), (0.0, 5e-324), (-5e-324, 0.0)]:
-        for theta in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
-                      (lo + hi) / 2, -0.0):
-            rows.append((theta, lo, hi))
+        rows += [(theta, lo, hi) for theta in (lo, hi, np.nextafter(lo, -np.inf),
+                                               np.nextafter(hi, np.inf), (lo + hi) / 2, -0.0)]
     # a NaN or infinite band edge
     rows += [(20.0, np.nan, 20.25), (20.0, 19.75, np.nan), (20.0, -np.inf, 20.25),
              (20.0, 19.75, np.inf), (np.inf, 19.75, np.inf)]
     theta, lo, hi = (np.array(column) for column in zip(*rows))
-    for m in _m_forms(len(rows), np.random.default_rng(3)):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.clip((theta - lo) / (hi - lo), 0.0, 1.0)
+    # the cases the remainder changed: 2*pi on the cooling leg (x = 0, and x
+    # so small that 2 - x rounds to 2), and -0.0 on the warming leg
+    assert (np.pi * (2.0 - x) == 2.0 * np.pi).sum() >= 4
+    assert np.signbit(np.pi * x).any() and np.isnan(x).any()
+    for m in (np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool),
+              np.zeros(len(rows), dtype=int), np.ones(len(rows), dtype=int),
+              np.arange(len(rows)) % 2, np.arange(len(rows)) % 2 == 1):
         with np.errstate(invalid="ignore", divide="ignore"):
             expected = _phases_oracle(theta, m, lo, hi)
-            got = cycle_phases(theta, m, lo, hi)
-        assert got.tobytes() == expected.tobytes()
-    assert np.isnan(expected).any() and (expected == 0.0).any() and (expected == np.pi).any()
+            assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
+            # one band shared by every load, as zero-stride views of its edges
+            for band in set(zip(lo.tolist(), hi.tolist())):
+                rows_of = (lo == band[0]) & (hi == band[1])
+                views = (np.broadcast_to(edge, rows_of.sum()) for edge in band)
+                got = cycle_phases(theta[rows_of], m[rows_of], *views)
+                assert got.tobytes() == expected[rows_of].tobytes()
 
 
 def test_cycle_phases_match_the_select_form_on_random_and_edge_phases():
@@ -118,7 +106,8 @@ def test_cycle_phases_match_the_select_form_on_random_and_edge_phases():
     toward = np.choose(rng.integers(0, 3, n), [np.full(n, -np.inf), edges, np.full(n, np.inf)])
     at_edge = rng.random(n) < 0.5
     theta[at_edge] = np.nextafter(edges, toward)[at_edge]
-    for m in _m_forms(n, rng):
+    random = rng.integers(0, 2, n)
+    for m in (random, random == 1):
         expected = _phases_oracle(theta, m, lo, hi)
         assert cycle_phases(theta, m, lo, hi).tobytes() == expected.tobytes()
 
@@ -314,16 +303,25 @@ def _window_trace(demand, sync, interval_min):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # window lengths 4, 6, 12, 24, 30, 48 and 120 intervals
-    interval_min=st.sampled_from([30.0, 20.0, 10.0, 5.0, 4.0, 2.5, 1.0]),
+    # window lengths 4, 6, 12, 24, 30, 48, 120, 240 and 1200 intervals:
+    # above 128 elements the pairwise sums recurse
+    interval_min=st.sampled_from([30.0, 20.0, 10.0, 5.0, 4.0, 2.5, 1.0, 0.5, 0.1]),
     horizon=st.sampled_from(["no window", "one window", "many windows"]),
     extra=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(["noise", "whole kW", "flat runs", "constant"]),
+    # windows per block of rows; None keeps the module's block size
+    block_rows=st.sampled_from([None, 1, 3, 64]),
 )
-@example(interval_min=5.0, horizon="many windows", extra=264, seed=0, shape="flat runs")
-@example(interval_min=30.0, horizon="one window", extra=0, seed=0, shape="constant")
-def test_windows_match_the_per_window_oracle(interval_min, horizon, extra, seed, shape):
+@example(interval_min=5.0, horizon="many windows", extra=264, seed=0, shape="flat runs",
+         block_rows=None)
+@example(interval_min=30.0, horizon="one window", extra=0, seed=0, shape="constant",
+         block_rows=None)
+@example(interval_min=0.1, horizon="many windows", extra=300, seed=0, shape="flat runs",
+         block_rows=None)
+def test_windows_match_the_per_window_oracle(
+    interval_min, horizon, extra, seed, shape, block_rows
+):
     w = window_intervals(interval_min)
     n = {"no window": extra % w, "one window": w, "many windows": w + 1 + extra}[horizon]
     rng = np.random.default_rng(seed)
@@ -335,7 +333,9 @@ def test_windows_match_the_per_window_oracle(interval_min, horizon, extra, seed,
         "constant": lambda: np.full(n, 431.7),
     }[shape]()
     sync = rng.uniform(0.0, 1.0, n)
-    report = compute_metrics(_window_trace(demand, sync, interval_min))
+    block = metrics._BLOCK_ELEMENTS if block_rows is None else block_rows * w
+    with mock.patch.object(metrics, "_BLOCK_ELEMENTS", block):
+        report = compute_metrics(_window_trace(demand, sync, interval_min))
     windows = range(max(n - w + 1, 0))
     expected = np.array([demand_oscillation(demand[s : s + w], interval_min)
                          for s in windows]).reshape(-1, 2)
@@ -348,8 +348,25 @@ def test_windows_match_the_per_window_oracle(interval_min, horizon, extra, seed,
         assert np.isnan(report.window_period_min).all()
 
 
+def test_a_long_horizon_holds_a_bounded_block_of_windows():
+    # 120-interval windows; holding every window at once would take about
+    # 17 B per window element, 160 MB at 80,000 intervals
+    rng = np.random.default_rng(5)
+    for n in (20_000, 80_000):
+        trace = _window_trace(rng.normal(500.0, 80.0, n), rng.uniform(0.0, 1.0, n), 1.0)
+        tracemalloc.start()
+        try:
+            report = compute_metrics(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_windows == n - 119
+        # the report's four arrays of about n values, and a few MB of block
+        assert peak < 40 * n + 8e6
+
+
 def test_a_window_longer_than_any_array_gives_no_windows():
-    # 1e-300-min intervals make w = 2**62: no window fits, nor a 0 x w array
+    # 1e-300-min intervals make w = 2**62: no window fits
     report = compute_metrics(_window_trace(np.arange(3.0), np.zeros(3), 1e-300))
     assert window_intervals(1e-300) == 2**62
     assert (report.n_windows, report.max_p2p_kw, report.max_sync) == (0, 0.0, 0.0)
