@@ -258,11 +258,12 @@ def run(scenario: Scenario) -> Trace:
     theta std is not finite.
 
     Each interval clears once: :func:`clear` of the bids' demand curve over
-    the population's limb table, which sorts the bids only when the exact
-    demand at the base price exceeds the feeder limit. The population's
-    capacity is summed once. The sync index of the whole population and
-    of each subgroup comes from one :func:`~tclmarket.metrics.sync_index`
-    call per interval, over one phasor array.
+    the population's limb table, which sorts the bids above the base price
+    only when the exact demand there exceeds the feeder limit. The
+    population's capacity is summed once. The sync index of the whole
+    population and of each subgroup comes from one
+    :func:`~tclmarket.metrics.sync_index` call per interval, over one
+    phasor array.
 
     The returned :class:`Trace` is allocated before the first interval, and
     every record is written into it where it is computed.

@@ -5,11 +5,10 @@ arrays. The demand curve is those bids and the limb table of their
 quantities (:class:`~tclmarket.population.LimbTable`, the package's one
 exact summer), so the demand at any price is one exact total of the
 table. The market settles at the broadcast base price whenever the demand
-there fits under the feeder capacity. Only when it does not are the bids
-above the base price sorted into descending price levels; the clearing
-price then rises to the cheapest level whose cumulative demand still
-respects the limit, and everyone below that level is priced out. Supply
-below the cap is treated as unlimited — the feeder is the only
+there fits under the feeder capacity. Only when it does not does the
+clearing price rise to the cheapest bid price above the base whose demand
+still respects the limit, and everyone below that price is priced out.
+Supply below the cap is treated as unlimited — the feeder is the only
 constraint, and no network structure is modeled.
 
 Dispatch downstream is all-or-nothing per price level (a device consumes
@@ -18,7 +17,6 @@ equal-price bids that would overshoot the limit is excluded as a whole.
 The feeder limit is therefore never exceeded, at the cost of occasionally
 leaving headroom unused.
 
-A float running sum over the levels only locates the candidate level.
 Every quantity the market reports or compares against the limit is an
 exact total of the table, rounded once, so `cleared_demand <=
 feeder_limit` and what follows from it hold without tolerance. The caller
@@ -28,6 +26,7 @@ may pass the table in place of the quantities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,8 @@ class DemandCurve:
     ``bids`` is the caller's array of bid prices (not a copy: the curve
     holds while it is unchanged) and ``table`` the limb table of the bid
     quantities in the same order. Every demand is one exact total of the
-    table; :func:`clear` forms price levels only when it needs them.
+    table; :func:`clear` sorts the bid prices above the base only when the
+    feeder limit binds.
     """
 
     bids: np.ndarray
@@ -98,26 +98,6 @@ def build_demand_curve(prices, quantities) -> DemandCurve:
     return DemandCurve(prices, table)
 
 
-def price_levels(curve: DemandCurve, base_price: float):
-    """The curve's bids above ``base_price``, sorted into descending price levels.
-
-    Returns three aligned arrays over those bids in descending price
-    order: their prices, the float running sum of their quantities (close
-    to, but not always equal to, the exact demand), and a mask of the last
-    bid of each price level. A NaN base excludes no bid. Each intermediate
-    is dropped as soon as the next one has taken what it needs.
-    """
-    bids = curve.bids
-    order = np.flatnonzero(~(bids <= base_price))
-    order = order[np.argsort(bids[order])[::-1]]
-    running = np.cumsum(curve.table.values[order])
-    prices = bids[order]
-    del order
-    level_end = np.ones(len(prices), dtype=bool)
-    np.not_equal(prices[1:], prices[:-1], out=level_end[:-1])
-    return prices, running, level_end
-
-
 def clear(
     curve: DemandCurve,
     base_price: float,
@@ -128,14 +108,15 @@ def clear(
 
     If the demand at the base price fits under ``feeder_limit`` the market
     clears there, unconstrained. Otherwise the clearing price is the lowest
-    price level above the base whose cumulative demand fits; if even the
-    top price level overshoots the limit, the price is set one tick above
-    every bid and nothing clears. Either way, dispatching exactly the bids
-    at or above the returned price yields ``cleared_demand``, and
-    ``cleared_demand <= feeder_limit`` always. Raises ValueError when
-    nothing fits and the top bid price plus ``price_tick`` does not exceed
-    it (a tick below the float spacing there), since every bid would then
-    still be dispatched.
+    bid price above the base whose demand fits, found by bisecting the
+    sorted bid prices on the exact demand; if even the top bid price
+    overshoots the limit (always, for a NaN limit), the price is set one
+    tick above every bid and nothing clears. Either way, dispatching
+    exactly the bids at or above the returned price yields
+    ``cleared_demand``, and ``cleared_demand <= feeder_limit`` always.
+    Raises ValueError when nothing fits and the top bid price plus
+    ``price_tick`` does not exceed it (a tick below the float spacing
+    there), since every bid would then still be dispatched.
     """
     if feeder_limit <= 0:
         raise ValueError("feeder_limit must be positive")
@@ -144,29 +125,17 @@ def clear(
     base_demand = curve.demand(base_price)
     if base_demand <= feeder_limit:
         return ClearingResult(base_price, base_demand, False, base_demand)
-    prices, approx_cumulative, level_end = price_levels(curve, base_price)
-    # The float running sum at the level ends picks the candidate level;
-    # the exact sums decide, stepping down past levels it let through and
-    # up past levels it held back. Comparisons count rather than bisect so
-    # that a NaN limit admits no level. Only the level prices outlive the
-    # count: each exact sum makes a 9 B-per-bid mask, and the running sum
-    # and the level mask are gone by then.
-    levels = int(np.count_nonzero(level_end & (approx_cumulative <= feeder_limit)))
-    del approx_cumulative
-    prices = prices[level_end]
-    del level_end
-
-    def demand_of(levels: int) -> float:   # exact demand of the top levels
-        return curve.demand(prices[levels - 1]) if levels else 0.0
-
-    cleared = demand_of(levels)
-    while levels > 0 and cleared > feeder_limit:
-        levels -= 1
-        cleared = demand_of(levels)
-    while levels < len(prices) and (deeper := demand_of(levels + 1)) <= feeder_limit:
-        levels, cleared = levels + 1, deeper
-    if levels:
-        return ClearingResult(float(prices[levels - 1]), cleared, True, base_demand)
+    # The exact demand falls as the price rises, so over the sorted bid
+    # prices above the base the test "fits" runs False...True, and bisection
+    # finds the cheapest price that fits in one exact total per halving.
+    # Equal prices share a verdict, so a tie group is kept or shed whole;
+    # a NaN limit fits nowhere.
+    levels = curve.bids[~(curve.bids <= base_price)]
+    levels.sort()
+    i = bisect_left(levels, True, key=lambda price: curve.demand(price) <= feeder_limit)
+    if i < len(levels):
+        price = float(levels[i])
+        return ClearingResult(price, curve.demand(price), True, base_demand)
     top = float(curve.bids.max(initial=0.0))
     if not top + price_tick > top:
         raise ValueError(

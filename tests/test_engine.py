@@ -256,23 +256,35 @@ def test_run_builds_no_per_load_objects(monkeypatch):
     assert trace.constrained.any() and not trace.constrained.all()
 
 
-def test_run_sorts_bids_only_in_constrained_intervals(monkeypatch):
-    sorted_bids = []
-    price_levels = market.price_levels
+def test_run_clears_with_one_exact_total_or_a_logarithmic_count(monkeypatch):
+    # An unconstrained interval sums the demand at the base once; a
+    # constrained one adds one exact total per halving of the m bids above
+    # the base, plus the demand at the clearing price.
+    demand, clear = market.DemandCurve.demand, engine.clear
+    clears = []
 
-    def record_levels(curve, base_price):
-        sorted_bids.append(len(curve))
-        return price_levels(curve, base_price)
+    def count_demand(curve, price):
+        clears[-1][1] += 1
+        return demand(curve, price)
 
-    monkeypatch.setattr(market, "price_levels", record_levels)
+    def record_clear(curve, base_price, *args):
+        clears.append([None, 0, int(np.count_nonzero(curve.bids > base_price))])
+        result = clear(curve, base_price, *args)
+        clears[-1][0] = result.constrained
+        return result
+
+    monkeypatch.setattr(market.DemandCurve, "demand", count_demand)
+    monkeypatch.setattr(engine, "clear", record_clear)
     trace = run(Scenario(
         population=PopulationSpec(count=200),
         price_signal=PriceSignal.step([(0.0, 42.0), (15.0, 20.0), (30.0, 9.0)]),
         horizon_min=45.0,
     ))
-    constrained = int(trace.constrained.sum())
-    assert 0 < constrained < trace.n_intervals
-    assert sorted_bids == [200] * constrained
+    assert [c for c, _, _ in clears] == trace.constrained.tolist()
+    assert 0 < trace.constrained.sum() < trace.n_intervals
+    assert all(totals == 1 for c, totals, _ in clears if not c)
+    assert all(totals <= m.bit_length() + 2 for c, totals, m in clears if c)
+    assert max(m for c, _, m in clears if c) > 16   # more bids than halvings
 
 
 def test_production_path_never_imports_the_reference(tmp_path):

@@ -20,7 +20,6 @@ from tclmarket.market import (
     ClearingResult,
     build_demand_curve,
     clear,
-    price_levels,
 )
 
 
@@ -247,10 +246,11 @@ def test_clear_properties_hold_for_arbitrary_bids(data):
 
 def test_clear_is_exact_at_large_n_near_the_limit():
     # 12,000 bids at distinct prices with quantities 0.1, 1/3 and jittered
-    # values, none exactly representable. The float running sum drifts off
-    # the exact cumulative demand, so a feeder limit set exactly at an exact
-    # prefix sum, or one ulp either side of it, decides the outcome only if
-    # the exact correction works. The reference sums in rationals.
+    # values, none exactly representable. A float running sum over the bids
+    # by descending price drifts off the exact cumulative demand, so no float
+    # sum may decide a level: a feeder limit set exactly at an exact prefix
+    # sum, or one ulp either side of it, must be decided by exact totals.
+    # The reference sums in rationals.
     rng = np.random.default_rng(2017)
     n = 12_000
     prices = 1.0 + rng.permutation(n) * 0.005
@@ -283,7 +283,7 @@ def test_clear_is_exact_at_large_n_near_the_limit():
         return (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand)
 
     probes = rng.choice(n, 100, replace=False)
-    running = price_levels(curve, 0.0)[1]   # every price is distinct and above 0
+    running = np.cumsum(quantities[np.argsort(prices)[::-1]])   # every price is distinct
     drifted = sum(running[j] != cums[j] for j in probes)
     assert drifted > 0, "the float running sum never left the exact sum"
     for probe, j in enumerate(probes):
@@ -314,20 +314,25 @@ def test_build_and_constrained_clear_allocate_little_beyond_the_table(traced_pea
     # table: two limb rows, 16 B per load
     assert curve.bids is prices and curve.table.values is quantities
     assert curve.table.limbs.nbytes == 16 * n
-    # measured 40.1 B per load at base 0 and 29.0 at base 20; a curve that
-    # stored every bid sorted into levels measured 41.04, keeping the running
+    # measured 33.0 B per load at base 0 and 29.0 at base 20: the table, the
+    # sorted prices above the base, and one exact total's masks. Argsorting
+    # those bids into levels with a float running sum measured 40.1, a curve
+    # that stored every bid sorted into levels 41.04, keeping the running
     # sum through the exact steps 41.03, and compacting both the prices and
     # the running sum into levels at once 50.0
-    assert peak <= 41.0 * n
+    assert peak <= 34.0 * n
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
     # Quantities from 2**-300 to 2**300 give the curve's limb table three or
-    # more rows, so every level check combines digits across rows. Feeder
-    # limits sit at each level's exact total rounded, and one ulp either side;
-    # the reference sums in rationals.
+    # more rows, so every level check combines digits across rows. The same
+    # prices also clear over a one-value table of the last quantity (a
+    # zero-stride view, summed as count x value). Feeder limits sit at each
+    # level's exact total rounded, and one ulp either side, so they cover
+    # ties at the marginal level and nothing fitting, and one is NaN; the
+    # reference sums in rationals.
     n = data.draw(st.integers(2, 12))
     exponents = [-300, 300] + data.draw(st.lists(st.integers(-300, 300), min_size=n - 2,
                                                  max_size=n - 2))
@@ -336,27 +341,31 @@ def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
     quantities = [math.ldexp(m, e) for m, e in zip(mantissas, exponents)]
     prices = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 42.5]),
                                 min_size=n, max_size=n))
-    curve = build_demand_curve(prices, quantities)
-    assert len(curve.table.limbs) >= 3
-
-    def demand_at(p):
-        return float(sum(Fraction(q) for q, b in zip(quantities, prices) if b >= p))
-
     levels = sorted(set(prices), reverse=True)
     base = data.draw(st.sampled_from([0.0, 7.5, 20.0, 50.0] + levels))
-    limits = {f for p in levels
-              for f in (math.nextafter(demand_at(p), -math.inf), demand_at(p),
-                        math.nextafter(demand_at(p), math.inf))
-              if f > 0}
-    for feeder in sorted(limits):
-        base_demand = demand_at(base)
-        if base_demand <= feeder:
-            want = (base, base_demand, False, base_demand)
-        else:
-            fits = [p for p in levels if p > base and demand_at(p) <= feeder]
-            want = ((min(fits), demand_at(min(fits)), True, base_demand) if fits
-                    else (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand))
-        got = clear(curve, base, feeder)
-        assert (got.clearing_price, got.cleared_demand,
-                got.constrained, got.base_demand) == want, (base, feeder)
-        assert got.cleared_demand <= feeder
+    limbs = build_demand_curve(prices, quantities)
+    one_value = build_demand_curve(prices, LimbTable(np.broadcast_to(quantities[-1], n),
+                                                     "quantity", "bid from TCL {}"))
+    assert len(limbs.table.limbs) >= 3 and one_value.table.value == quantities[-1]
+
+    for curve, bid_quantities in ((limbs, quantities), (one_value, [quantities[-1]] * n)):
+        def demand_at(p):
+            return float(sum(Fraction(q) for q, b in zip(bid_quantities, prices) if b >= p))
+
+        limits = {f for p in levels
+                  for f in (math.nextafter(demand_at(p), -math.inf), demand_at(p),
+                            math.nextafter(demand_at(p), math.inf))
+                  if f > 0}
+        for feeder in sorted(limits) + [math.nan]:   # NaN fits nowhere, not even at the base
+            base_demand = demand_at(base)
+            if base_demand <= feeder:
+                want = (base, base_demand, False, base_demand)
+            else:
+                fits = [p for p in levels if p > base and demand_at(p) <= feeder]
+                want = ((min(fits), demand_at(min(fits)), True, base_demand) if fits
+                        else (levels[0] + DEFAULT_PRICE_TICK, 0.0, True, base_demand))
+            got = clear(curve, base, feeder)
+            assert (got.clearing_price, got.cleared_demand,
+                    got.constrained, got.base_demand) == want, (curve.table.value, base, feeder)
+            assert got.cleared_demand <= feeder or math.isnan(feeder)
+
