@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .bidding import bid_prices, predict_temperatures
 from .market import build_demand_curve, clear
-from .population import Population, aggregate_power, is_one_value, one_value, per_load
+from .population import Population, aggregate_power, is_one_value, one_value
 from .scenario import (
     PopulationSpec,
     PriceSignal,
@@ -119,12 +119,8 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
         gamma2 = gamma1 if is_one_value(gamma1) else gamma1.copy()   # a view is read-only
 
     g_init = np.random.default_rng(init_seed)
-    theta_min = per_load(lambda s: s - spec.deadband / 2.0, theta_set)
-    theta_max = per_load(lambda s: s + spec.deadband / 2.0, theta_set)
-    theta0 = g_init.uniform(theta_min, theta_max)
-    duty = per_load(
-        lambda s, p, r: np.clip((spec.theta_ambient - s) / (p * r), 0.0, 1.0), theta_set, P, R
-    )
+    theta0 = g_init.uniform(theta_set - spec.deadband / 2.0, theta_set + spec.deadband / 2.0)
+    duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
     m0 = (g_init.uniform(0.0, 1.0, n) < duty).astype(np.int8)
     return Population(
         C=C,

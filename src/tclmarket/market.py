@@ -110,17 +110,19 @@ def clear(
     clears there, unconstrained. Otherwise the clearing price is the lowest
     bid price above the base whose demand fits, found by bisecting the
     sorted bid prices on the exact demand; if even the top bid price
-    overshoots the limit (always, for a NaN limit), the price is set one
-    tick above every bid and nothing clears. Either way, dispatching
-    exactly the bids at or above the returned price yields
-    ``cleared_demand``, and ``cleared_demand <= feeder_limit`` always.
-    Raises ValueError when nothing fits and the top bid price plus
-    ``price_tick`` does not exceed it (a tick below the float spacing
-    there), since every bid would then still be dispatched.
+    overshoots the limit, the price is set one tick above every bid and
+    nothing clears. Either way, dispatching exactly the bids at or above
+    the returned price yields ``cleared_demand``, and ``cleared_demand <=
+    feeder_limit`` always.
+    Raises ValueError for a ``feeder_limit`` that is not positive or a
+    ``base_price`` below 0 (either NaN included), and when nothing fits and
+    the top bid price plus ``price_tick`` does not exceed it (a tick below
+    the float spacing there), since every bid would then still be
+    dispatched.
     """
-    if feeder_limit <= 0:
+    if not feeder_limit > 0:
         raise ValueError("feeder_limit must be positive")
-    if base_price < 0:
+    if not base_price >= 0:
         raise ValueError("base_price must be >= 0")
     base_demand = curve.demand(base_price)
     if base_demand <= feeder_limit:
@@ -128,8 +130,7 @@ def clear(
     # The exact demand falls as the price rises, so over the sorted bid
     # prices above the base the test "fits" runs False...True, and bisection
     # finds the cheapest price that fits in one exact total per halving.
-    # Equal prices share a verdict, so a tie group is kept or shed whole;
-    # a NaN limit fits nowhere.
+    # Equal prices share a verdict, so a tie group is kept or shed whole.
     levels = curve.bids[~(curve.bids <= base_price)]
     levels.sort()
     i = bisect_left(levels, True, key=lambda price: curve.demand(price) <= feeder_limit)

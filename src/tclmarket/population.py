@@ -108,29 +108,11 @@ def is_one_value(values: np.ndarray) -> bool:
     return values.ndim == 1 and len(values) > 0 and values.strides == (0,)
 
 
-def per_load(f: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """``f(*arrays)`` for an element-wise ``f`` of arrays of one length.
-
-    When every array is a one-value view, ``f`` runs on one element, and
-    the result is a one-value view of it.
-    """
-    if all(map(is_one_value, arrays)):
-        return np.broadcast_to(f(*(a[:1] for a in arrays))[0], arrays[0].shape)
-    return f(*arrays)
-
-
-def flip_bits(on: np.ndarray, off: np.ndarray, out=None) -> np.ndarray:
-    """The bits that turn each float64 ``off`` into ``on``: ``on ^ off`` as int64.
-
-    ``out`` is an int64 array for the result (None = a fresh one).
-    """
-    return np.bitwise_xor(on.view(np.int64), off.view(np.int64), out=out)
-
-
 def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray, out=None) -> np.ndarray:
     """``np.where(mask, on, off)`` for float64 arrays, bit for bit, without branches.
 
-    ``flip`` is :func:`flip_bits` of ``on`` and ``off``; ``mask`` is boolean.
+    ``flip`` holds the bits that turn each ``off`` into ``on``, ``on ^ off``
+    as int64; ``mask`` is boolean.
     ``mask * flip`` is ``flip`` where the mask holds and 0 elsewhere, so
     xoring it into the bits of ``off`` gives the bits of ``on`` exactly
     there: every value comes through unchanged, -0.0 and NaN payloads too.
@@ -151,13 +133,13 @@ class Population:
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
     construction; the thermal/switch state (float64 ``theta``, boolean
     ``m`` and ``v``) evolves, ``v`` only by assignment (it is read-only).
-    The constructor passes every parameter through :func:`one_value`, so
+    The constructor passes every parameter, and the derived ``theta_min``,
+    ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
-    view, however it was passed. The derived ``theta_min``, ``theta_max``
-    and ``elec_power`` (P/eta) are such views when all their inputs are
-    (see :func:`per_load`). The constructor checks the validity rules of
-    every TCL and raises the message of the first offending one. The
-    population never draws noise; callers pass samples in.
+    view, however it was passed or derived. The constructor checks the
+    validity rules of every TCL and raises the message of the first
+    offending one. The population never draws noise; callers pass samples
+    in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
     the :class:`LimbTable` of P/eta that :func:`aggregate_power` sums
@@ -187,9 +169,9 @@ class Population:
             raise ValueError("population must contain at least one TCL")
         self.theta_ambient = float(theta_ambient)
 
-        self.theta_min = per_load(lambda s, d: s - d / 2.0, self.theta_set, self.deadband)
-        self.theta_max = per_load(lambda s, d: s + d / 2.0, self.theta_set, self.deadband)
-        self.elec_power = per_load(np.divide, self.P, self.eta)
+        self.theta_min = one_value(self.theta_set - self.deadband / 2.0)
+        self.theta_max = one_value(self.theta_set + self.deadband / 2.0)
+        self.elec_power = one_value(self.P / self.eta)
 
         check_params(self, lambda i: {
             "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
@@ -200,11 +182,6 @@ class Population:
         if self.theta_ambient <= self.theta_set.max():
             raise ValueError("theta_ambient must exceed every set-point (cooling-load regime)")
 
-        # theta_ambient - P*R kept only as one value every load shares (see _on_gain)
-        self._shared_on_gain = (
-            per_load(lambda p, r: self.theta_ambient - p * r, self.P, self.R)
-            if is_one_value(self.P) and is_one_value(self.R) else None
-        )
         self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
         self._forcing = self._forcing_bits.view(np.float64)
@@ -243,28 +220,19 @@ class Population:
         for a, _, flip, off_bits in self._step_terms.values():
             self._fold_dispatch(a, flip, off_bits)
 
-    def _on_gain(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``theta_ambient - P*R``, the temperature a step pulls towards while on.
-
-        The kept one-value view when every load shares P and R; otherwise
-        computed into ``out`` (None = a fresh array), so no population keeps
-        an n-element copy of it.
-        """
-        if self._shared_on_gain is not None:
-            return self._shared_on_gain
-        gain = np.multiply(self.P, self.R, out=out)
-        return np.subtract(self.theta_ambient, gain, out=gain)
-
     def _fold_dispatch(self, a: np.ndarray, flip: np.ndarray, off_bits: np.ndarray) -> None:
-        """Rewrite ``flip`` in place: ``flip_bits(on, off)`` where v holds, 0 elsewhere.
+        """Rewrite ``flip`` in place: ``on ^ off`` as int64 where v holds, 0 elsewhere.
 
-        ``on`` is recomputed from ``a`` in ``flip``'s own memory, by the
-        operations of :meth:`step_terms`: four ufunc calls, and two more
-        into the step scratch when P and R are not shared; no temporary.
+        ``on = (1-a)*(theta_ambient - P*R)`` is computed from ``a`` in
+        ``flip``'s own memory, with ``theta_ambient - P*R`` in the step
+        scratch; ``off`` is the float64 view of ``off_bits``. Six ufunc
+        calls and no temporary, so no population keeps a copy of ``on``.
         """
         on = flip.view(np.float64)
         np.subtract(1.0, a, out=on)   # pull
-        np.multiply(on, self._on_gain(self._forcing), out=on)
+        gain = np.multiply(self.P, self.R, out=self._forcing)
+        np.subtract(self.theta_ambient, gain, out=gain)
+        np.multiply(on, gain, out=on)
         np.bitwise_xor(flip, off_bits, out=flip)
         np.multiply(flip, self._v, out=flip)
 
@@ -277,22 +245,20 @@ class Population:
         same order, as the per-device oracle's ``thermal_step``. ``a`` is
         computed element by element with math.exp, so the array path matches
         the per-device oracle bit for bit. ``on`` is kept as ``flip``, the
-        form :func:`select` reads, with the dispatch flags folded in:
-        ``flip_bits(on, off)`` where v holds and 0 elsewhere, so a select on
-        ``m`` alone picks ``on`` exactly where ``m*v``. Every assignment of
-        v rewrites it in place. ``off_bits`` is the int64 view of ``off``
-        that a select xors into.
+        form :func:`select` reads, with the dispatch flags folded in by
+        :meth:`_fold_dispatch`: ``on ^ off`` as int64 where v holds and 0
+        elsewhere, so a select on ``m`` alone picks ``on`` exactly where
+        ``m*v``. Every assignment of v rewrites it in place. ``off_bits`` is
+        the int64 view of ``off`` that a select xors into.
         """
         terms = self._step_terms.get(h)
         if terms is None:
             exponents = -h / (self.C * self.R * 3600.0)
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
-            pull = 1.0 - a
-            off = pull * self.theta_ambient
-            flip = flip_bits(pull * self._on_gain(), off)
-            np.multiply(flip, self._v, out=flip)
-            terms = (a, off, flip, off.view(np.int64))
-            self._step_terms[h] = terms
+            off = (1.0 - a) * self.theta_ambient
+            flip, off_bits = np.empty(len(a), np.int64), off.view(np.int64)
+            self._fold_dispatch(a, flip, off_bits)
+            terms = self._step_terms[h] = (a, off, flip, off_bits)
         return terms
 
     def step_physics(

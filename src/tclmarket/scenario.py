@@ -293,14 +293,17 @@ class PopulationSpec:
 
         One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
         lo)`` after rounding; subgroup members draw ``anchor*(1 + w*u)`` with
-        |u| < 1, at most the largest drawn anchor times ``1 + w``.
+        |u| < 1, at most the largest drawn anchor times ``1 + w``. Every
+        operation of an anchor rounds monotonically and hi >= lo, so the
+        anchors never decrease with the group: the largest drawn is that of
+        the last TCL's subgroup, ``(count - 1)*K // count``.
         """
         if self.subgroups == 1:
             lo, hi = map(float, self.p_cap_range)
             return lo + (hi - lo)
         K = self.subgroups
-        anchors = _subgroup_anchors(self.p_cap_range, _subgroup_ranges(self.count, K)[0], K)
-        return float(anchors.max() * (1.0 + self.subgroup_rel_width))
+        last = (self.count - 1) * K // self.count
+        return _subgroup_anchors(self.p_cap_range, last, K) * (1.0 + self.subgroup_rel_width)
 
 
 def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +325,11 @@ def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(K), edges.astype(np.int64)
 
 
-def _subgroup_anchors(value_range, groups: np.ndarray, K: int) -> np.ndarray:
-    """Anchor value of each subgroup, spread evenly across ``value_range``."""
+def _subgroup_anchors(value_range, groups, K: int):
+    """Anchor value of each subgroup, spread evenly across ``value_range``.
+
+    ``groups`` is an int64 array of subgroups, or one subgroup as an int.
+    """
     lo, hi = value_range
     return lo + (groups + 0.5) / K * (hi - lo)
 

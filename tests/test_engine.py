@@ -23,6 +23,7 @@ from tclmarket.scenario import (
     PriceSignal,
     Scenario,
     ScenarioError,
+    _subgroup_anchors,
     _subgroup_ranges,
 )
 from oracle import (
@@ -421,6 +422,19 @@ def test_p_cap_bound_covers_every_draw(spec):
         assert generate_population(spec, seed).p_cap.max() <= bound
 
 
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(1, 3000), K=st.integers(2, 2**40),
+       lo=st.floats(0.0, 1e6), width=st.floats(0.0, 1e6), w=st.floats(0.0, 1.0, exclude_max=True))
+@example(n=3, K=7, lo=30.0, width=10.0, w=0.1)
+@example(n=1000, K=2**40, lo=0.1, width=0.6, w=0.3)
+def test_p_cap_bound_is_the_largest_drawn_anchor_times_one_plus_w(n, K, lo, width, w):
+    # the anchor of the last drawn subgroup is the largest anchor of any
+    spec = PopulationSpec(count=n, subgroups=K, p_cap_range=(lo, lo + width),
+                          subgroup_rel_width=w)
+    anchors = _subgroup_anchors(spec.p_cap_range, _subgroup_ranges(n, K)[0], K)
+    assert spec._p_cap_bound() == float(anchors.max() * (1.0 + w))
+
+
 def test_run_peak_memory_per_load(traced_peak):
     # numpy imports its random module on first use; load it before tracing
     np.random.SeedSequence(0)
@@ -432,7 +446,8 @@ def test_run_peak_memory_per_load(traced_peak):
     )
     trace, peak = traced_peak(lambda: run(scenario))
     assert trace.constrained.sum() == 4
-    # measured 116.3 B per load; 189.0 while the population held n copies of
+    # measured 109.2 B per load; 116.3 while step_terms built on in two
+    # temporaries of its own; 189.0 while the population held n copies of
     # R, P, eta, theta_set, the derived band edges and P/eta and its limb
     # table, and 288.4 while run() also kept each interval's demand curve and
     # predicted temperatures alive into the next interval and the population
@@ -450,11 +465,14 @@ def test_stepprice_draw_and_run_peak_memory_per_load(traced_peak):
         horizon_min=30.0,
     )
     pop, peak = traced_peak(lambda: generate_population(scenario.population, scenario.seed))
-    # measured 74.6 B per load (58.2 of them kept); 164.4 (130.2 kept) while
-    # every draw, the band edges and P/eta were n-element arrays
+    # measured 82.5 B per load (58.2 of them kept): the initial band and the
+    # duty are n-element temporaries; 74.6 while they were one-value views,
+    # and 164.4 (130.2 kept) while every draw, the band edges and P/eta were
+    # n-element arrays
     assert pop.R.strides == (0,) and peak <= 85 * n
     trace, peak = traced_peak(lambda: run(scenario))
-    # measured 116.2 B per load; 189.3 with the n-element arrays
+    # measured 109.0 B per load; 116.2 while step_terms built on in two
+    # temporaries of its own, 189.3 with the n-element arrays
     assert not trace.constrained.any() and peak <= 135 * n
 
 

@@ -166,6 +166,11 @@ def test_clear_validates_preconditions():
         clear(curve, 20.0, 0.0)
     with pytest.raises(ValueError):
         clear(curve, -1.0, 5.0)
+    # a NaN passes neither check: it is no positive limit and no base >= 0
+    with pytest.raises(ValueError, match="^feeder_limit must be positive$"):
+        clear(curve, 20.0, math.nan)
+    with pytest.raises(ValueError, match=r"^base_price must be >= 0$"):
+        clear(curve, math.nan, 5.0)
 
 
 def test_cleared_demand_never_exceeds_limit_even_with_many_summands():
@@ -331,8 +336,8 @@ def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
     # prices also clear over a one-value table of the last quantity (a
     # zero-stride view, summed as count x value). Feeder limits sit at each
     # level's exact total rounded, and one ulp either side, so they cover
-    # ties at the marginal level and nothing fitting, and one is NaN; the
-    # reference sums in rationals.
+    # ties at the marginal level and nothing fitting; a NaN limit is
+    # rejected. The reference sums in rationals.
     n = data.draw(st.integers(2, 12))
     exponents = [-300, 300] + data.draw(st.lists(st.integers(-300, 300), min_size=n - 2,
                                                  max_size=n - 2))
@@ -356,7 +361,9 @@ def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
                   for f in (math.nextafter(demand_at(p), -math.inf), demand_at(p),
                             math.nextafter(demand_at(p), math.inf))
                   if f > 0}
-        for feeder in sorted(limits) + [math.nan]:   # NaN fits nowhere, not even at the base
+        with pytest.raises(ValueError, match="^feeder_limit must be positive$"):
+            clear(curve, base, math.nan)
+        for feeder in sorted(limits):
             base_demand = demand_at(base)
             if base_demand <= feeder:
                 want = (base, base_demand, False, base_demand)
@@ -367,5 +374,5 @@ def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
             got = clear(curve, base, feeder)
             assert (got.clearing_price, got.cleared_demand,
                     got.constrained, got.base_demand) == want, (curve.table.value, base, feeder)
-            assert got.cleared_demand <= feeder or math.isnan(feeder)
+            assert got.cleared_demand <= feeder
 

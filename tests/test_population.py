@@ -18,7 +18,6 @@ from tclmarket.population import (
     LimbTable,
     Population,
     aggregate_power,
-    flip_bits,
     one_value,
     select,
 )
@@ -340,6 +339,11 @@ def test_step_physics_allocates_no_temporaries():
     assert peak < n
 
 
+def _flip_bits(on, off):
+    """The bits that turn each float64 ``off`` into ``on``: ``on ^ off`` as int64."""
+    return on.view(np.int64) ^ off.view(np.int64)
+
+
 _SPECIAL_BITS = [
     np.array(x, dtype=np.float64).view(np.int64).item()
     for x in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
@@ -355,9 +359,9 @@ def test_select_equals_np_where_bit_for_bit(entries):
     off = np.array([e[1] for e in entries], dtype=np.int64).view(np.float64)
     mask = np.array([e[2] for e in entries], dtype=bool)
     expected = np.where(mask, on, off).tobytes()
-    assert select(mask, off, flip_bits(on, off)).tobytes() == expected
+    assert select(mask, off, _flip_bits(on, off)).tobytes() == expected
     out = np.empty(len(entries), dtype=np.int64)
-    assert select(mask, off, flip_bits(on, off), out=out).tobytes() == expected
+    assert select(mask, off, _flip_bits(on, off), out=out).tobytes() == expected
     assert out.view(np.float64).tobytes() == expected
 
 
@@ -420,7 +424,7 @@ def test_population_requires_ambient_above_setpoints():
 
 @pytest.mark.parametrize("spread", [False, True])
 def test_set_dispatch_folds_v_into_every_cached_flip(spread):
-    # each cached flip is 0 where v is 0 and flip_bits(on, off) where v is 1
+    # each cached flip is 0 where v is 0 and _flip_bits(on, off) where v is 1
     rng = np.random.default_rng(6)
     n = 200
     R = rng.uniform(1.8, 2.2, n) if spread else [2.0] * n
@@ -432,7 +436,7 @@ def test_set_dispatch_folds_v_into_every_cached_flip(spread):
         for h, (a, off, flip, _) in cached.items():
             assert pop.step_terms(h)[2] is flip   # rewritten in place
             on = (1.0 - a) * (32.0 - pop.P * pop.R)
-            assert flip.tolist() == np.where(pop.v, flip_bits(on, off), 0).tolist()
+            assert flip.tolist() == np.where(pop.v, _flip_bits(on, off), 0).tolist()
 
     check()   # v from the constructor: every load dispatched
     for prices, clearing_price in [(rng.uniform(0.0, 40.0, n), 20.0), (np.zeros(n), 1.0),
@@ -472,7 +476,7 @@ def test_population_with_spread_p_and_r_keeps_bytes_per_load(traced_peak):
 
     (pop, kept), _ = traced_peak(build)
     assert pop.R.strides == pop.P.strides == (8,)
-    # measured 122.4 B per load; 130.4 while the population kept
+    # measured 122.2 B per load; 130.4 while the population kept
     # theta_ambient - P*R for every load rather than folding v in from scratch
     assert kept <= 125 * n
 
@@ -495,6 +499,18 @@ def test_one_value_merges_only_equal_bits():
         assert one_value(array) is array, values
     empty = np.empty(0)
     assert one_value(empty) is empty
+
+
+@pytest.mark.parametrize("read_only", [True, False])
+def test_one_value_of_a_zero_stride_array_holds_its_own_copy(read_only):
+    base = np.array([2.5])
+    given = (np.broadcast_to(base, 7) if read_only
+             else np.lib.stride_tricks.as_strided(base, (7,), (0,)))
+    shared = one_value(given)
+    assert shared.strides == (0,) and not shared.flags.writeable
+    assert shared.tolist() == [2.5] * 7
+    base[0] = 3.0   # the caller's array changes; the shared value does not
+    assert shared.tolist() == [2.5] * 7
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 2**17 - 1, 2**17])
@@ -600,7 +616,42 @@ def test_population_constructor_makes_equal_parameters_views():
     pop = Population(**arrays, m=np.ones(n), v=np.ones(n), theta_ambient=32.0)
     for name in set(PARAM_FIELDS + ("elec_power",)) - {"theta_set"}:
         assert getattr(pop, name).strides == (0,), name
-    # a derived array is one value only if every input is
+    # the set-points differ, and so do the band edges derived from them
     for name in ("theta_set", "theta_min", "theta_max"):
         assert getattr(pop, name).strides == (8,), name
     assert pop.theta.strides == (8,) and pop.theta.flags.writeable
+
+
+@pytest.mark.parametrize("theta_set, deadband, P, eta", [
+    # every input shared
+    ([20.0] * 3, [0.5] * 3, [14.0] * 3, [2.5] * 3),
+    # the set-points and deadbands differ, and only the lower edges agree
+    ([20.0, 20.25, 20.5], [0.5, 1.0, 1.5], [14.0] * 3, [2.5] * 3),
+    # P and eta differ by powers of two, so P/eta has one value
+    ([20.0] * 3, [0.5] * 3, [14.0, 28.0, 7.0], [2.5, 5.0, 1.25]),
+    # P/eta differs by one ulp
+    ([20.0] * 3, [0.5] * 3, [14.0, 14.0, math.nextafter(14.0, 15.0)], [2.5] * 3),
+    # nothing shared
+    ([20.0, 20.1, 19.7], [0.5, 0.6, 0.7], [14.0, 13.0, 15.0], [2.5, 2.4, 2.6]),
+])
+def test_derived_values_are_views_exactly_when_their_bits_agree(theta_set, deadband, P, eta):
+    n = len(P)
+    arrays = {name: np.full(n, x) for name, x in (
+        ("C", 10.0), ("R", 2.0), ("p0", 22.0), ("p_cap", 35.0), ("gamma1", 20.0),
+        ("gamma2", 20.0), ("noise_std", 0.0), ("theta", 20.0))}
+    pop = Population(**arrays, theta_set=theta_set, deadband=deadband, P=P, eta=eta,
+                     m=np.ones(n), v=np.ones(n), theta_ambient=32.0)
+    set_point, half = np.array(theta_set), np.array(deadband) / 2.0
+    for name, values in (("theta_min", set_point - half), ("theta_max", set_point + half),
+                         ("elec_power", np.array(P) / np.array(eta))):
+        derived = getattr(pop, name)
+        assert derived.tobytes() == values.tobytes(), name
+        shared = len(set(values.view(np.int64).tolist())) == 1
+        assert (derived.strides == (0,)) == shared, name
+        assert not (shared and derived.flags.writeable), name
+    # a one-value P/eta sums as count x value, as its limbs would
+    limbs = LimbTable(np.array(P) / np.array(eta), "P/eta", "TCL {}")
+    assert (pop.power_limbs.value is not None) == (pop.elec_power.strides == (0,))
+    masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c loads
+    assert pop.power_limbs.total(masks).tobytes() == limbs.total(masks).tobytes()
+    assert [pop.power_limbs.total(mask) for mask in masks] == limbs.total(masks).tolist()
