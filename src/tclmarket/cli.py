@@ -162,18 +162,15 @@ def write_trace_csv(path: str, trace: Trace) -> None:
 
 def write_metrics_csv(path: str, trace: Trace, report: MetricsReport) -> None:
     """Per-interval synchronization statistics of the trace, and the report's price divergence."""
-    columns = [
+    _write_table(path, [
         ("interval", np.arange(trace.n_intervals)),
         ("time_min", trace.time_min),
         ("sync_index", trace.sync),
         ("temperature_dispersion_degc", trace.dispersion_degc),
         ("price_divergence_usd_per_mwh", report.price_divergence),
-    ]
-    if trace.subgroup_sync is not None:
-        columns += [
-            (f"subgroup{g}_sync_index", sync) for g, sync in enumerate(trace.subgroup_sync)
-        ]
-    _write_table(path, columns)
+    ] + [
+        (f"subgroup{g}_sync_index", sync) for g, sync in enumerate(trace.subgroup_sync)
+    ])
 
 
 def write_windows_csv(path: str, report: MetricsReport) -> None:

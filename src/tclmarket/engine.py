@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .bidding import bid_prices, predict_temperatures
 from .market import build_demand_curve, clear
-from .population import Population, aggregate_power, is_one_value, one_value
+from .population import Population, aggregate_power, one_value
 from .scenario import (
     PopulationSpec,
     PriceSignal,
@@ -115,13 +115,13 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
 
         p0 = group_values(spec.p0_range)
         p_cap = group_values(spec.p_cap_range)
-        gamma1 = group_values(spec.gamma_range)
-        gamma2 = gamma1 if is_one_value(gamma1) else gamma1.copy()   # a view is read-only
+        gamma1 = gamma2 = group_values(spec.gamma_range)   # parameters are immutable
 
     g_init = np.random.default_rng(init_seed)
     theta0 = g_init.uniform(theta_set - spec.deadband / 2.0, theta_set + spec.deadband / 2.0)
     duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
     m0 = (g_init.uniform(0.0, 1.0, n) < duty).astype(np.int8)
+    del duty   # not held through the constructor's checks, where the draw peaks
     return Population(
         C=C,
         R=R,
@@ -157,10 +157,10 @@ class Trace:
     synchronization statistics of the end-of-interval state: ``sync``
     (:func:`~tclmarket.metrics.sync_index` of the whole population),
     ``dispersion_degc`` (:func:`~tclmarket.metrics.temperature_dispersion`)
-    and, when the scenario has subgroups, ``subgroup_sync[j, t]`` (the sync
-    index of the j-th subgroup that holds a TCL, in ascending order: one
-    contiguous range of TCL ids, from :func:`_subgroup_ranges`; None
-    otherwise). Per physics step: instantaneous aggregate power, consuming
+    and ``subgroup_sync[j, t]`` (the sync index of the j-th subgroup that
+    holds a TCL, in ascending order: one contiguous range of TCL ids, from
+    :func:`_subgroup_ranges`; k x T, with k = 0 for a scenario without
+    subgroups). Per physics step: instantaneous aggregate power, consuming
     fraction and temperature summary. ``population`` carries the final
     state and the per-TCL parameter arrays. No record holds one value per
     TCL per interval, so a trace takes O(n + T) memory.
@@ -197,7 +197,7 @@ class Trace:
     bid_sample: np.ndarray
     sync: np.ndarray
     dispersion_degc: np.ndarray
-    subgroup_sync: Optional[np.ndarray]
+    subgroup_sync: np.ndarray
 
     @property
     def n_intervals(self) -> int:
@@ -250,8 +250,10 @@ def run(scenario: Scenario) -> Trace:
     count; the counts over n for the on-fraction; row reductions for the
     theta mean and std), equal bit for bit to computing them step by
     step. The noise of a block is one B x n draw, the same numbers as B
-    draws of n. Raises ScenarioError when a step power, theta mean or
-    theta std is not finite.
+    draws of n. Raises ScenarioError at the first step whose theta std is
+    not finite. That test alone decides: a step power is an exact total of
+    finite values, so it is always finite, and a theta mean that is not
+    finite makes the std not finite either.
 
     Each interval clears once: :func:`clear` of the bids' demand curve over
     the population's limb table, which sorts the bids above the base price
@@ -313,7 +315,7 @@ def run(scenario: Scenario) -> Trace:
         bid_sample=np.empty((n_intervals, n_samples)),
         sync=np.empty(n_intervals),
         dispersion_degc=np.empty(n_intervals),
-        subgroup_sync=None if len(slices) == 1 else np.empty((len(slices) - 1, n_intervals)),
+        subgroup_sync=np.empty((len(slices) - 1, n_intervals)),
     )
     block = min(steps_per, max(1, BLOCK_ELEMENTS // n))
     theta_block = np.empty((block, n))
@@ -365,9 +367,7 @@ def run(scenario: Scenario) -> Trace:
                     theta_block[:b]
                 )
         rows = slice(first, first + steps_per)
-        finite = np.isfinite(
-            [trace.step_power_kw[rows], trace.step_theta_mean[rows], trace.step_theta_std[rows]]
-        ).all(axis=0)
+        finite = np.isfinite(trace.step_theta_std[rows])   # alone decides: see the docstring
         if not finite.all():
             k = first + int(np.argmin(finite))
             raise ScenarioError(
@@ -384,11 +384,9 @@ def run(scenario: Scenario) -> Trace:
         trace.constrained[t] = result.constrained
         trace.avg_demand_kw[t] = _exact_mean(trace.step_power_kw[rows].tolist())
         trace.n_dispatched[t] = np.count_nonzero(pop.v)
-        trace.sync[t], *subgroup_sync = metrics.sync_index(
+        trace.sync[t], *trace.subgroup_sync[:, t] = metrics.sync_index(
             pop.theta, pop.m, pop.theta_min, pop.theta_max, slices
         )
-        if subgroup_sync:
-            trace.subgroup_sync[:, t] = subgroup_sync
         trace.dispersion_degc[t] = metrics.temperature_dispersion(pop.theta, pop.theta_set)
 
     pop.theta, pop.m = pop.theta.copy(), pop.m.copy()   # rows of the blocks until now

@@ -59,6 +59,8 @@ _PARAM_RULES = (
     (lambda p: ~((p.deadband < p.P * p.R) & (p.P * p.R < math.inf)),
      "TCL {id}: P*R={theta_gain:.3f} degC must be finite and exceed the deadband "
      "({deadband} degC)"),
+    (lambda p: ~((-math.inf < p.theta_set) & (p.theta_set < math.inf)),
+     "TCL {id}: theta_set must be finite, got {theta_set}"),
 )
 
 
@@ -108,7 +110,7 @@ def is_one_value(values: np.ndarray) -> bool:
     return values.ndim == 1 and len(values) > 0 and values.strides == (0,)
 
 
-def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray, out=None) -> np.ndarray:
+def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray) -> np.ndarray:
     """``np.where(mask, on, off)`` for float64 arrays, bit for bit, without branches.
 
     ``flip`` holds the bits that turn each ``off`` into ``on``, ``on ^ off``
@@ -118,10 +120,9 @@ def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray, out=None) -> np.
     there: every value comes through unchanged, -0.0 and NaN payloads too.
     Two ufunc calls and no per-element branch: ``np.where`` branches per
     element, which makes it several times slower on a mask that varies
-    from load to load. ``out`` is an int64 array that receives the bits
-    (None = a fresh one); returns its float64 view.
+    from load to load. Returns the float64 view of fresh int64 bits.
     """
-    bits = np.multiply(mask, flip, out=out)
+    bits = np.multiply(mask, flip)
     np.bitwise_xor(off.view(np.int64), bits, out=bits)
     return bits.view(np.float64)
 
@@ -179,7 +180,9 @@ class Population:
         check_switches(m, v)
         self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
 
-        if self.theta_ambient <= self.theta_set.max():
+        if not math.isfinite(self.theta_ambient):
+            raise ValueError(f"theta_ambient must be finite, got {self.theta_ambient}")
+        if not self.theta_ambient > self.theta_set.max():
             raise ValueError("theta_ambient must exceed every set-point (cooling-load regime)")
 
         self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
@@ -389,12 +392,12 @@ class LimbTable:
 
         ``mask`` has length n, or B x n with one row per total (None = every
         value). A table of one value multiplies each mask row's count of
-        selected values by it; ``counts`` gives those counts, one per mask
-        row, when the caller has them, else they are counted here (one
-        ``count_nonzero`` for a 1-D mask). Otherwise one matrix product sums
-        every limb row over every mask row, exactly; each mask row's limb
-        sums are combined as Python integers, and one integer division by
-        ``2**-lo`` rounds the total correctly (OverflowError past float64).
+        selected values by it; for a B x n mask, ``counts`` gives those
+        counts, one per row, when the caller has them, else they are counted
+        here. Otherwise one matrix product sums every limb row over every
+        mask row, exactly; each mask row's limb sums are combined as Python
+        integers, and one integer division by ``2**-lo`` rounds the total
+        correctly (OverflowError past float64).
         Returns a float for a 1-D mask or None, and an array of B floats for
         a B x n one.
         """
@@ -402,9 +405,8 @@ class LimbTable:
             if mask is not None and mask.ndim == 2:
                 return np.multiply(np.count_nonzero(mask, axis=1) if counts is None else counts,
                                    self.value)
-            if counts is None:
-                counts = [len(self.values) if mask is None else np.count_nonzero(mask)]
-            return float(counts[0] * self.value)
+            return float((len(self.values) if mask is None else np.count_nonzero(mask))
+                         * self.value)
         limbs = self.limbs
         row_sums = limbs.sum(axis=1) if mask is None else limbs @ mask.T.astype(np.float64)
         shifts = [self.width * j for j in range(len(limbs))]

@@ -309,20 +309,19 @@ class PopulationSpec:
 def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """The subgroups that n TCLs fill when TCL i is in subgroup ``i*K // n``, and their ranges.
 
-    Returns int64 ``groups``, those that get a TCL, ascending (all K unless
-    K > n, then one per TCL), and ``edges``: ``groups[j]`` holds the TCL ids
-    ``edges[j] <= i < edges[j + 1]``. Exact for every n and K below 2**63.
+    Returns int64 ``groups``, those that get a TCL, ascending, and
+    ``edges``: ``groups[x]`` holds the TCL ids ``edges[x] <= i < edges[x + 1]``.
+    With m = min(n, K) there are m ranges; range x starts at ``ceil(x*n/m)``
+    and holds subgroup ``x*K // m`` (all K subgroups if K <= n, else one per
+    TCL). Exact for every n and K below 2**63.
     """
     m = min(n, K)
     # x*a//b as x*(a//b) + x*(a % b)//b, where x*(a % b) < m*m: int64 holds it
     # up to m = 3.04e9, and Python ints carry it past that
     x = np.arange(m + 1, dtype=np.int64 if m * m < 2**63 else object)
-    if K > n:
-        groups = x[:-1] * (K // n) + x[:-1] * (K % n) // n
-        return groups.astype(np.int64), np.arange(n + 1)
-    # subgroup g starts at the first TCL i with i*K >= g*n, so at ceil(g*n/K)
-    edges = x * (n // K) + (x * (n % K) + K - 1) // K
-    return np.arange(K), edges.astype(np.int64)
+    groups = x[:-1] * (K // m) + x[:-1] * (K % m) // m
+    edges = x * (n // m) + (x * (n % m) + m - 1) // m
+    return groups.astype(np.int64), edges.astype(np.int64)
 
 
 def _subgroup_anchors(value_range, groups, K: int):

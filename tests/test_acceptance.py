@@ -319,7 +319,7 @@ def _distinct_dominant_periods(report, min_windows=3, rel_gap=0.25) -> list[floa
 def test_criterion_08_subgroups_mix_periods_with_partial_coherence(subgroups_trace):
     trace = subgroups_trace
     report = compute_metrics(trace)
-    assert trace.subgroup_sync is not None and trace.subgroup_sync.shape[0] == 4
+    assert trace.subgroup_sync.shape[0] == 4
 
     distinct = _distinct_dominant_periods(report)
 

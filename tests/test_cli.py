@@ -374,10 +374,14 @@ def test_malformed_value_is_a_violation(tmp_path, capsys, fields, flags, violati
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("part", ["population", "price_signal"])
-def test_null_population_or_price_signal_is_an_error(tmp_path, capsys, part):
+@pytest.mark.parametrize("part, document", [
+    ("population", {"horizon_min": 30, "population": None}),
+    ("price_signal", {"horizon_min": 30, "price_signal": None}),
+    ("scenario", [1, 2]),   # the whole document, not one part of it
+], ids=["population", "price_signal", "scenario"])
+def test_null_population_or_price_signal_is_an_error(tmp_path, capsys, part, document):
     path = tmp_path / "null.json"
-    path.write_text(json.dumps({"horizon_min": 30, part: None}))
+    path.write_text(json.dumps(document))
     for flags in (["--validate-only"], ["--out", str(tmp_path / "o")]):
         assert main(["--scenario", str(path), *flags]) == 1
         captured = capsys.readouterr()

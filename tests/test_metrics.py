@@ -402,7 +402,7 @@ def test_report_shapes_and_scalars(small_trace):
     assert np.array_equal(
         report.price_divergence, small_trace.clearing_price - small_trace.base_price
     )
-    assert small_trace.subgroup_sync is None
+    assert small_trace.subgroup_sync.shape == (0, small_trace.n_intervals)
 
 
 def test_trace_carries_per_subgroup_sync():
@@ -412,6 +412,5 @@ def test_trace_carries_per_subgroup_sync():
         horizon_min=60.0,
         seed=4,
     ))
-    assert trace.subgroup_sync is not None
     assert trace.subgroup_sync.shape == (4, trace.n_intervals)
     assert np.all((trace.subgroup_sync >= 0.0) & (trace.subgroup_sync <= 1.0))

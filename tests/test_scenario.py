@@ -27,6 +27,8 @@ VIOLATIONS = [
      ["h_seconds must be a number"]),
     ("real-not-finite", {"feeder_fraction": math.inf},
      ["feeder_fraction must be finite"]),
+    ("real-int-past-float", {"horizon_min": 10**400},
+     ["horizon_min must be finite"]),
     ("integer-not-an-integer", {"seed": 1.5},
      ["seed must be an integer"]),
     ("integer-not-64-bit", {"population": {"count": 2**63}},
