@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .population import Population, select
+from .population import Population
 
 __all__ = ["predict_temperatures", "bid_prices"]
 
@@ -43,12 +43,12 @@ def predict_temperatures(population: Population, steps: int, h: float) -> np.nda
     current consumption state m*v held fixed (a device does not anticipate
     its own thermostat or the market). steps=0 returns the measured
     temperatures. :meth:`~tclmarket.scenario.Scenario.plan` gives the step
-    count of a scenario's ``lookahead_s``. The forcing term is one
-    :func:`~tclmarket.population.select`, and the steps update a copy of
-    the temperatures in place.
+    count of a scenario's ``lookahead_s``. The forcing term is the
+    population's :meth:`~tclmarket.population.Population.forcing`, and the
+    steps update a copy of the temperatures in place.
     """
-    a, off, flip, _ = population.step_terms(h)
-    forcing = select(population.m, off, flip)   # flip holds v: see step_terms
+    a = population.step_terms(h)[0]
+    forcing = population.forcing(h)
     theta = population.theta.copy()
     for _ in range(steps):
         np.multiply(a, theta, out=theta)
@@ -60,7 +60,7 @@ def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
     """Each TCL's bid price at its bidding temperature ``theta_bid``, $/MWh.
 
     Zero strictly below the deadband, p_cap strictly above it, linear with
-    slope gamma1 (gamma2) above (below) the set-point in between, then
+    slope gamma1 (gamma2) at or above (below) the set-point in between, then
     clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
 
     The price is built in its one output array: ``p0 + gamma*(theta -

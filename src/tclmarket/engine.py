@@ -162,8 +162,10 @@ class Trace:
     :func:`_subgroup_ranges`; k x T, with k = 0 for a scenario without
     subgroups). Per physics step: instantaneous aggregate power, consuming
     fraction and temperature summary. ``population`` carries the final
-    state and the per-TCL parameter arrays. No record holds one value per
-    TCL per interval, so a trace takes O(n + T) memory.
+    state and the per-TCL parameter arrays. Only ``subgroup_sync`` can grow
+    with TCLs times intervals: its k = min(n, K) rows for K subgroups reach
+    one per TCL when K >= n. Every other record grows with n or with T
+    alone, so a trace takes O(n + (k + 1)*T) memory.
 
     Each record lives only here: :func:`run` allocates every array before
     its first interval and writes each interval's and each block's values

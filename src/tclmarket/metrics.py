@@ -106,9 +106,11 @@ def sync_index(
 
 
 def _order_parameter(phasors: np.ndarray) -> float:
-    # rounding in the phasor mean can land an ulp above 1 for identical phases
+    # rounding in the phasor mean can land an ulp above 1 for identical phases;
+    # the clamp keeps a NaN (of a NaN temperature), which min(1.0, nan) drops
     # the reduction and the scalar division of phasors.mean(), without its wrapper
-    return min(1.0, float(np.abs(phasors.sum() / len(phasors))))
+    x = float(np.abs(phasors.sum() / len(phasors)))
+    return 1.0 if x > 1.0 else x
 
 
 def mean_std(x: np.ndarray) -> tuple:

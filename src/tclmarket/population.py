@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -64,29 +65,40 @@ _PARAM_RULES = (
 )
 
 
-def check_params(arrays, values: Callable[[int], dict]) -> None:
+def check_params(params, first_id: int = 0) -> None:
     """Raise ValueError for the first TCL whose parameters break a rule.
 
-    ``arrays`` has one array attribute per name in ``PARAM_FIELDS``;
-    ``values(i)`` returns the id and the parameter values of TCL i, as the
-    message shows them. The message is that of the first rule TCL i breaks.
+    ``params`` has one 1-D float64 array attribute per name in
+    ``PARAM_FIELDS``, and its TCL i is named ``first_id + i``. The rules are
+    folded into one mask in one pass; the message is that of the first rule
+    the first offender's own one-element slice breaks, with its values read
+    from the arrays.
     """
     with np.errstate(all="ignore"):
-        masks = [offends(arrays) for offends, _ in _PARAM_RULES]
-    bad = np.logical_or.reduce(masks)
-    if bad.any():
+        bad = np.zeros(params.C.shape, dtype=bool)
+        for offends, _ in _PARAM_RULES:
+            bad |= offends(params)
+        if not bad.any():
+            return
         i = int(np.argmax(bad))
-        message = next(msg for mask, (_, msg) in zip(masks, _PARAM_RULES) if mask[i])
-        found = values(i)
-        raise ValueError(message.format(theta_gain=found["P"] * found["R"], **found))
+        one = SimpleNamespace(**{name: getattr(params, name)[i : i + 1] for name in PARAM_FIELDS})
+        message = next(msg for offends, msg in _PARAM_RULES if offends(one)[0])
+    found = {name: getattr(one, name).item() for name in PARAM_FIELDS}
+    raise ValueError(message.format(id=first_id + i, theta_gain=found["P"] * found["R"], **found))
 
 
-def check_switches(m: np.ndarray, v: np.ndarray) -> None:
-    """Raise ValueError for the first TCL whose m or v is not 0 or 1."""
+def check_state(theta: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+    """Raise ValueError for the first TCL whose m or v is not 0 or 1.
+
+    Failing that, for the first TCL whose theta is not finite.
+    """
     bad = ((m != 0) & (m != 1)) | ((v != 0) & (v != 1))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"m and v must be 0 or 1, got m={m.item(i)}, v={v.item(i)}")
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        raise ValueError(f"theta must be finite, got theta={theta.item(int(np.argmax(bad)))}")
 
 
 def one_value(values: np.ndarray) -> np.ndarray:
@@ -105,28 +117,6 @@ def one_value(values: np.ndarray) -> np.ndarray:
     return np.broadcast_to(values[0], values.shape)
 
 
-def is_one_value(values: np.ndarray) -> bool:
-    """Whether ``values`` is a 1-D zero-stride view of one value (see :func:`one_value`)."""
-    return values.ndim == 1 and len(values) > 0 and values.strides == (0,)
-
-
-def select(mask: np.ndarray, off: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """``np.where(mask, on, off)`` for float64 arrays, bit for bit, without branches.
-
-    ``flip`` holds the bits that turn each ``off`` into ``on``, ``on ^ off``
-    as int64; ``mask`` is boolean.
-    ``mask * flip`` is ``flip`` where the mask holds and 0 elsewhere, so
-    xoring it into the bits of ``off`` gives the bits of ``on`` exactly
-    there: every value comes through unchanged, -0.0 and NaN payloads too.
-    Two ufunc calls and no per-element branch: ``np.where`` branches per
-    element, which makes it several times slower on a mask that varies
-    from load to load. Returns the float64 view of fresh int64 bits.
-    """
-    bits = np.multiply(mask, flip)
-    np.bitwise_xor(off.view(np.int64), bits, out=bits)
-    return bits.view(np.float64)
-
-
 class Population:
     """A fixed roster of TCLs sharing one ambient temperature.
 
@@ -138,18 +128,18 @@ class Population:
     ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
     view, however it was passed or derived. The constructor checks the
-    validity rules of every TCL and raises the message of the first
-    offending one. The population never draws noise; callers pass samples
-    in.
+    validity rules of every TCL and its initial state (see
+    :func:`check_state`) and raises the message of the first offending one.
+    The population never draws noise; callers pass samples in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
     the :class:`LimbTable` of P/eta that :func:`aggregate_power` sums
     exactly, built by the constructor (which so rejects a P/eta it cannot
     sum exactly), and the per-step thermal terms for each step length h,
     built on first use (see ``step_terms``), into which every assignment of
-    ``v`` is folded. ``step_physics`` works in one length-n int64 scratch
+    ``v`` is folded. :meth:`forcing` writes into one length-n int64 scratch
     buffer, allocated with the population, whose first n bytes also hold
-    its band tests.
+    the band tests of ``step_physics``.
     """
 
     def __init__(self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2,
@@ -174,10 +164,8 @@ class Population:
         self.theta_max = one_value(self.theta_set + self.deadband / 2.0)
         self.elec_power = one_value(self.P / self.eta)
 
-        check_params(self, lambda i: {
-            "id": i, **{name: float(getattr(self, name)[i]) for name in PARAM_FIELDS}
-        })
-        check_switches(m, v)
+        check_params(self)
+        check_state(self.theta, m, v)
         self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
 
         if not math.isfinite(self.theta_ambient):
@@ -220,7 +208,7 @@ class Population:
         """Make ``v``, a boolean array no one else holds, the dispatch flags."""
         v.flags.writeable = False
         self._v = v
-        for a, _, flip, off_bits in self._step_terms.values():
+        for a, flip, off_bits in self._step_terms.values():
             self._fold_dispatch(a, flip, off_bits)
 
     def _fold_dispatch(self, a: np.ndarray, flip: np.ndarray, off_bits: np.ndarray) -> None:
@@ -240,19 +228,19 @@ class Population:
         np.multiply(flip, self._v, out=flip)
 
     def step_terms(self, h: float) -> tuple[np.ndarray, ...]:
-        """Per-TCL terms ``(a, off, flip, off_bits)`` of a thermal step of h seconds.
+        """Per-TCL terms ``(a, flip, off_bits)`` of a thermal step of h seconds.
 
         One step is ``theta' = a*theta + (on if m*v else off)`` with
         ``a = exp(-h/(C*R*3600))``, ``off = (1-a)*theta_ambient`` and
         ``on = (1-a)*(theta_ambient - P*R)``: the same operations, in the
         same order, as the per-device oracle's ``thermal_step``. ``a`` is
         computed element by element with math.exp, so the array path matches
-        the per-device oracle bit for bit. ``on`` is kept as ``flip``, the
-        form :func:`select` reads, with the dispatch flags folded in by
-        :meth:`_fold_dispatch`: ``on ^ off`` as int64 where v holds and 0
-        elsewhere, so a select on ``m`` alone picks ``on`` exactly where
-        ``m*v``. Every assignment of v rewrites it in place. ``off_bits`` is
-        the int64 view of ``off`` that a select xors into.
+        the per-device oracle bit for bit. ``off`` is kept as its int64 bits
+        ``off_bits``, and ``on`` as ``flip``, the form :meth:`forcing` reads,
+        with the dispatch flags folded in by :meth:`_fold_dispatch`:
+        ``on ^ off`` as int64 where v holds and 0 elsewhere, so selecting on
+        ``m`` alone picks ``on`` exactly where ``m*v``. Every assignment of v
+        rewrites it in place.
         """
         terms = self._step_terms.get(h)
         if terms is None:
@@ -261,8 +249,26 @@ class Population:
             off = (1.0 - a) * self.theta_ambient
             flip, off_bits = np.empty(len(a), np.int64), off.view(np.int64)
             self._fold_dispatch(a, flip, off_bits)
-            terms = self._step_terms[h] = (a, off, flip, off_bits)
+            terms = self._step_terms[h] = (a, flip, off_bits)
         return terms
+
+    def forcing(self, h: float) -> np.ndarray:
+        """The forcing term of a step of h seconds: ``on`` where m*v, ``off`` elsewhere.
+
+        ``off ^ (m*flip)`` on the bits of the step terms: ``m*flip`` is
+        ``on ^ off`` where m*v holds and 0 elsewhere, so the xor gives the
+        bits of ``on`` exactly there and of ``off`` elsewhere. It equals
+        ``np.where(m & v, on, off)`` bit for bit, -0.0 included, in two
+        ufunc calls with no per-element branch: ``np.where`` branches per
+        element, which makes it several times slower on a mask that varies
+        from load to load. Returns the float64 view of the population's
+        scratch, valid until the next step or dispatch.
+        """
+        _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
+        bits = self._forcing_bits
+        np.multiply(self.m, flip, bits)
+        np.bitwise_xor(off_bits, bits, bits)
+        return self._forcing
 
     def step_physics(
         self,
@@ -283,27 +289,23 @@ class Population:
         reads, as the step works element by element.
 
         The switches are ``m = (m | (theta > theta_max)) > (theta < theta_min)``,
-        which a NaN theta leaves unchanged; the band tests go through one
-        n-byte scratch. The forcing term is a :func:`select` on ``m`` of the
-        step terms' ``flip``, which holds the dispatch flags already, written
-        out inline into a scratch buffer. Given both output arrays, a step
+        which a NaN theta leaves unchanged; the band tests go through the
+        first n bytes of the forcing scratch. The forcing term is then
+        :meth:`forcing` of the new ``m``. Given both output arrays, a step
         allocates nothing. At a thousand loads a step costs mostly call
-        overhead, so it makes no call but its ufuncs' (eight, nine with
-        noise), each with positional outputs.
+        overhead, so its ufuncs (eight, nine with noise) take positional
+        outputs.
         """
-        a, _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
+        a = (self._step_terms.get(h) or self.step_terms(h))[0]
         theta, band = self.theta, self._band
         np.greater(theta, self.theta_max, band)
         m = np.logical_or(self.m, band, m_out)
-        np.greater(m, np.less(theta, self.theta_min, band), m)
+        self.m = np.greater(m, np.less(theta, self.theta_min, band), m)
         stepped = np.multiply(a, theta, theta_out)
-        bits = self._forcing_bits   # band's memory: the band tests are done
-        np.multiply(m, flip, bits)
-        np.bitwise_xor(off_bits, bits, bits)
-        np.add(stepped, self._forcing, stepped)
+        np.add(stepped, self.forcing(h), stepped)
         if noise is not None:
             np.add(stepped, noise, stepped)
-        self.theta, self.m = stepped, m
+        self.theta = stepped
 
     def set_dispatch(self, bid_prices: np.ndarray, clearing_price: float) -> None:
         """Set v = 1 exactly for bids at or above the clearing price.
@@ -311,10 +313,6 @@ class Population:
         The new flags are folded into every cached step term (see ``v``).
         """
         self._dispatch(np.greater_equal(bid_prices, clearing_price))
-
-    def consuming(self) -> np.ndarray:
-        """Boolean mask of TCLs currently drawing power (m and v both 1)."""
-        return self.m & self.v
 
 
 class LimbTable:
@@ -349,7 +347,7 @@ class LimbTable:
         if not (smallest > 0 and largest < math.inf):   # a NaN fails both
             i = int(np.argmax(~(np.isfinite(values) & (values > 0))))
             raise ValueError(f"{who.format(i)}: {what} must be finite and > 0")
-        self.value = smallest if is_one_value(values) else None
+        self.value = smallest if len(values) > 0 and values.strides == (0,) else None
         if self.value is not None:
             fits = math.isfinite(len(values) * self.value)
         else:
@@ -419,16 +417,12 @@ class LimbTable:
 
 
 def aggregate_power(
-    population: Population,
-    consuming: Optional[np.ndarray] = None,
-    counts: Optional[np.ndarray] = None,
+    population: Population, consuming: np.ndarray, counts: Optional[np.ndarray] = None
 ):
     """Total electrical power drawn, kW, by each row of a consuming mask.
 
-    The exact sum of P/eta over the row's consuming TCLs, rounded once: the
-    :meth:`LimbTable.total` of ``consuming`` (None = ``population.consuming()``),
-    given the ``counts`` of consuming TCLs per row if the caller has them.
+    The exact sum of P/eta over the row's consuming TCLs (m and v both 1),
+    rounded once: the :meth:`LimbTable.total` of ``consuming``, given the
+    ``counts`` of consuming TCLs per row if the caller has them.
     """
-    if consuming is None:
-        consuming = population.consuming()
     return population.power_limbs.total(consuming, counts)

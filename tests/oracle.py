@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tclmarket.population import PARAM_FIELDS, Population, check_params, check_switches
+from tclmarket.population import PARAM_FIELDS, Population, check_params, check_state
 
 __all__ = [
     "TclParams",
@@ -66,11 +66,10 @@ class TclParams:
     noise_std: float = 0.0
 
     def __post_init__(self) -> None:
-        values = {name: getattr(self, name) for name in PARAM_FIELDS}
         one_tcl = SimpleNamespace(
-            **{name: np.array([x], dtype=np.float64) for name, x in values.items()}
+            **{name: np.array([getattr(self, name)], dtype=np.float64) for name in PARAM_FIELDS}
         )
-        check_params(one_tcl, lambda i: {"id": self.id, **values})
+        check_params(one_tcl, self.id)
 
     @property
     def theta_min(self) -> float:
@@ -93,20 +92,21 @@ class TclParams:
         return self.P / self.eta
 
     def decay(self, h: float) -> float:
-        """Per-step thermal decay factor exp(-h / (C*R)) for step h seconds."""
+        """Per-step thermal decay factor exp(-h / (C*R*3600)) for step h seconds."""
         return math.exp(-h / (self.C * self.R * 3600.0))
 
 
 @dataclass
 class TclState:
-    """Evolving state of one TCL: temperature plus the two switch bits."""
+    """Evolving state of one TCL: a finite temperature plus the two switch bits."""
 
     theta: float
     m: int = 0
     v: int = 1
 
     def __post_init__(self) -> None:
-        check_switches(np.array([self.m]), np.array([self.v]))
+        check_state(np.array([self.theta], dtype=np.float64), np.array([self.m]),
+                    np.array([self.v]))
 
 
 def hysteresis_update(state: TclState, params: TclParams) -> TclState:
@@ -138,7 +138,8 @@ def thermal_step(
 
         theta' = a*theta + (1 - a)*(theta_ambient - m*v*P*R) + w
 
-    with a = exp(-h/(C*R)). Switches are not updated here.
+    with a = exp(-h/(C*R*3600)) (C in kWh/degC, h in seconds). Switches
+    are not updated here.
     """
     if h <= 0:
         raise ValueError("time step h must be positive")
@@ -183,7 +184,7 @@ def make_bid(theta_bid: float, params: TclParams) -> Bid:
     """Evaluate the bid curve at a temperature.
 
     Zero strictly below the deadband, p_cap strictly above it, linear with
-    slope gamma1 (gamma2) above (below) the set-point in between, then
+    slope gamma1 (gamma2) at or above (below) the set-point in between, then
     clamped to [0, p_cap]. Monotone non-decreasing in theta by construction.
     """
     if theta_bid < params.theta_min:

@@ -473,12 +473,19 @@ def test_stepprice_draw_and_run_peak_memory_per_load(traced_peak):
         horizon_min=30.0,
     )
     pop, peak = traced_peak(lambda: generate_population(scenario.population, scenario.seed))
-    # measured 75.7 B per load (58.2 of them kept): the initial band and the
+    # measured 74.5 B per load (58.2 of them kept): the initial band and the
     # duty are n-element temporaries, and the duty is freed before the
-    # constructor's checks; 83.7 while it was held through them, 74.6 while
-    # the band and the duty were one-value views, and 164.4 (130.2 kept)
-    # while every draw, the band edges and P/eta were n-element arrays
+    # constructor's checks; 75.7 while the checks kept one mask per rule,
+    # 83.7 while the duty was held through them, 74.6 while the band and the
+    # duty were one-value views, and 164.4 (130.2 kept) while every draw,
+    # the band edges and P/eta were n-element arrays
     assert pop.R.strides == (0,) and peak <= 80 * n
+    hetset = BUILTIN_SCENARIOS["stepprice-hetset"]
+    hetset_spec = dataclasses.replace(hetset.population, count=n)
+    _, peak = traced_peak(lambda: generate_population(hetset_spec, hetset.seed))
+    # measured 93.5 B per load with spread set-points, whose band edges are
+    # n-element arrays; 99.5 while the checks kept one mask per rule
+    assert peak <= 96 * n
     trace, peak = traced_peak(lambda: run(scenario))
     # measured 109.0 B per load; 116.2 while step_terms built on in two
     # temporaries of its own, 189.3 with the n-element arrays

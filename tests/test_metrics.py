@@ -230,6 +230,15 @@ def test_sync_index_allocates_only_the_phasors(traced_peak):
     assert peak <= 25 * n
 
 
+def test_sync_index_of_a_nan_temperature_is_nan():
+    # min(1.0, nan) is 1.0: a NaN must not read as perfect synchrony
+    theta = np.array([math.nan, math.inf])
+    with np.errstate(invalid="ignore"):   # the phasor of a NaN phase
+        whole = sync_index(theta, np.array([1, 0]), lo(2), hi(2))
+        parts = sync_index(theta, np.array([1, 0]), lo(2), hi(2), [(0, 1), (1, 2)])
+    assert math.isnan(whole) and math.isnan(parts[0]) and parts[1] == 1.0
+
+
 def test_sync_index_rejects_empty_population():
     with pytest.raises(ValueError):
         sync_index(np.array([]), np.array([]), np.array([]), np.array([]))

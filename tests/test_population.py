@@ -19,7 +19,6 @@ from tclmarket.population import (
     Population,
     aggregate_power,
     one_value,
-    select,
 )
 from tclmarket.scenario import PopulationSpec
 from oracle import (
@@ -70,6 +69,9 @@ def test_state_rejects_non_binary_switches():
         TclState(20.0, m=2)
     with pytest.raises(ValueError):
         TclState(20.0, m=0, v=-1)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^theta must be finite, got theta={theta}$"):
+            TclState(theta, m=1)
 
 
 # ---------------------------------------------------------------- hysteresis
@@ -162,12 +164,12 @@ def _pop(states, n=3):
 
 def test_aggregate_power_all_off_is_zero():
     pop = _pop([TclState(20.0, 0, 1) for _ in range(3)])
-    assert aggregate_power(pop) == 0.0
+    assert aggregate_power(pop, pop.m & pop.v) == 0.0
 
 
 def test_aggregate_power_counts_only_consuming_units():
     pop = _pop([TclState(20.0, 1, 1), TclState(20.0, 1, 0), TclState(20.0, 0, 1)])
-    assert aggregate_power(pop) == 5.6
+    assert aggregate_power(pop, pop.m & pop.v) == 5.6
 
 
 def _population_of(P, eta, m, v):
@@ -194,9 +196,9 @@ def test_aggregate_power_equals_fsum_of_consuming_loads(n, seed, switches):
     m = {"random": rng.integers(0, 2, n), "all on": np.ones(n), "all off": np.zeros(n)}[switches]
     v = rng.integers(0, 2, n) if switches == "random" else m
     pop = _population_of(P, eta, m, v)
-    expected = math.fsum(pop.elec_power[pop.consuming()].tolist())
-    assert aggregate_power(pop) == expected
-    assert math.copysign(1.0, aggregate_power(pop)) == 1.0   # never -0.0
+    expected = math.fsum(pop.elec_power[pop.m & pop.v].tolist())
+    assert aggregate_power(pop, pop.m & pop.v) == expected
+    assert math.copysign(1.0, aggregate_power(pop, pop.m & pop.v)) == 1.0   # never -0.0
 
 
 def test_aggregate_power_is_exact_at_the_width_bound():
@@ -216,10 +218,11 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     assert (limbs @ np.ones(n)).tolist() == exact
     assert table.total() == math.fsum(P.tolist())
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
-    assert aggregate_power(pop) == math.fsum(P.tolist())
+    assert aggregate_power(pop, pop.m & pop.v) == math.fsum(P.tolist())
     pop.v = np.arange(n) % 3 != 0
-    assert aggregate_power(pop) == math.fsum(P[pop.consuming()].tolist())
-    assert table.total(pop.consuming()) == aggregate_power(pop)
+    consuming = pop.m & pop.v
+    assert aggregate_power(pop, consuming) == math.fsum(P[consuming].tolist())
+    assert table.total(consuming) == aggregate_power(pop, consuming)
 
 
 def _spread_population(R, P, eta, m):
@@ -263,7 +266,7 @@ def test_population_rejects_p_over_eta_whose_exact_total_overflows():
         _spread_population([28.0 / top, 28.0 / 2.0**970], [top, 2.0**970], [1.0] * 2, [1, 1])
     below = math.nextafter(2.0**970, 0.0)
     pop = _spread_population([28.0 / top, 28.0 / below], [top, below], [1.0] * 2, [1, 1])
-    assert pop.capacity_kw == aggregate_power(pop) == top
+    assert pop.capacity_kw == aggregate_power(pop, pop.m & pop.v) == top
     assert pop.capacity_kw == math.fsum([top, below])
 
 
@@ -315,9 +318,12 @@ def test_step_physics_switch_rule_at_band_edges_and_nan():
     # the rule as written before the in-place update, and the reference's
     expected = (theta > pop.theta_max) | (m & ~(theta < pop.theta_min))
     assert pop.m.tolist() == expected.tolist()
+    # the reference takes finite temperatures only (a TclState rejects the rest)
     params = TclParams(id=0)
-    assert pop.m.tolist() == [
-        bool(hysteresis_update(TclState(float(t), int(mi)), params).m) for t, mi in zip(theta, m)
+    finite = np.isfinite(theta)
+    assert pop.m[finite].tolist() == [
+        bool(hysteresis_update(TclState(float(t), int(mi)), params).m)
+        for t, mi in zip(theta[finite], m[finite])
     ]
 
 
@@ -344,22 +350,28 @@ def _flip_bits(on, off):
     return on.view(np.int64) ^ off.view(np.int64)
 
 
-_SPECIAL_BITS = [
-    np.array(x, dtype=np.float64).view(np.int64).item()
-    for x in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
-              2.2250738585072009e-308, 1.0, -1e308)
-] + [0x7FF0000000000001, 0x7FF4000000000000, -0x0007FFFFFFFFFFFF]   # NaN payloads, sNaN
-_BITS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_SPECIAL_BITS))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_BITS, _BITS, st.booleans()), max_size=80))
-def test_select_equals_np_where_bit_for_bit(entries):
-    on = np.array([e[0] for e in entries], dtype=np.int64).view(np.float64)
-    off = np.array([e[1] for e in entries], dtype=np.int64).view(np.float64)
-    mask = np.array([e[2] for e in entries], dtype=bool)
-    expected = np.where(mask, on, off).tobytes()
-    assert select(mask, off, _flip_bits(on, off)).tobytes() == expected
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.sampled_from([1e-300, 10.0]),
+    ambient=st.sampled_from([0.0, -0.0, 32.0]),
+)
+def test_forcing_equals_np_where_bit_for_bit(n, seed, h, ambient):
+    # h = 1e-300 makes a = 1.0, so on = 0.0*(ambient - P*R) is -0.0 and
+    # off = 0.0*ambient is +0.0 for ambient +0.0 and 32.0, -0.0 for -0.0
+    rng = np.random.default_rng(seed)
+    params = [TclParams(id=i, C=float(rng.uniform(9, 11)), R=float(rng.uniform(1.8, 2.2)),
+                        theta_set=ambient - 12.0) for i in range(n)]
+    states = [TclState(ambient - 12.0, int(rng.integers(2)), int(rng.integers(2)))
+              for _ in range(n)]
+    pop = population_from_devices(params, states, theta_ambient=ambient)
+    a = np.array([p.decay(h) for p in params])
+    on = (1.0 - a) * (ambient - pop.P * pop.R)
+    off = (1.0 - a) * ambient
+    assert pop.forcing(h).tobytes() == np.where(pop.m & pop.v, on, off).tobytes()
+    pop.set_dispatch(rng.uniform(0.0, 40.0, n), 20.0)
+    assert pop.forcing(h).tobytes() == np.where(pop.m & pop.v, on, off).tobytes()
 
 
 @pytest.mark.parametrize("base", ["tied with bids", "above every bid", "zero"])
@@ -411,10 +423,28 @@ def test_invalid_per_load_array_raises_the_tclparams_message():
         with pytest.raises(ValueError) as vector:
             Population(**arrays, theta_ambient=32.0)
         assert str(vector.value) == str(scalar.value)
+    # TCL 2 breaks two rules, and TCL 4 an earlier one than either: the
+    # message is that of TCL 2's first rule, with TCL 2's values
+    arrays = _device_arrays()
+    arrays["noise_std"][2], arrays["p0"][2], arrays["C"][4] = -1.0, 50.0, 0.0
+    with pytest.raises(ValueError) as scalar:
+        TclParams(id=2, **{name: float(arrays[name][2]) for name in PARAM_FIELDS})
+    with pytest.raises(ValueError) as vector:
+        Population(**arrays, theta_ambient=32.0)
+    assert str(vector.value) == str(scalar.value)
+    assert str(vector.value) == "TCL 2: require 0 <= p0 <= p_cap, got p0=50.0, p_cap=35.0"
     arrays = _device_arrays()
     arrays["v"][4] = 2
     with pytest.raises(ValueError, match="m and v must be 0 or 1, got m=1, v=2"):
         Population(**arrays, theta_ambient=32.0)
+    for theta in (math.nan, math.inf, -math.inf):
+        arrays = _device_arrays()
+        arrays["theta"][[3, 5]] = theta
+        with pytest.raises(ValueError) as scalar:
+            TclState(theta)
+        with pytest.raises(ValueError) as vector:
+            Population(**arrays, theta_ambient=32.0)
+        assert str(vector.value) == str(scalar.value) == f"theta must be finite, got theta={theta}"
 
 
 def test_population_requires_ambient_above_setpoints():
@@ -438,8 +468,9 @@ def test_set_dispatch_folds_v_into_every_cached_flip(spread):
     cached = {h: pop.step_terms(h) for h in (10.0, 2.5)}
 
     def check():
-        for h, (a, off, flip, _) in cached.items():
-            assert pop.step_terms(h)[2] is flip   # rewritten in place
+        for h, (a, flip, off_bits) in cached.items():
+            assert pop.step_terms(h)[1] is flip   # rewritten in place
+            off = off_bits.view(np.float64)
             on = (1.0 - a) * (32.0 - pop.P * pop.R)
             assert flip.tolist() == np.where(pop.v, _flip_bits(on, off), 0).tolist()
 
@@ -454,7 +485,7 @@ def test_set_dispatch_folds_v_into_every_cached_flip(spread):
 def test_v_is_a_read_only_copy_the_population_owns():
     # a write into v in place would leave the flip of every cached step term stale
     pop = _population_of(np.full(4, 14.0), np.full(4, 2.5), np.ones(4), np.ones(4))
-    flip = pop.step_terms(10.0)[2]
+    flip = pop.step_terms(10.0)[1]
     mask = np.array([True, False, True, False])
     pop.v = mask
     mask[:] = True   # the caller's array is not the population's
