@@ -196,9 +196,10 @@ def write_bids_csv(path: str, trace: Trace) -> None:
 
 def write_steps_csv(path: str, trace: Trace, decimate: int = 1) -> None:
     kept = slice(None, None, decimate)
+    step = np.arange(len(trace.step_power_kw))[kept]
     _write_table(path, [
-        ("step", np.arange(len(trace.step_time_min))[kept]),
-        ("time_min", trace.step_time_min[kept]),
+        ("step", step),
+        ("time_min", (step + 1) * trace.scenario.h_seconds / 60.0),
         ("power_kw", trace.step_power_kw[kept]),
         ("on_fraction", trace.step_on_fraction[kept]),
         ("theta_mean_degc", trace.step_theta_mean[kept]),

@@ -160,8 +160,10 @@ class Trace:
     and ``subgroup_sync[j, t]`` (the sync index of the j-th subgroup that
     holds a TCL, in ascending order: one contiguous range of TCL ids, from
     :func:`_subgroup_ranges`; k x T, with k = 0 for a scenario without
-    subgroups). Per physics step: instantaneous aggregate power, consuming
-    fraction and temperature summary. ``population`` carries the final
+    subgroups). Per physics step k: instantaneous aggregate power, consuming
+    fraction and temperature summary, four float64 series (32 B per step).
+    No record repeats the step's end time, ``(k + 1) * h_seconds / 60.0``
+    min, which the scenario's grid gives. ``population`` carries the final
     state and the per-TCL parameter arrays. Only ``subgroup_sync`` can grow
     with TCLs times intervals: its k = min(n, K) rows for K subgroups reach
     one per TCL when K >= n. Every other record grows with n or with T
@@ -187,7 +189,6 @@ class Trace:
     constrained: np.ndarray
     avg_demand_kw: np.ndarray
     n_dispatched: np.ndarray
-    step_time_min: np.ndarray
     step_power_kw: np.ndarray
     step_on_fraction: np.ndarray
     step_theta_mean: np.ndarray
@@ -281,12 +282,13 @@ def run(scenario: Scenario) -> Trace:
     h = scenario.h_seconds
     n = pop.size
 
+    noise_seed, sample_seed = _seed_children(scenario.seed)[2:]
     noise_rng = None
     if np.any(pop.noise_std > 0):
-        noise_rng = np.random.default_rng(_seed_children(scenario.seed)[2])
+        noise_rng = np.random.default_rng(noise_seed)
 
     n_steps = n_intervals * steps_per
-    sample_rng = np.random.default_rng(_seed_children(scenario.seed)[3])
+    sample_rng = np.random.default_rng(sample_seed)
     n_samples = min(N_BID_SAMPLES, n)
     # one phasor array per interval: the whole population, then each subgroup
     K = scenario.population.subgroups
@@ -305,7 +307,6 @@ def run(scenario: Scenario) -> Trace:
         constrained=np.zeros(n_intervals, dtype=bool),
         avg_demand_kw=np.empty(n_intervals),
         n_dispatched=np.empty(n_intervals, dtype=np.int64),
-        step_time_min=np.arange(1, n_steps + 1) * h / 60.0,
         step_power_kw=np.empty(n_steps),
         step_on_fraction=np.empty(n_steps),
         step_theta_mean=np.empty(n_steps),
@@ -373,7 +374,7 @@ def run(scenario: Scenario) -> Trace:
         if not finite.all():
             k = first + int(np.argmin(finite))
             raise ScenarioError(
-                f"physics step {k} (t={trace.step_time_min[k]:g} min) left the finite range: "
+                f"physics step {k} (t={(k + 1) * h / 60.0:g} min) left the finite range: "
                 f"power {float(trace.step_power_kw[k])} kW, "
                 f"theta mean {float(trace.step_theta_mean[k])} degC, "
                 f"theta std {float(trace.step_theta_std[k])} degC; the scenario's "

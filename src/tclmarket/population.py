@@ -128,8 +128,10 @@ class Population:
     ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
     view, however it was passed or derived. The constructor checks the
-    validity rules of every TCL and its initial state (see
-    :func:`check_state`) and raises the message of the first offending one.
+    validity rules of every TCL, that its band edges hold ``theta_min <
+    theta_max`` (a deadband below the float spacing at theta_set leaves
+    none), and its initial state (see :func:`check_state`), and raises the
+    message of the first offending one.
     The population never draws noise; callers pass samples in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
@@ -165,6 +167,14 @@ class Population:
         self.elec_power = one_value(self.P / self.eta)
 
         check_params(self)
+        band = self.theta_min < self.theta_max
+        if not band.all():
+            i = int(np.argmin(band))
+            raise ValueError(
+                f"TCL {i}: deadband {self.deadband.item(i)} is below the float spacing at "
+                f"theta_set {self.theta_set.item(i)}: theta_set +/- deadband/2 round to one "
+                "temperature"
+            )
         check_state(self.theta, m, v)
         self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
 
@@ -377,8 +387,6 @@ class LimbTable:
             np.ldexp(values, -(self.lo + self.width * j), out=row)   # exact: a power-of-2 scaling
             np.floor(row, out=row)
             np.fmod(row, 2.0**self.width, out=row)
-        if len(values) * largest <= 2.0**1023:   # n times the largest bounds the total
-            return True
         try:
             self.total()
         except OverflowError:

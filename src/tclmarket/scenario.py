@@ -27,8 +27,8 @@ from .metrics import window_intervals
 __all__ = ["ScenarioError", "PriceSignal", "PopulationSpec", "Plan", "Scenario", "MAX_STEPS"]
 
 #: The most physics steps a scenario may span: over its whole horizon, and
-#: over its bidding lookahead. A run records 40 bytes per step (five float64
-#: series), so its step records stay under 400 MB, and a lookahead stays
+#: over its bidding lookahead. A run records 32 bytes per step (four float64
+#: series), so its step records stay under 320 MB, and a lookahead stays
 #: within a fixed number of passes over the loads per interval.
 MAX_STEPS = 10**7
 
@@ -333,6 +333,11 @@ def _subgroup_anchors(value_range, groups, K: int):
     return lo + (groups + 0.5) / K * (hi - lo)
 
 
+def _farthest_set_point(mean: float, width: float) -> float:
+    """The end of ``mean +/- width`` farther from 0: no drawn set-point is farther."""
+    return max(mean - width, mean + width, key=abs)
+
+
 def _subgroup_clash(K: int, n: int, w: float, p0_range, p_cap_range) -> Optional[str]:
     """Why jitter ±w lets a member of some subgroup draw p0 > p_cap, or None.
 
@@ -377,6 +382,16 @@ _POPULATION_RULES = (
     )),
     (("theta_set_width",), lambda x: x >= 0, "population.theta_set_width must be >= 0"),
     (("deadband",), lambda x: x > 0, "population.deadband must be > 0"),
+    # Every drawn set-point lies between the ends theta_set_mean +/- theta_set_width,
+    # and the float spacing does not shrink as |theta_set| grows: half a deadband
+    # of at least the spacing at the end farther from 0 puts theta_set -/+
+    # deadband/2 on either side of every drawn set-point.
+    (("theta_set_mean", "theta_set_width", "deadband"),
+     lambda m, w, d: not d > 0 or d / 2 >= math.ulp(_farthest_set_point(m, w)),
+     lambda m, w, d: f"population.deadband ({d}) must be at least twice the float spacing "
+     f"{math.ulp(_farthest_set_point(m, w)):.3g} at the set-point farthest from 0 "
+     f"({_farthest_set_point(m, w):.6g} degC), or the thermostat band theta_set +/- "
+     "deadband/2 rounds to one temperature"),
     (("theta_ambient", "theta_set_mean", "theta_set_width"), lambda a, m, w: a > m + w,
      "population.theta_ambient must exceed every possible set-point (cooling-load regime)"),
     *(((name,), lambda r: 0 <= r[0] <= r[1], f"population.{name} must satisfy 0 <= low <= high")

@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tclmarket import cli
 from tclmarket.cli import (
@@ -476,7 +476,8 @@ SIGNALS = st.one_of(
     st.lists(LEVELS, max_size=30).map(lambda values: {"kind": "series", "values": values}),
 )
 SCENARIOS = st.fixed_dictionaries({
-    "population": st.fixed_dictionaries({"count": st.integers(1, 16)}),
+    "population": st.fixed_dictionaries({"count": st.integers(1, 16),
+                                         "deadband": _grid_value(0.1, 0.5, 2)}),
     "feeder_limit_kw": st.sampled_from([10.0, 30.0]),
     "horizon_min": _grid_value(0.6, 1.2, 3, 6, 30, 120),
     "market_interval_min": _grid_value(0.1, 0.2, 0.3, 0.5, 1, 5),
@@ -500,6 +501,10 @@ def _csv_rows(path):
 
 @settings(max_examples=500, deadline=None)
 @given(SCENARIOS)
+# theta_set -/+ deadband/2 round to theta_set: no band for the phases to span
+@example({"population": {"count": 1, "deadband": 1e-300}, "feeder_limit_kw": 10.0,
+          "horizon_min": 30, "market_interval_min": 5, "h_seconds": 10, "lookahead_s": 150,
+          "price_signal": {"kind": "constant", "level": 25.0}})
 def test_every_accepted_time_grid_runs_and_every_other_is_listed(grid):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.json")
@@ -570,11 +575,13 @@ def test_write_table_matches_csv_writer_bytes(tmp_path, length):
 def test_write_steps_csv_matches_csv_writer_bytes(tmp_path, decimate):
     trace = run(Scenario(population=PopulationSpec(count=16, noise_std=0.01),
                          horizon_min=60.0, seed=5))
-    kept = range(0, len(trace.step_time_min), decimate)
+    n_steps = len(trace.step_power_kw)
+    kept = range(0, n_steps, decimate)
     write_steps_csv(str(tmp_path / "steps.csv"), trace, decimate)
     _oracle_table(str(tmp_path / "oracle.csv"), [
         ("step", list(kept)),
-        ("time_min", trace.step_time_min[::decimate]),
+        # step k ends at (k + 1) * h / 60 min
+        ("time_min", (np.arange(1, n_steps + 1) * trace.scenario.h_seconds / 60.0)[::decimate]),
         ("power_kw", trace.step_power_kw[::decimate]),
         ("on_fraction", trace.step_on_fraction[::decimate]),
         ("theta_mean_degc", trace.step_theta_mean[::decimate]),

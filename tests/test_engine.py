@@ -443,6 +443,38 @@ def test_p_cap_bound_is_the_largest_drawn_anchor_times_one_plus_w(n, K, lo, widt
     assert spec._p_cap_bound() == float(anchors.max() * (1.0 + w))
 
 
+@settings(max_examples=300, deadline=None)
+@given(mean=st.floats(-1e20, 1e20), width_ulps=st.integers(0, 4),
+       deadband_ulps=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
+# both ends have odd significands, so each keeps a band of one spacing, while
+# 20.0, between them, has none: a test at the ends alone would pass it
+@example(mean=20.0 + math.ulp(20.0), width_ulps=2, deadband_ulps=1.0)
+def test_band_rule_leaves_every_drawn_load_a_band(mean, width_ulps, deadband_ulps):
+    width = width_ulps * math.ulp(mean)
+    deadband = deadband_ulps * math.ulp(mean)
+    spec = PopulationSpec(count=64, theta_set_mean=mean, theta_set_width=width,
+                          deadband=deadband, r_mean=1.0 + deadband,
+                          theta_ambient=2.0 * abs(mean) + width + 10.0)
+    errs = spec.violations()
+    if errs:
+        assert all(e.startswith("population.deadband ") for e in errs), errs
+        return
+    pop = generate_population(spec, seed=0)
+    assert np.all(pop.theta_min < pop.theta_max)
+
+
+def test_run_peak_memory_per_step(traced_peak):
+    # numpy imports its random module on first use; load it before tracing
+    np.random.SeedSequence(0)
+    trace, peak = traced_peak(lambda: run(Scenario(population=PopulationSpec(count=20),
+                                                   horizon_min=2880.0)))
+    n_steps = len(trace.step_power_kw)
+    assert n_steps == 17_280
+    # measured 43.2 B per step, 32 of them the four per-step series; 51.3
+    # while the trace also kept each step's time
+    assert peak <= 46 * n_steps
+
+
 def test_run_peak_memory_per_load(traced_peak):
     # numpy imports its random module on first use; load it before tracing
     np.random.SeedSequence(0)
@@ -597,9 +629,7 @@ def test_run_trace_shapes_and_frames():
     trace = run(s)
     assert trace.n_intervals == 6
     assert trace.time_min.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
-    assert trace.step_time_min.shape == (6 * 30,)
-    assert trace.step_time_min[0] == pytest.approx(10.0 / 60.0)
-    assert trace.step_time_min[-1] == pytest.approx(30.0)
+    assert trace.step_power_kw.shape == (6 * 30,)
     assert trace.sync.shape == trace.dispersion_degc.shape == (6,)
     assert trace.subgroup_sync.shape == (0, 6)
     assert trace.bid_sample.shape == (6, 16)
@@ -616,7 +646,7 @@ def test_trace_records_share_no_memory():
         f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
         if isinstance(getattr(trace, f.name), np.ndarray)
     }
-    assert trace.subgroup_sync.shape == (3, 6) and len(arrays) == 21
+    assert trace.subgroup_sync.shape == (3, 6) and len(arrays) == 20
     for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
         assert not np.shares_memory(x, y), (a, b)
     for name, x in arrays.items():

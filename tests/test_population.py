@@ -447,6 +447,18 @@ def test_invalid_per_load_array_raises_the_tclparams_message():
         assert str(vector.value) == str(scalar.value) == f"theta must be finite, got theta={theta}"
 
 
+def test_population_rejects_a_band_that_rounds_to_one_temperature():
+    # theta_set -/+ deadband/2 round to theta_set itself: no band to cycle in
+    for field, value, message in [
+        ("deadband", 1e-15, "TCL 3: deadband 1e-15 is below the float spacing at theta_set 20.0"),
+        ("theta_set", -1e17, "TCL 3: deadband 0.5 is below the float spacing at theta_set -1e+17"),
+    ]:
+        arrays = _device_arrays()
+        arrays[field][[3, 5]] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}: theta_set "):
+            Population(**arrays, theta_ambient=32.0)
+
+
 def test_population_requires_ambient_above_setpoints():
     params = [TclParams(id=0, theta_set=33.0)]
     with pytest.raises(ValueError, match=r"^theta_ambient must exceed every set-point "):

@@ -65,6 +65,14 @@ VIOLATIONS = [
      ["population.theta_set_width must be >= 0"]),
     ("deadband", {"population": {"deadband": 0}},
      ["population.deadband must be > 0"]),
+    ("deadband-spacing", {"population": {"deadband": 1e-15}},
+     ["population.deadband (1e-15) must be at least twice the float spacing 3.55e-15 at the "
+      "set-point farthest from 0 (20 degC), or the thermostat band theta_set +/- deadband/2 "
+      "rounds to one temperature"]),
+    ("deadband-spacing-far", {"population": {"theta_set_mean": -1e17, "theta_set_width": 5}},
+     ["population.deadband (0.5) must be at least twice the float spacing 16 at the "
+      "set-point farthest from 0 (-1e+17 degC), or the thermostat band theta_set +/- "
+      "deadband/2 rounds to one temperature"]),
     ("theta_ambient", {"population": {"theta_ambient": 19}},
      ["population.theta_ambient must exceed every possible set-point (cooling-load regime)"]),
     ("gamma_range-order", {"population": {"gamma_range": [30, 10]}},
