@@ -1,13 +1,13 @@
 """Feeder-constrained market clearing over an aggregate demand curve.
 
-The coordinator gathers anonymous (price, quantity) bids as two aligned
-arrays. The demand curve is those bids and the limb table of their
-quantities (:class:`~tclmarket.population.LimbTable`, the package's one
-exact summer), so the demand at any price is one exact total of the
-table. The market settles at the broadcast base price whenever the demand
-there fits under the feeder capacity. Only when it does not does the
-clearing price rise to the cheapest bid price above the base whose demand
-still respects the limit, and everyone below that price is priced out.
+The coordinator gathers anonymous (price, quantity) bids: an array of bid
+prices and the limb table of the quantities, the population's exact
+summer of its loads' P/eta (:class:`~tclmarket.population.LimbTable`),
+so the demand at any price is one exact total of the table. The market
+settles at the broadcast base price whenever the demand there fits under
+the feeder capacity. Only when it does not does the clearing price rise
+to the cheapest bid price above the base whose demand still respects the
+limit, and everyone below that price is priced out.
 Supply below the cap is treated as unlimited — the feeder is the only
 constraint, and no network structure is modeled.
 
@@ -19,8 +19,7 @@ leaving headroom unused.
 
 Every quantity the market reports or compares against the limit is an
 exact total of the table, rounded once, so `cleared_demand <=
-feeder_limit` and what follows from it hold without tolerance. The caller
-may pass the table in place of the quantities.
+feeder_limit` and what follows from it hold without tolerance.
 """
 
 from __future__ import annotations
@@ -72,29 +71,24 @@ class ClearingResult:
     base_demand: float
 
 
-def build_demand_curve(prices, quantities) -> DemandCurve:
-    """The demand curve of bids given as aligned price and quantity arrays.
+def build_demand_curve(prices: np.ndarray, table: LimbTable) -> DemandCurve:
+    """The demand curve of bids at ``prices`` offering the values of ``table``.
 
-    Zero-price bids stay on the curve (they clear only at a clearing price
-    of zero). A bad bid is reported by its index, which is the bidding
-    TCL's id. ``quantities`` may also be a :class:`LimbTable` of the
-    quantities, which the curve then uses as it is: its constructor has
-    checked them, so only the prices are checked.
+    ``prices`` is a 1-D float64 array aligned with ``table.values``; the
+    table's constructor has checked the quantities, so only the prices are
+    checked here. Zero-price bids stay on the curve (they clear only at a
+    clearing price of zero). A bad price is reported by its index, which is
+    the bidding TCL's id.
     """
-    prices = np.asarray(prices, dtype=np.float64)
-    table = quantities if isinstance(quantities, LimbTable) else None
-    quantities = np.asarray(quantities, dtype=np.float64) if table is None else table.values
-    if prices.shape != quantities.shape or prices.ndim != 1:
+    if prices.shape != table.values.shape or prices.ndim != 1:
         raise ValueError(
-            f"prices {prices.shape} and quantities {quantities.shape} "
+            f"prices {prices.shape} and quantities {table.values.shape} "
             "must be aligned 1-D arrays"
         )
     # a NaN fails both comparisons
     if not (prices.min(initial=0.0) >= 0 and prices.max(initial=0.0) < math.inf):
         i = int(np.argmax(~(np.isfinite(prices) & (prices >= 0))))
         raise ValueError(f"bid from TCL {i}: price must be finite and >= 0")
-    if table is None:
-        table = LimbTable(quantities, "quantity", "bid from TCL {}")
     return DemandCurve(prices, table)
 
 

@@ -16,7 +16,7 @@ sliding-window view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "sync_index",
-    "cycle_phases",
     "temperature_dispersion",
     "MetricsReport",
     "compute_metrics",
@@ -78,30 +77,27 @@ def sync_index(
     m: np.ndarray,
     theta_min: np.ndarray,
     theta_max: np.ndarray,
-    slices: Optional[Sequence[tuple[int, int]]] = None,
-) -> float | list[float]:
-    """Order parameter |mean(exp(i*phase))| in [0, 1].
+    slices: Sequence[tuple[int, int]],
+) -> list[float]:
+    """Order parameters |mean(exp(i*phase))| in [0, 1] of ranges of the loads.
+
+    ``slices`` is a sequence of nonempty ``(start, stop)`` index ranges; the
+    result is the list of the order parameters of those ranges of one phasor
+    array. Each equals the index of the range's loads taken alone bit for
+    bit: a phase depends only on its own load, and a contiguous range's mean
+    sums its phasors as a copy of them would be summed.
 
     The phasors are built in one complex array: real part +0.0, imaginary
     part the phases, exponentiated in place. ``1j * phases`` is that same
     array (its real part is ``0*phase - 1*0 = +0.0``), so the result equals
     ``np.exp(1j * phases)`` bit for bit, without the product's temporary.
-
-    With ``slices``, a sequence of nonempty ``(start, stop)`` index ranges,
-    returns the list of the order parameters of those ranges of the one
-    phasor array. Each equals the index of the range's loads taken alone
-    bit for bit: a phase depends only on its own load, and a contiguous
-    range's mean sums its phasors as a copy of them would be summed.
     """
-    theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
         raise ValueError("sync_index needs a nonempty population")
-    phases = cycle_phases(theta, np.asarray(m), theta_min, theta_max)
+    phases = cycle_phases(theta, m, theta_min, theta_max)
     phasors = np.zeros(phases.shape, dtype=np.complex128)
     phasors.imag = phases
     np.exp(phasors, out=phasors)
-    if slices is None:
-        return _order_parameter(phasors)
     return [_order_parameter(phasors[start:stop]) for start, stop in slices]
 
 

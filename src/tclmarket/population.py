@@ -87,6 +87,24 @@ def check_params(params, first_id: int = 0) -> None:
     raise ValueError(message.format(id=first_id + i, theta_gain=found["P"] * found["R"], **found))
 
 
+def check_band(params, theta_min: np.ndarray, theta_max: np.ndarray, first_id: int = 0) -> None:
+    """Raise ValueError for the first TCL whose band edges do not hold ``theta_min < theta_max``.
+
+    A deadband below the float spacing at theta_set leaves no band: theta_set
+    +/- deadband/2 round to one temperature. ``params`` has the 1-D float64
+    arrays ``deadband`` and ``theta_set`` the message reads, and its TCL i is
+    named ``first_id + i``.
+    """
+    band = theta_min < theta_max
+    if not band.all():
+        i = int(np.argmin(band))
+        raise ValueError(
+            f"TCL {first_id + i}: deadband {params.deadband.item(i)} is below the float "
+            f"spacing at theta_set {params.theta_set.item(i)}: theta_set +/- deadband/2 "
+            "round to one temperature"
+        )
+
+
 def check_state(theta: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
     """Raise ValueError for the first TCL whose m or v is not 0 or 1.
 
@@ -128,10 +146,9 @@ class Population:
     ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
     view, however it was passed or derived. The constructor checks the
-    validity rules of every TCL, that its band edges hold ``theta_min <
-    theta_max`` (a deadband below the float spacing at theta_set leaves
-    none), and its initial state (see :func:`check_state`), and raises the
-    message of the first offending one.
+    validity rules of every TCL, its band edges (see :func:`check_band`) and
+    its initial state (see :func:`check_state`), and raises the message of
+    the first offending one.
     The population never draws noise; callers pass samples in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
@@ -167,16 +184,9 @@ class Population:
         self.elec_power = one_value(self.P / self.eta)
 
         check_params(self)
-        band = self.theta_min < self.theta_max
-        if not band.all():
-            i = int(np.argmin(band))
-            raise ValueError(
-                f"TCL {i}: deadband {self.deadband.item(i)} is below the float spacing at "
-                f"theta_set {self.theta_set.item(i)}: theta_set +/- deadband/2 round to one "
-                "temperature"
-            )
+        check_band(self, self.theta_min, self.theta_max)
         check_state(self.theta, m, v)
-        self.power_limbs = LimbTable(self.elec_power, "P/eta", "TCL {}")
+        self.power_limbs = LimbTable(self.elec_power)
 
         if not math.isfinite(self.theta_ambient):
             raise ValueError(f"theta_ambient must be finite, got {self.theta_ambient}")
@@ -281,11 +291,7 @@ class Population:
         return self._forcing
 
     def step_physics(
-        self,
-        h: float,
-        noise: Optional[np.ndarray] = None,
-        theta_out: Optional[np.ndarray] = None,
-        m_out: Optional[np.ndarray] = None,
+        self, h: float, noise: Optional[np.ndarray], theta_out: np.ndarray, m_out: np.ndarray
     ) -> None:
         """One physics step: switches first (from current theta), then theta.
 
@@ -293,18 +299,17 @@ class Population:
         it, and holds otherwise (as the oracle's ``hysteresis_update``);
         ``noise`` is degC per TCL (None = 0). The new theta is written into
         ``theta_out`` and the new switches into ``m_out``, a float64 and a
-        boolean length-n array the caller owns (None = a fresh one). ``theta``
-        and ``m`` then refer to them, so the caller must not overwrite either
-        before the next step has read it; either may be the array the step
-        reads, as the step works element by element.
+        boolean length-n array the caller owns. ``theta`` and ``m`` then
+        refer to them, so the caller must not overwrite either before the
+        next step has read it; either may be the array the step reads, as
+        the step works element by element.
 
         The switches are ``m = (m | (theta > theta_max)) > (theta < theta_min)``,
         which a NaN theta leaves unchanged; the band tests go through the
         first n bytes of the forcing scratch. The forcing term is then
-        :meth:`forcing` of the new ``m``. Given both output arrays, a step
-        allocates nothing. At a thousand loads a step costs mostly call
-        overhead, so its ufuncs (eight, nine with noise) take positional
-        outputs.
+        :meth:`forcing` of the new ``m``. A step allocates nothing. At a
+        thousand loads a step costs mostly call overhead, so its ufuncs
+        (eight, nine with noise) take positional outputs.
         """
         a = (self._step_terms.get(h) or self.step_terms(h))[0]
         theta, band = self.theta, self._band
@@ -347,38 +352,37 @@ class LimbTable:
     exponents of the largest and the smallest differ by at most
     ``MAX_POWER_EXPONENT_SPAN``, and the exact total rounds to a finite
     float64 (then every partial total does; for one value, ``n * value``
-    is finite). Messages call the values ``what`` and value i
-    ``who.format(i)``.
+    is finite).
     """
 
-    def __init__(self, values: np.ndarray, what: str, who: str):
+    def __init__(self, values: np.ndarray):
         self.values = values
         smallest, largest = float(values.min(initial=math.inf)), float(values.max(initial=0.0))
         if not (smallest > 0 and largest < math.inf):   # a NaN fails both
             i = int(np.argmax(~(np.isfinite(values) & (values > 0))))
-            raise ValueError(f"{who.format(i)}: {what} must be finite and > 0")
+            raise ValueError(f"TCL {i}: P/eta must be finite and > 0")
         self.value = smallest if len(values) > 0 and values.strides == (0,) else None
         if self.value is not None:
             fits = math.isfinite(len(values) * self.value)
         else:
-            fits = self._build_limbs(smallest, largest, what, who)
+            fits = self._build_limbs(smallest, largest)
         if not fits:
             raise ValueError(
-                f"{what} sums past the float64 range: the exact total of all {len(values)} "
+                f"P/eta sums past the float64 range: the exact total of all {len(values)} "
                 f"values exceeds {float(np.finfo(np.float64).max)!r} (largest {largest!r}, "
-                f"{who.format(int(np.argmax(values)))})"
+                f"TCL {int(np.argmax(values))})"
             )
 
-    def _build_limbs(self, smallest: float, largest: float, what: str, who: str) -> bool:
+    def _build_limbs(self, smallest: float, largest: float) -> bool:
         """Set ``lo``, ``width`` and ``limbs``; whether the exact total is finite."""
         values = self.values
         self.lo = math.frexp(smallest)[1] - 53   # x = f * 2**e, 1/2 <= f < 1
         span = math.frexp(largest)[1] - self.lo  # bits in the largest x / 2**lo
         if span - 53 > MAX_POWER_EXPONENT_SPAN:
             raise ValueError(
-                f"{what} spans too many binary orders of magnitude for an exact sum: "
-                f"smallest {smallest!r} ({who.format(int(np.argmin(values)))}), largest "
-                f"{largest!r} ({who.format(int(np.argmax(values)))}); their frexp exponents "
+                f"P/eta spans too many binary orders of magnitude for an exact sum: "
+                f"smallest {smallest!r} (TCL {int(np.argmin(values))}), largest "
+                f"{largest!r} (TCL {int(np.argmax(values))}); their frexp exponents "
                 f"may differ by at most {MAX_POWER_EXPONENT_SPAN}"
             )
         self.width = 53 - len(values).bit_length()
@@ -397,20 +401,18 @@ class LimbTable:
         """The exact total of the values each row of a boolean ``mask`` selects.
 
         ``mask`` has length n, or B x n with one row per total (None = every
-        value). A table of one value multiplies each mask row's count of
-        selected values by it; for a B x n mask, ``counts`` gives those
-        counts, one per row, when the caller has them, else they are counted
-        here. Otherwise one matrix product sums every limb row over every
-        mask row, exactly; each mask row's limb sums are combined as Python
-        integers, and one integer division by ``2**-lo`` rounds the total
-        correctly (OverflowError past float64).
+        value); a B x n mask comes with ``counts``, the number of values each
+        of its rows selects. A table of one value multiplies each mask row's
+        count of selected values by it. Otherwise one matrix product sums
+        every limb row over every mask row, exactly; each mask row's limb
+        sums are combined as Python integers, and one integer division by
+        ``2**-lo`` rounds the total correctly (OverflowError past float64).
         Returns a float for a 1-D mask or None, and an array of B floats for
         a B x n one.
         """
         if self.value is not None:
             if mask is not None and mask.ndim == 2:
-                return np.multiply(np.count_nonzero(mask, axis=1) if counts is None else counts,
-                                   self.value)
+                return np.multiply(counts, self.value)
             return float((len(self.values) if mask is None else np.count_nonzero(mask))
                          * self.value)
         limbs = self.limbs
@@ -424,13 +426,11 @@ class LimbTable:
         return np.array(totals) if mask is not None and mask.ndim == 2 else totals[0]
 
 
-def aggregate_power(
-    population: Population, consuming: np.ndarray, counts: Optional[np.ndarray] = None
-):
-    """Total electrical power drawn, kW, by each row of a consuming mask.
+def aggregate_power(population: Population, consuming: np.ndarray, counts: np.ndarray):
+    """Total electrical power drawn, kW, by each row of a B x n consuming mask.
 
     The exact sum of P/eta over the row's consuming TCLs (m and v both 1),
     rounded once: the :meth:`LimbTable.total` of ``consuming``, given the
-    ``counts`` of consuming TCLs per row if the caller has them.
+    ``counts`` of consuming TCLs per row.
     """
     return population.power_limbs.total(consuming, counts)

@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from tclmarket.population import PARAM_FIELDS, Population, check_params, check_state
+from tclmarket.population import (
+    PARAM_FIELDS, Population, check_band, check_params, check_state,
+)
 
 __all__ = [
     "TclParams",
@@ -70,6 +72,7 @@ class TclParams:
             **{name: np.array([getattr(self, name)], dtype=np.float64) for name in PARAM_FIELDS}
         )
         check_params(one_tcl, self.id)
+        check_band(one_tcl, np.array([self.theta_min]), np.array([self.theta_max]), self.id)
 
     @property
     def theta_min(self) -> float:

@@ -26,6 +26,7 @@ from tclmarket.cli import builtin_scenario, main
 from tclmarket.engine import run
 from tclmarket.market import DEFAULT_PRICE_TICK, build_demand_curve, clear
 from tclmarket.metrics import compute_metrics
+from tclmarket.population import LimbTable
 from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario
 from oracle import Bid, TclParams, TclState, make_bid, population_from_devices
 
@@ -171,7 +172,8 @@ def test_criterion_02_clearing_matches_bruteforce_oracle():
         ]
         base = rng.choice([0.0, 5.0, 9.0, 10.0, 20.0, 31.0, 50.0, 60.0])
         feeder = rng.uniform(0.05, 25.0)
-        curve = build_demand_curve([b.price for b in bids], [b.quantity for b in bids])
+        curve = build_demand_curve(np.array([b.price for b in bids]),
+                                   LimbTable(np.array([b.quantity for b in bids])))
         got = clear(curve, base, feeder)
         want = _oracle_clear(bids, base, feeder)
         if (got.clearing_price, got.cleared_demand, got.constrained, got.base_demand) != want:

@@ -268,9 +268,10 @@ def test_run_builds_no_per_load_objects(monkeypatch):
 def test_run_clears_with_one_exact_total_or_a_logarithmic_count(monkeypatch):
     # An unconstrained interval sums the demand at the base once; a
     # constrained one adds one exact total per halving of the m bids above
-    # the base, plus the demand at the clearing price.
+    # the base, plus the demand at the clearing price. Every curve sums on
+    # the population's own limb table.
     demand, clear = market.DemandCurve.demand, engine.clear
-    clears = []
+    clears, tables = [], []
 
     def count_demand(curve, price):
         clears[-1][1] += 1
@@ -278,6 +279,7 @@ def test_run_clears_with_one_exact_total_or_a_logarithmic_count(monkeypatch):
 
     def record_clear(curve, base_price, *args):
         clears.append([None, 0, int(np.count_nonzero(curve.bids > base_price))])
+        tables.append(curve.table)
         result = clear(curve, base_price, *args)
         clears[-1][0] = result.constrained
         return result
@@ -290,6 +292,8 @@ def test_run_clears_with_one_exact_total_or_a_logarithmic_count(monkeypatch):
         horizon_min=45.0,
     ))
     assert [c for c, _, _ in clears] == trace.constrained.tolist()
+    assert len(tables) == trace.n_intervals
+    assert all(table is trace.population.power_limbs for table in tables)
     assert 0 < trace.constrained.sum() < trace.n_intervals
     assert all(totals == 1 for c, totals, _ in clears if not c)
     assert all(totals <= m.bit_length() + 2 for c, totals, m in clears if c)
@@ -791,7 +795,7 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     step_physics, bid_prices = Population.step_physics, engine.bid_prices
     aggregate_power = engine.aggregate_power
 
-    def record_step(pop, h, noise=None, theta_out=None, m_out=None):
+    def record_step(pop, h, noise, theta_out, m_out):
         assert theta_out.base.shape == m_out.base.shape == (block, 150)
         noises.append(noise.copy())
         step_physics(pop, h, noise, theta_out, m_out)
@@ -844,10 +848,11 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     members = [slice(50 * g, 50 * (g + 1)) for g in range(3)]   # 150 loads in 3 blocks
     for t in range(12):
         theta, m, _ = steps[60 * t + 59]
-        assert trace.sync[t] == sync_index(theta, m, pop.theta_min, pop.theta_max)
+        assert trace.sync[t] == sync_index(theta, m, pop.theta_min, pop.theta_max, [(0, 150)])[0]
         assert trace.dispersion_degc[t] == temperature_dispersion(theta, pop.theta_set)
         assert trace.subgroup_sync[:, t].tolist() == [
-            sync_index(theta[g], m[g], pop.theta_min[g], pop.theta_max[g]) for g in members
+            sync_index(theta[g], m[g], pop.theta_min[g], pop.theta_max[g], [(0, 50)])[0]
+            for g in members
         ]
     # nothing is recorded per TCL per interval
     for name, value in vars(trace).items():

@@ -25,7 +25,8 @@ from tclmarket.market import (
 
 def curve_of(bids):
     """The demand curve of a bid list; bid i sits at array index i."""
-    return build_demand_curve([b.price for b in bids], [b.quantity for b in bids])
+    return build_demand_curve(np.array([b.price for b in bids]),
+                              LimbTable(np.array([b.quantity for b in bids])))
 
 
 def points(curve):
@@ -62,30 +63,30 @@ def test_curve_order_independent():
 
 
 def test_curve_takes_a_limb_table_of_the_quantities():
-    prices, quantities = [30.0, 50.0, 30.0, 10.0], np.array([1.5, 2.0, 0.5, 2.5])
-    table = LimbTable(quantities, "quantity", "bid from TCL {}")
+    prices = np.array([30.0, 50.0, 30.0, 10.0])
+    table = LimbTable(np.array([1.5, 2.0, 0.5, 2.5]))
     curve = build_demand_curve(prices, table)
-    assert curve.table is table
-    assert points(curve) == points(build_demand_curve(prices, quantities))
+    assert curve.bids is prices and curve.table is table
     assert points(curve) == ((50.0, 2.0), (30.0, 4.0), (10.0, 6.5))
     with pytest.raises(ValueError, match="TCL 2: price"):
-        build_demand_curve([30.0, 50.0, -1.0, 10.0], table)
+        build_demand_curve(np.array([30.0, 50.0, -1.0, 10.0]), table)
     with pytest.raises(ValueError, match="aligned"):
-        build_demand_curve([30.0, 50.0], table)
+        build_demand_curve(np.array([30.0, 50.0]), table)
 
 
 def test_curve_rejects_quantities_no_limb_table_sums_exactly():
     tiny = 2.0**-971
     # frexp exponents 2 and -970 differ by one more than a table holds
     assert math.frexp(3.0)[1] - math.frexp(tiny)[1] == MAX_POWER_EXPONENT_SPAN + 1
-    with pytest.raises(ValueError, match=r"quantity spans too many binary orders.*"
-                       rf"smallest {tiny!r} \(bid from TCL 1\), largest 3\.0 \(bid from TCL 2\); "
+    with pytest.raises(ValueError, match=r"P/eta spans too many binary orders.*"
+                       rf"smallest {tiny!r} \(TCL 1\), largest 3\.0 \(TCL 2\); "
                        r"their frexp exponents may differ by at most 971"):
-        build_demand_curve([10.0, 20.0, 30.0], [1.0, tiny, 3.0])
-    curve = build_demand_curve([10.0, 20.0, 30.0], [1.0, tiny, 1.5])   # a span of 971 fits
+        LimbTable(np.array([1.0, tiny, 3.0]))
+    # a span of 971 fits
+    curve = build_demand_curve(np.array([10.0, 20.0, 30.0]), LimbTable(np.array([1.0, tiny, 1.5])))
     assert curve.demand(0.0) == 2.5   # the exact 2.5 + tiny, rounded once
-    with pytest.raises(ValueError, match=r"quantity sums past the float64 range.*bid from TCL 0"):
-        build_demand_curve([10.0, 20.0], [1.5e308, 1.5e308])
+    with pytest.raises(ValueError, match=r"P/eta sums past the float64 range.*TCL 0"):
+        LimbTable(np.array([1.5e308, 1.5e308]))
 
 
 def test_curve_rejects_bad_bids():
@@ -94,18 +95,18 @@ def test_curve_rejects_bad_bids():
 
     with pytest.raises(ValueError, match="TCL 7: price"):
         curve_of(bids_with(7, -1.0, 2.0))
-    with pytest.raises(ValueError, match="TCL 3: quantity"):
+    with pytest.raises(ValueError, match="TCL 3: P/eta"):
         curve_of(bids_with(3, 10.0, 0.0))
     with pytest.raises(ValueError, match="TCL 9: price"):
         curve_of(bids_with(9, float("nan"), 2.0))
     with pytest.raises(ValueError, match="TCL 4: price"):
         curve_of(bids_with(4, math.inf, 2.0))
-    with pytest.raises(ValueError, match="TCL 5: quantity"):
+    with pytest.raises(ValueError, match="TCL 5: P/eta"):
         curve_of(bids_with(5, 10.0, float("nan")))
-    with pytest.raises(ValueError, match="TCL 6: quantity"):
+    with pytest.raises(ValueError, match="TCL 6: P/eta"):
         curve_of(bids_with(6, 10.0, math.inf))
     with pytest.raises(ValueError, match="aligned"):
-        build_demand_curve([10.0, 20.0], [2.0])
+        build_demand_curve(np.array([10.0, 20.0]), LimbTable(np.array([2.0])))
 
 
 def test_demand_lookup_steps_at_breakpoints():
@@ -262,7 +263,7 @@ def test_clear_is_exact_at_large_n_near_the_limit():
     quantities = rng.choice([0.1, 1 / 3], n)
     jittered = rng.random(n) < 1 / 3
     quantities[jittered] *= rng.uniform(0.5, 1.5, jittered.sum())
-    curve = build_demand_curve(prices, quantities)
+    curve = build_demand_curve(prices, LimbTable(quantities))
     assert len(curve) == n
 
     levels = sorted(prices.tolist(), reverse=True)
@@ -310,7 +311,7 @@ def test_build_and_constrained_clear_allocate_little_beyond_the_table(traced_pea
     limit = 0.3 * math.fsum(quantities.tolist())   # below the demand at either base
 
     def build_and_clear():
-        curve = build_demand_curve(prices, quantities)
+        curve = build_demand_curve(prices, LimbTable(quantities))
         return curve, clear(curve, base, limit)
 
     (curve, result), peak = traced_peak(build_and_clear)
@@ -348,9 +349,8 @@ def test_clear_matches_exact_sums_on_multi_row_limb_tables(data):
                                 min_size=n, max_size=n))
     levels = sorted(set(prices), reverse=True)
     base = data.draw(st.sampled_from([0.0, 7.5, 20.0, 50.0] + levels))
-    limbs = build_demand_curve(prices, quantities)
-    one_value = build_demand_curve(prices, LimbTable(np.broadcast_to(quantities[-1], n),
-                                                     "quantity", "bid from TCL {}"))
+    limbs = build_demand_curve(np.array(prices), LimbTable(np.array(quantities)))
+    one_value = build_demand_curve(np.array(prices), LimbTable(np.broadcast_to(quantities[-1], n)))
     assert len(limbs.table.limbs) >= 3 and one_value.table.value == quantities[-1]
 
     for curve, bid_quantities in ((limbs, quantities), (one_value, [quantities[-1]] * n)):

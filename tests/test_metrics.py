@@ -122,42 +122,47 @@ def hi(n):
     return np.full(n, 20.25)
 
 
+def sync_of(theta, m, theta_min, theta_max):
+    """The sync index of all the loads: one slice over the whole array."""
+    return sync_index(theta, m, theta_min, theta_max, [(0, len(theta))])[0]
+
+
 def test_identical_population_is_fully_synchronized():
     theta = np.full(10, 20.1)
     m = np.ones(10, dtype=int)
-    assert sync_index(theta, m, lo(10), hi(10)) == 1.0
+    assert sync_of(theta, m, lo(10), hi(10)) == 1.0
 
 
 def test_quadrature_phases_cancel():
     # phases 0, pi/2, pi, 3*pi/2
     theta = np.array([19.75, 20.0, 20.25, 20.0])
     m = np.array([0, 0, 0, 1])
-    assert sync_index(theta, m, lo(4), hi(4)) == pytest.approx(0.0, abs=1e-12)
+    assert sync_of(theta, m, lo(4), hi(4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_coherent_groups_in_antiphase_cancel():
     # ten devices at pi/4 against ten at 5*pi/4
     theta = np.concatenate([np.full(10, 19.875), np.full(10, 20.125)])
     m = np.array([0] * 10 + [1] * 10)
-    assert sync_index(theta, m, lo(20), hi(20)) == pytest.approx(0.0, abs=1e-12)
+    assert sync_of(theta, m, lo(20), hi(20)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sync_index_invariant_under_relabeling():
     rng = np.random.default_rng(0)
     theta = rng.uniform(19.75, 20.25, 30)
     m = rng.integers(0, 2, 30)
-    base = sync_index(theta, m, lo(30), hi(30))
+    base = sync_of(theta, m, lo(30), hi(30))
     perm = rng.permutation(30)
-    assert sync_index(theta[perm], m[perm], lo(30), hi(30)) == pytest.approx(base)
+    assert sync_of(theta[perm], m[perm], lo(30), hi(30)) == pytest.approx(base)
 
 
 def test_adding_a_device_at_the_common_phase_keeps_unity():
     theta = np.full(5, 19.9)
     m = np.zeros(5, dtype=int)
-    assert sync_index(theta, m, lo(5), hi(5)) == 1.0
+    assert sync_of(theta, m, lo(5), hi(5)) == 1.0
     theta2 = np.append(theta, 19.9)
     m2 = np.append(m, 0)
-    assert sync_index(theta2, m2, lo(6), hi(6)) == 1.0
+    assert sync_of(theta2, m2, lo(6), hi(6)) == 1.0
 
 
 def _sync_oracle(theta, m, theta_min, theta_max):
@@ -190,7 +195,7 @@ def test_sync_index_equals_the_phasor_product_form(n, seed, edge_share, theta_mo
     m = {"random": rng.integers(0, 2, n), "all on": np.ones(n, dtype=int),
          "all off": np.zeros(n, dtype=int)}[m_mode]
     expected = _sync_oracle(theta, m, theta_min, theta_max)
-    assert sync_index(theta, m, theta_min, theta_max) == expected
+    assert sync_of(theta, m, theta_min, theta_max) == expected
     # sync_index takes the phasor mean as sum / n: the reduction and division of mean()
     phasors = np.exp(1j * cycle_phases(theta, m, theta_min, theta_max))
     assert np.complex128(phasors.sum() / n).tobytes() == phasors.mean().tobytes()
@@ -211,9 +216,8 @@ def test_subgroup_slices_give_the_sync_index_of_each_subgroup(n, K, seed):
     groups, edges = _subgroup_ranges(n, K)
     slices = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     assert len(slices) == len(groups) == min(n, K)
-    expected = [sync_index(theta, m, theta_min, theta_max)] + [
-        sync_index(theta[labels == g], m[labels == g],
-                   theta_min[labels == g], theta_max[labels == g])
+    expected = [sync_of(theta, m, theta_min, theta_max)] + [
+        sync_of(theta[labels == g], m[labels == g], theta_min[labels == g], theta_max[labels == g])
         for g in groups
     ]
     assert sync_index(theta, m, theta_min, theta_max, [(0, n)] + slices) == expected
@@ -224,7 +228,7 @@ def test_sync_index_allocates_only_the_phasors(traced_peak):
     rng = np.random.default_rng(5)
     theta, m = rng.uniform(19.5, 20.5, n), rng.integers(0, 2, n).astype(bool)
     theta_min, theta_max = lo(n), hi(n)
-    _, peak = traced_peak(lambda: sync_index(theta, m, theta_min, theta_max))
+    _, peak = traced_peak(lambda: sync_index(theta, m, theta_min, theta_max, [(0, n)]))
     # 16 B per load of complex phasors and 8 of phases (measured 24.0 B per
     # load; the phasors from 1j * phases took 40)
     assert peak <= 25 * n
@@ -234,14 +238,14 @@ def test_sync_index_of_a_nan_temperature_is_nan():
     # min(1.0, nan) is 1.0: a NaN must not read as perfect synchrony
     theta = np.array([math.nan, math.inf])
     with np.errstate(invalid="ignore"):   # the phasor of a NaN phase
-        whole = sync_index(theta, np.array([1, 0]), lo(2), hi(2))
+        whole = sync_of(theta, np.array([1, 0]), lo(2), hi(2))
         parts = sync_index(theta, np.array([1, 0]), lo(2), hi(2), [(0, 1), (1, 2)])
     assert math.isnan(whole) and math.isnan(parts[0]) and parts[1] == 1.0
 
 
 def test_sync_index_rejects_empty_population():
     with pytest.raises(ValueError):
-        sync_index(np.array([]), np.array([]), np.array([]), np.array([]))
+        sync_index(np.array([]), np.array([]), np.array([]), np.array([]), [])
 
 
 def test_temperature_dispersion():

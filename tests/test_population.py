@@ -162,14 +162,19 @@ def _pop(states, n=3):
     return population_from_devices(params, states, theta_ambient=32.0)
 
 
+def _power(pop, consuming):
+    """The power drawn by one consuming mask, as run() sums a block of them."""
+    return float(aggregate_power(pop, consuming[None], np.array([np.count_nonzero(consuming)]))[0])
+
+
 def test_aggregate_power_all_off_is_zero():
     pop = _pop([TclState(20.0, 0, 1) for _ in range(3)])
-    assert aggregate_power(pop, pop.m & pop.v) == 0.0
+    assert _power(pop, pop.m & pop.v) == 0.0
 
 
 def test_aggregate_power_counts_only_consuming_units():
     pop = _pop([TclState(20.0, 1, 1), TclState(20.0, 1, 0), TclState(20.0, 0, 1)])
-    assert aggregate_power(pop, pop.m & pop.v) == 5.6
+    assert _power(pop, pop.m & pop.v) == 5.6
 
 
 def _population_of(P, eta, m, v):
@@ -197,8 +202,8 @@ def test_aggregate_power_equals_fsum_of_consuming_loads(n, seed, switches):
     v = rng.integers(0, 2, n) if switches == "random" else m
     pop = _population_of(P, eta, m, v)
     expected = math.fsum(pop.elec_power[pop.m & pop.v].tolist())
-    assert aggregate_power(pop, pop.m & pop.v) == expected
-    assert math.copysign(1.0, aggregate_power(pop, pop.m & pop.v)) == 1.0   # never -0.0
+    assert _power(pop, pop.m & pop.v) == expected
+    assert math.copysign(1.0, _power(pop, pop.m & pop.v)) == 1.0   # never -0.0
 
 
 def test_aggregate_power_is_exact_at_the_width_bound():
@@ -209,7 +214,7 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     # table is built from the full array here.
     n = 2**17 - 1
     P = np.full(n, 8.0 - 2.0**-50)
-    table = LimbTable(P, "P/eta", "TCL {}")
+    table = LimbTable(P)
     limbs, lo, width = table.limbs, table.lo, table.width
     assert sum(int(d) << (width * j) for j, d in enumerate(limbs[:, 0])) == 2**53 - 1
     assert lo == -50
@@ -218,11 +223,11 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     assert (limbs @ np.ones(n)).tolist() == exact
     assert table.total() == math.fsum(P.tolist())
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
-    assert aggregate_power(pop, pop.m & pop.v) == math.fsum(P.tolist())
+    assert _power(pop, pop.m & pop.v) == math.fsum(P.tolist())
     pop.v = np.arange(n) % 3 != 0
     consuming = pop.m & pop.v
-    assert aggregate_power(pop, consuming) == math.fsum(P[consuming].tolist())
-    assert table.total(consuming) == aggregate_power(pop, consuming)
+    assert _power(pop, consuming) == math.fsum(P[consuming].tolist())
+    assert table.total(consuming) == _power(pop, consuming)
 
 
 def _spread_population(R, P, eta, m):
@@ -249,7 +254,7 @@ def test_aggregate_power_is_exact_at_the_exponent_span_bound():
     for mask in itertools.product([False, True], repeat=3):
         consuming = np.array(mask)
         expected = math.fsum(pop.elec_power[consuming].tolist())
-        assert aggregate_power(pop, consuming) == expected, mask
+        assert _power(pop, consuming) == expected, mask
     with pytest.raises(ValueError, match="at most 971"):
         _spread_population(R, [2.0**-963, big, 14.0], eta, [1, 1, 1])
 
@@ -266,7 +271,7 @@ def test_population_rejects_p_over_eta_whose_exact_total_overflows():
         _spread_population([28.0 / top, 28.0 / 2.0**970], [top, 2.0**970], [1.0] * 2, [1, 1])
     below = math.nextafter(2.0**970, 0.0)
     pop = _spread_population([28.0 / top, 28.0 / below], [top, below], [1.0] * 2, [1, 1])
-    assert pop.capacity_kw == aggregate_power(pop, pop.m & pop.v) == top
+    assert pop.capacity_kw == _power(pop, pop.m & pop.v) == top
     assert pop.capacity_kw == math.fsum([top, below])
 
 
@@ -283,6 +288,11 @@ def test_population_capacity_sums_electrical_power():
     assert pop.capacity_kw == pytest.approx(3 * 5.6)
 
 
+def _step(pop, h=10.0):
+    """One physics step into fresh output arrays."""
+    pop.step_physics(h, None, np.empty(pop.size), np.empty(pop.size, dtype=bool))
+
+
 def test_population_step_matches_scalar_ops_bit_for_bit():
     rng = np.random.default_rng(42)
     n = 64
@@ -297,7 +307,7 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
     pop = population_from_devices(params, states, theta_ambient=32.0)
     mirror = list(states)
     for _ in range(25):
-        pop.step_physics(10.0)
+        _step(pop)
         for i, s in enumerate(mirror):
             s = hysteresis_update(s, params[i])
             mirror[i] = thermal_step(s, params[i], 32.0, 10.0)
@@ -314,7 +324,7 @@ def test_step_physics_switch_rule_at_band_edges_and_nan():
     pop = _population_of(np.full(n, 14.0), np.full(n, 2.5), np.arange(n) % 2, np.ones(n))
     pop.theta = theta
     m = pop.m.copy()
-    pop.step_physics(10.0)
+    _step(pop)
     # the rule as written before the in-place update, and the reference's
     expected = (theta > pop.theta_max) | (m & ~(theta < pop.theta_min))
     assert pop.m.tolist() == expected.tolist()
@@ -332,7 +342,7 @@ def test_step_physics_allocates_no_temporaries():
     pop = _population_of(np.full(n, 14.0), np.full(n, 2.5), np.arange(n) % 2, np.ones(n))
     rows = np.empty((2, n)), np.empty((2, n), dtype=bool)
     noise = np.full(n, 1e-3)
-    pop.step_physics(10.0)   # builds the step terms
+    _step(pop)   # builds the step terms
     tracemalloc.start()
     try:
         for j in range(4):
@@ -386,9 +396,9 @@ def test_base_demand_from_limb_sum_equals_the_curve(base):
     prices = rng.choice([0.0, 9.0, 20.0, 31.25], n)
     base_price = {"tied with bids": 20.0, "above every bid": 42.0, "zero": 0.0}[base]
     expected = math.fsum(pop.elec_power[prices >= base_price].tolist())
-    got = aggregate_power(pop, prices >= base_price)
+    got = _power(pop, prices >= base_price)
     assert got == expected
-    assert build_demand_curve(prices, pop.elec_power).demand(base_price) == expected
+    assert build_demand_curve(prices, pop.power_limbs).demand(base_price) == expected
     assert math.copysign(1.0, got) == math.copysign(1.0, expected)
     assert (got == 0.0) == (base == "above every bid")
 
@@ -415,7 +425,7 @@ def test_invalid_per_load_array_raises_the_tclparams_message():
                          ("eta", float("inf")), ("P", float("inf")),
                          ("noise_std", float("inf")), ("noise_std", float("nan")),
                          ("theta_set", float("nan")), ("theta_set", float("-inf")),
-                         ("theta_set", float("inf"))]:
+                         ("theta_set", float("inf")), ("deadband", 1e-15)]:
         arrays = _device_arrays()
         arrays[field][[3, 5]] = value   # only the first offender is reported
         with pytest.raises(ValueError) as scalar:
@@ -565,8 +575,8 @@ def test_one_value_of_a_zero_stride_array_holds_its_own_copy(read_only):
 @pytest.mark.parametrize("value", [5.6, 8.0 - 2.0**-50, 5e-324, 1.5e300])
 def test_one_value_limb_table_totals_equal_the_full_table(n, value):
     # n = 2**k - 1 and 2**k give the two sides of a digit-width step
-    full = LimbTable(np.full(n, value), "P/eta", "TCL {}")
-    view = LimbTable(np.broadcast_to(value, n), "P/eta", "TCL {}")
+    full = LimbTable(np.full(n, value))
+    view = LimbTable(np.broadcast_to(value, n))
     # the view's totals are count x value, the full array's come from its limbs
     assert full.value is None and view.value == (None if n == 0 else value)
     assert hasattr(full, "limbs") and hasattr(view, "limbs") == (n == 0)
@@ -576,10 +586,9 @@ def test_one_value_limb_table_totals_equal_the_full_table(n, value):
     assert view.total().hex() == full.total().hex()
     for mask in masks:
         assert view.total(mask).hex() == full.total(mask).hex()
-    totals = view.total(masks)
-    assert totals.tobytes() == full.total(masks).tobytes()
-    counts = [int(np.count_nonzero(mask)) for mask in masks]
-    assert view.total(masks, counts).tobytes() == totals.tobytes()
+    counts = np.count_nonzero(masks, axis=1)
+    totals = view.total(masks, counts)
+    assert totals.tobytes() == full.total(masks, counts).tobytes()
     if n:
         assert totals[0] == math.fsum([value] * n)
 
@@ -602,14 +611,13 @@ def test_one_value_totals_are_the_exact_total_rounded_once(value):
     # largest value whose n-fold total is finite; every count from 0 to n
     n = 300
     value = _largest_shared_value(n) if value == "largest" else value
-    table = LimbTable(np.broadcast_to(value, n), "P/eta", "TCL {}")
-    full = LimbTable(np.full(n, value), "P/eta", "TCL {}")
+    table = LimbTable(np.broadcast_to(value, n))
+    full = LimbTable(np.full(n, value))
     masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c values
     expected = [float(c * Fraction(value)) for c in range(n + 1)]
-    assert table.total(masks).tolist() == expected
     assert table.total(masks, np.arange(n + 1)).tolist() == expected
     assert [table.total(mask) for mask in masks] == expected
-    assert full.total(masks).tolist() == expected
+    assert full.total(masks, np.arange(n + 1)).tolist() == expected
     assert table.total() == expected[-1] == full.total()
 
 
@@ -621,13 +629,13 @@ def test_one_value_table_rejects_one_ulp_above_the_largest_value():
                f"exceeds {sys.float_info.max!r} (largest {above!r}, TCL 0)")
     for values in (np.broadcast_to(above, n), np.full(n, above)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LimbTable(values, "P/eta", "TCL {}")
+            LimbTable(values)
 
 
 def test_one_value_limb_table_rejects_a_total_past_float64():
     for values in (np.full(2, 1.5e308), np.broadcast_to(1.5e308, 2)):
         with pytest.raises(ValueError, match="sums past the float64 range.*TCL 0"):
-            LimbTable(values, "P/eta", "TCL {}")
+            LimbTable(values)
 
 
 SHARED = ("R", "P", "eta", "theta_set", "deadband", "noise_std")
@@ -697,8 +705,9 @@ def test_derived_values_are_views_exactly_when_their_bits_agree(theta_set, deadb
         assert (derived.strides == (0,)) == shared, name
         assert not (shared and derived.flags.writeable), name
     # a one-value P/eta sums as count x value, as its limbs would
-    limbs = LimbTable(np.array(P) / np.array(eta), "P/eta", "TCL {}")
+    limbs = LimbTable(np.array(P) / np.array(eta))
     assert (pop.power_limbs.value is not None) == (pop.elec_power.strides == (0,))
     masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c loads
-    assert pop.power_limbs.total(masks).tobytes() == limbs.total(masks).tobytes()
-    assert [pop.power_limbs.total(mask) for mask in masks] == limbs.total(masks).tolist()
+    counts = np.arange(n + 1)
+    assert pop.power_limbs.total(masks, counts).tobytes() == limbs.total(masks, counts).tobytes()
+    assert [pop.power_limbs.total(mask) for mask in masks] == limbs.total(masks, counts).tolist()
