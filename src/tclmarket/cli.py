@@ -353,7 +353,7 @@ def _main(argv: Optional[list[str]]) -> int:
 
     print(f"scenario {scenario.name!r}  seed {scenario.seed}")
     print(
-        f"{trace.population.size} TCLs, capacity {trace.capacity_kw:.1f} kW, "
+        f"{trace.population.size} TCLs, capacity {trace.population.capacity_kw:.1f} kW, "
         f"feeder limit {trace.feeder_limit_kw:.1f} kW"
     )
     print(

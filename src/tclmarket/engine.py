@@ -164,10 +164,10 @@ class Trace:
     fraction and temperature summary, four float64 series (32 B per step).
     No record repeats the step's end time, ``(k + 1) * h_seconds / 60.0``
     min, which the scenario's grid gives. ``population`` carries the final
-    state and the per-TCL parameter arrays. Only ``subgroup_sync`` can grow
-    with TCLs times intervals: its k = min(n, K) rows for K subgroups reach
-    one per TCL when K >= n. Every other record grows with n or with T
-    alone, so a trace takes O(n + (k + 1)*T) memory.
+    state, the per-TCL parameter arrays and the capacity. Only
+    ``subgroup_sync`` can grow with TCLs times intervals: its k = min(n, K)
+    rows for K subgroups reach one per TCL when K >= n. Every other record
+    grows with n or with T alone, so a trace takes O(n + (k + 1)*T) memory.
 
     Each record lives only here: :func:`run` allocates every array before
     its first interval and writes each interval's and each block's values
@@ -180,7 +180,6 @@ class Trace:
     scenario: Scenario
     population: Population
     feeder_limit_kw: float
-    capacity_kw: float
     time_min: np.ndarray
     base_price: np.ndarray
     clearing_price: np.ndarray
@@ -261,8 +260,8 @@ def run(scenario: Scenario) -> Trace:
     Each interval clears once: :func:`clear` of the bids' demand curve over
     the population's limb table, which sorts the bids above the base price
     only when the exact demand there exceeds the feeder limit. The
-    population's capacity is summed once. The sync index of the whole
-    population and of each subgroup comes from one
+    population's capacity is its limb table's one sum. The sync index of
+    the whole population and of each subgroup comes from one
     :func:`~tclmarket.metrics.sync_index` call per interval, over one
     phasor array.
 
@@ -271,11 +270,10 @@ def run(scenario: Scenario) -> Trace:
     """
     plan = scenario.plan()
     pop = generate_population(scenario.population, scenario.seed)
-    capacity = pop.capacity_kw
     if scenario.feeder_limit_kw is not None:
         feeder_limit = float(scenario.feeder_limit_kw)
     else:
-        feeder_limit = scenario.feeder_fraction * capacity
+        feeder_limit = scenario.feeder_fraction * pop.capacity_kw
 
     n_intervals = plan.n_intervals
     steps_per = plan.steps_per_interval
@@ -298,7 +296,6 @@ def run(scenario: Scenario) -> Trace:
         scenario=scenario,
         population=pop,
         feeder_limit_kw=feeder_limit,
-        capacity_kw=capacity,
         time_min=np.arange(n_intervals) * scenario.market_interval_min,
         base_price=plan.base_price.copy(),
         clearing_price=np.empty(n_intervals),

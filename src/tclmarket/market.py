@@ -58,7 +58,8 @@ class DemandCurve:
 
     def demand(self, price: float) -> float:
         """Exact total quantity bid at or above ``price``, kW; a NaN price excludes no bid."""
-        return self.table.total(~(self.bids < price))
+        selected = ~(self.bids < price)   # one mask row; count_nonzero(keepdims=True) is slower
+        return self.table.total(selected[None], np.array([np.count_nonzero(selected)])).item()
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,8 @@ class Population:
 
     @property
     def capacity_kw(self) -> float:
-        """Total electrical draw if every TCL consumed at once, exact and rounded once."""
-        return self.power_limbs.total()
+        """Total electrical draw if every TCL consumed at once: the power table's ``sum``."""
+        return self.power_limbs.sum
 
     @property
     def v(self) -> np.ndarray:
@@ -264,7 +264,11 @@ class Population:
         """
         terms = self._step_terms.get(h)
         if terms is None:
-            exponents = -h / (self.C * self.R * 3600.0)
+            # C*R*3600 may overflow to inf or round to 0, and the quotient
+            # overflow: the exponent is then -0 or -inf, whose exp (1 or 0)
+            # is the exact limit of the decay, so neither warning applies
+            with np.errstate(over="ignore", divide="ignore"):
+                exponents = -h / (self.C * self.R * 3600.0)
             a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
             off = (1.0 - a) * self.theta_ambient
             flip, off_bits = np.empty(len(a), np.int64), off.view(np.int64)
@@ -347,34 +351,31 @@ class LimbTable:
     digits: any sum over one row is an integer below 2**53, so float64 adds
     it exactly in any order. An empty table has one row of no digits.
 
-    A table exists only for values it sums exactly: the constructor raises
-    ValueError unless every value is finite and positive, the frexp
-    exponents of the largest and the smallest differ by at most
-    ``MAX_POWER_EXPONENT_SPAN``, and the exact total rounds to a finite
-    float64 (then every partial total does; for one value, ``n * value``
-    is finite).
+    The constructor computes ``sum``, the exact total of all the values
+    rounded once. A table exists only for finite positive values (its one
+    owner, :class:`Population`, checks them) that it sums exactly: the
+    constructor raises ValueError unless the frexp exponents of the largest
+    and the smallest differ by at most ``MAX_POWER_EXPONENT_SPAN`` and
+    ``sum`` is finite (then every partial total is).
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        smallest, largest = float(values.min(initial=math.inf)), float(values.max(initial=0.0))
-        if not (smallest > 0 and largest < math.inf):   # a NaN fails both
-            i = int(np.argmax(~(np.isfinite(values) & (values > 0))))
-            raise ValueError(f"TCL {i}: P/eta must be finite and > 0")
-        self.value = smallest if len(values) > 0 and values.strides == (0,) else None
-        if self.value is not None:
-            fits = math.isfinite(len(values) * self.value)
+        if len(values) and values.strides == (0,):
+            self.value = largest = float(values[0])
+            self.sum = len(values) * largest
         else:
-            fits = self._build_limbs(smallest, largest)
-        if not fits:
+            self.value, largest = None, float(values.max(initial=0.0))
+            self.sum = self._build_limbs(float(values.min(initial=math.inf)), largest)
+        if self.sum == math.inf:
             raise ValueError(
                 f"P/eta sums past the float64 range: the exact total of all {len(values)} "
                 f"values exceeds {float(np.finfo(np.float64).max)!r} (largest {largest!r}, "
                 f"TCL {int(np.argmax(values))})"
             )
 
-    def _build_limbs(self, smallest: float, largest: float) -> bool:
-        """Set ``lo``, ``width`` and ``limbs``; whether the exact total is finite."""
+    def _build_limbs(self, smallest: float, largest: float) -> float:
+        """Set ``lo``, ``width`` and ``limbs``; the exact total of all values, inf past float64."""
         values = self.values
         self.lo = math.frexp(smallest)[1] - 53   # x = f * 2**e, 1/2 <= f < 1
         span = math.frexp(largest)[1] - self.lo  # bits in the largest x / 2**lo
@@ -392,38 +393,33 @@ class LimbTable:
             np.floor(row, out=row)
             np.fmod(row, 2.0**self.width, out=row)
         try:
-            self.total()
+            return self._combine(self.limbs.sum(axis=1, keepdims=True))[0]
         except OverflowError:
-            return False
-        return True
+            return math.inf
 
-    def total(self, mask: Optional[np.ndarray] = None, counts: Optional[np.ndarray] = None):
-        """The exact total of the values each row of a boolean ``mask`` selects.
+    def _combine(self, row_sums: np.ndarray) -> list[float]:
+        """Each column of k x B limb row sums as its exact total, rounded once.
 
-        ``mask`` has length n, or B x n with one row per total (None = every
-        value); a B x n mask comes with ``counts``, the number of values each
-        of its rows selects. A table of one value multiplies each mask row's
-        count of selected values by it. Otherwise one matrix product sums
-        every limb row over every mask row, exactly; each mask row's limb
-        sums are combined as Python integers, and one integer division by
-        ``2**-lo`` rounds the total correctly (OverflowError past float64).
-        Returns a float for a 1-D mask or None, and an array of B floats for
-        a B x n one.
+        The sums are combined as Python integers, and one integer division
+        by ``2**-lo`` rounds each total correctly (OverflowError past float64).
+        """
+        shifts = [self.width * j for j in range(len(self.limbs))]
+        scale, divisor = 1 << max(self.lo, 0), 1 << max(-self.lo, 0)
+        return [
+            sum(map(operator.lshift, digits, shifts)) * scale / divisor
+            for digits in row_sums.T.astype(np.int64).tolist()
+        ]
+
+    def total(self, masks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The exact total of the values each row of a B x n boolean ``masks`` selects.
+
+        A table of one value multiplies ``counts``, the number of values
+        each row selects, by it; otherwise one matrix product sums every
+        limb row over every mask row, exactly. Returns an array of B floats.
         """
         if self.value is not None:
-            if mask is not None and mask.ndim == 2:
-                return np.multiply(counts, self.value)
-            return float((len(self.values) if mask is None else np.count_nonzero(mask))
-                         * self.value)
-        limbs = self.limbs
-        row_sums = limbs.sum(axis=1) if mask is None else limbs @ mask.T.astype(np.float64)
-        shifts = [self.width * j for j in range(len(limbs))]
-        scale, divisor = 1 << max(self.lo, 0), 1 << max(-self.lo, 0)
-        totals = [
-            sum(map(operator.lshift, digits, shifts)) * scale / divisor
-            for digits in row_sums.T.reshape(-1, len(limbs)).astype(np.int64).tolist()
-        ]
-        return np.array(totals) if mask is not None and mask.ndim == 2 else totals[0]
+            return np.multiply(counts, self.value)
+        return np.array(self._combine(self.limbs @ masks.T.astype(np.float64)))
 
 
 def aggregate_power(population: Population, consuming: np.ndarray, counts: np.ndarray):

@@ -375,10 +375,17 @@ _POPULATION_RULES = (
     (("count",), lambda n: n < 2**52,
      "population.count must be below 2**52 = 4503599627370496, where the exact power sums "
      "run out of bits"),
-    *(row for name in ("c", "r", "p", "eta") for row in (
+    *(row for name, symbol in (("c", "C"), ("r", "R"), ("p", "P"), ("eta", "eta")) for row in (
         ((f"{name}_mean",), lambda x: x > 0, f"population.{name}_mean must be finite and > 0"),
         ((f"{name}_rel_width",), lambda x: 0 <= x < 1,
          f"population.{name}_rel_width must be in [0, 1)"),
+        # A draw is mean*(1 + w*u) with |u| <= 1 and rounding is monotone, so
+        # every draw lies between the ends mean*(1 - w) and mean*(1 + w).
+        ((f"{name}_mean", f"{name}_rel_width"),
+         lambda x, w: not (x > 0 and 0 <= w < 1) or 0 < x * (1 - w) and x * (1 + w) < math.inf,
+         lambda x, w, symbol=symbol: f"population: every drawn {symbol} must be positive and "
+         f"finite, but the ends {x}*(1 -/+ {w}) of its range round to {x * (1 - w)} and "
+         f"{x * (1 + w)}"),
     )),
     (("theta_set_width",), lambda x: x >= 0, "population.theta_set_width must be >= 0"),
     (("deadband",), lambda x: x > 0, "population.deadband must be > 0"),
@@ -392,6 +399,10 @@ _POPULATION_RULES = (
      f"{math.ulp(_farthest_set_point(m, w)):.3g} at the set-point farthest from 0 "
      f"({_farthest_set_point(m, w):.6g} degC), or the thermostat band theta_set +/- "
      "deadband/2 rounds to one temperature"),
+    (("theta_set_mean", "theta_set_width", "deadband"),
+     lambda m, w, d: abs(_farthest_set_point(m, w)) + d / 2 < math.inf,
+     lambda m, w, d: "population: the thermostat band theta_set +/- deadband/2 must be finite "
+     f"at the set-point farthest from 0 ({_farthest_set_point(m, w):.6g} degC, deadband {d})"),
     (("theta_ambient", "theta_set_mean", "theta_set_width"), lambda a, m, w: a > m + w,
      "population.theta_ambient must exceed every possible set-point (cooling-load regime)"),
     *(((name,), lambda r: 0 <= r[0] <= r[1], f"population.{name} must satisfy 0 <= low <= high")
@@ -408,11 +419,17 @@ _POPULATION_RULES = (
     ((*_GAIN, "deadband"), lambda p, pw, r, rw, d: p * (1 - pw) * r * (1 - rw) > d,
      lambda p, pw, r, rw, d: "population: smallest possible P*R must exceed the deadband "
      f"(got {p * (1 - pw) * r * (1 - rw):.3f} <= {d})"),
-    # Reject parameter draws whose sums or thermal terms overflow.
+    # Reject parameter draws whose sums or thermal terms overflow. Each P/eta
+    # is at most P_max/eta_min, rounded, so their exact total is at most
+    # count times it: the power table's own test when every load shares it.
     (("count", "p_mean", "p_rel_width", "eta_mean", "eta_rel_width"),
-     lambda n, p, pw, eta, ew: (eta_min := eta * (1 - ew)) > 0 and n * (p * (1 + pw)) / eta_min
+     lambda n, p, pw, eta, ew: (eta_min := eta * (1 - ew)) > 0 and n * (p * (1 + pw) / eta_min)
      < math.inf,
      "population: largest possible capacity count*P/eta must be finite"),
+    (("p_mean", "p_rel_width", "eta_mean", "eta_rel_width"),
+     lambda p, pw, eta, ew: not (p * (1 - pw) > 0 and 0 < eta * (1 + ew) < math.inf)
+     or p * (1 - pw) / (eta * (1 + ew)) > 0,
+     "population: smallest possible P/eta must be positive"),
     (_GAIN, lambda p, pw, r, rw: p * (1 + pw) * r * (1 + rw) < math.inf,
      "population: largest possible P*R must be finite"),
 )

@@ -247,7 +247,7 @@ def test_criterion_05_oscillations_survive_setpoint_heterogeneity(hetset_trace):
 
 def test_criterion_06_fluctuating_price_amplifies_swings(fluctuating_trace):
     trace = fluctuating_trace
-    capacity = trace.capacity_kw
+    capacity = trace.population.capacity_kw
     jumps = np.abs(np.diff(trace.avg_demand_kw))
     volatile_frac = float((jumps > 0.30 * capacity).mean())
 

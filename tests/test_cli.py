@@ -303,6 +303,22 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
      "price_tick (1e-300) must be at least the float spacing 7.11e-15 at the largest "
      "possible bid price (40 $/MWh)"),
     ({"population": {"count": 2**52}}, "population.count must be below 2**52"),
+    ({"population": {"count": 1000, "c_mean": 5e-324, "c_rel_width": 0.6}, "horizon_min": 15},
+     "population: every drawn C must be positive and finite"),
+    ({"population": {"count": 5, "r_mean": 5e-324, "r_rel_width": 0.9, "p_mean": 1e307,
+                     "theta_set_mean": 1e-300, "deadband": 1e-20}, "horizon_min": 15},
+     "population: every drawn R must be positive and finite"),
+    ({"population": {"count": 40, "c_mean": 1.7e308, "c_rel_width": 0.5}, "horizon_min": 15},
+     "population: every drawn C must be positive and finite"),
+    ({"population": {"count": 7, "p_mean": 2.3113197448229774e+307, "eta_mean": 0.9,
+                     "r_mean": 1e-300}, "horizon_min": 15},
+     "population: largest possible capacity count*P/eta must be finite"),
+    ({"population": {"count": 10, "p_mean": 1e-300, "r_mean": 1e300, "eta_mean": 1e300},
+      "horizon_min": 15},
+     "population: smallest possible P/eta must be positive"),
+    ({"population": {"count": 5, "theta_set_mean": 1.7e308, "theta_ambient": 1.79e308,
+                     "deadband": 2e307, "p_mean": 1e307, "r_mean": 3}, "horizon_min": 15},
+     "population: the thermostat band theta_set +/- deadband/2 must be finite"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"

@@ -677,7 +677,7 @@ def test_run_rejects_invalid_scenario_before_starting():
 
 def test_feeder_limit_fraction_and_absolute():
     frac = run(tiny_scenario())
-    assert frac.feeder_limit_kw == pytest.approx(0.70 * frac.capacity_kw)
+    assert frac.feeder_limit_kw == pytest.approx(0.70 * frac.population.capacity_kw)
     fixed = run(tiny_scenario(feeder_limit_kw=33.0))
     assert fixed.feeder_limit_kw == 33.0
 
@@ -719,7 +719,7 @@ def test_natural_cycling_matches_analytic_duty():
     )
     trace = run(s)
     # P and R are homogeneous here, so every TCL's duty is (32-20)/28 = 3/7
-    predicted = trace.capacity_kw * (32.0 - 20.0) / 28.0
+    predicted = trace.population.capacity_kw * (32.0 - 20.0) / 28.0
     tail = trace.avg_demand_kw[trace.time_min >= 720.0]
     assert tail.mean() == pytest.approx(predicted, rel=0.05)
 
@@ -816,7 +816,7 @@ def test_run_step_records_match_per_step_oracles(monkeypatch, block):
     monkeypatch.setattr(engine, "aggregate_power", record_power)
     trace = run(scenario)
     assert len(steps) == len(trace.step_power_kw) == 12 * 60
-    assert trace.feeder_limit_kw < trace.capacity_kw and trace.constrained.any()
+    assert trace.feeder_limit_kw < trace.population.capacity_kw and trace.constrained.any()
     elec = trace.population.elec_power
     assert len(np.unique(elec)) == 150
     # the noise of each step is one draw of n from the noise stream, in step order

@@ -5,13 +5,14 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclmarket.engine import generate_population
+from tclmarket.engine import generate_population, run
 from tclmarket.market import build_demand_curve
 from tclmarket.population import (
     PARAM_FIELDS,
@@ -20,7 +21,7 @@ from tclmarket.population import (
     aggregate_power,
     one_value,
 )
-from tclmarket.scenario import PopulationSpec
+from tclmarket.scenario import PopulationSpec, Scenario
 from oracle import (
     TclParams,
     TclState,
@@ -167,6 +168,11 @@ def _power(pop, consuming):
     return float(aggregate_power(pop, consuming[None], np.array([np.count_nonzero(consuming)]))[0])
 
 
+def _total(table, mask):
+    """The exact total of the values one mask selects, as a demand curve asks for it."""
+    return float(table.total(mask[None], np.array([np.count_nonzero(mask)]))[0])
+
+
 def test_aggregate_power_all_off_is_zero():
     pop = _pop([TclState(20.0, 0, 1) for _ in range(3)])
     assert _power(pop, pop.m & pop.v) == 0.0
@@ -221,13 +227,13 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     exact = [sum(map(int, row.tolist())) for row in limbs]
     assert exact[0] > 2**52
     assert (limbs @ np.ones(n)).tolist() == exact
-    assert table.total() == math.fsum(P.tolist())
+    assert table.sum == math.fsum(P.tolist())
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
     assert _power(pop, pop.m & pop.v) == math.fsum(P.tolist())
     pop.v = np.arange(n) % 3 != 0
     consuming = pop.m & pop.v
     assert _power(pop, consuming) == math.fsum(P[consuming].tolist())
-    assert table.total(consuming) == _power(pop, consuming)
+    assert _total(table, consuming) == _power(pop, consuming)
 
 
 def _spread_population(R, P, eta, m):
@@ -313,6 +319,31 @@ def test_population_step_matches_scalar_ops_bit_for_bit():
             mirror[i] = thermal_step(s, params[i], 32.0, 10.0)
     assert pop.theta.tolist() == [s.theta for s in mirror]
     assert pop.m.tolist() == [s.m for s in mirror]
+
+
+@pytest.mark.parametrize("spec, a, oracle", [
+    ({"c_mean": 1e-320}, 0.0, True),                  # -h/(C*R*3600) overflows to -inf
+    ({"c_mean": 5e-324, "r_mean": 0.4}, 0.0, False),  # C*R rounds to 0; the oracle divides by 0
+    ({"c_mean": 1e300, "r_mean": 1e10}, 1.0, True),   # C*R*3600 overflows to inf
+])
+def test_decay_at_the_float_limits_is_its_exact_limit_without_a_warning(spec, a, oracle):
+    scenario = Scenario(population=PopulationSpec(count=5, **spec), horizon_min=15)
+    h = scenario.h_seconds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert scenario.validate() == []
+        assert run(scenario).population.step_terms(h)[0].tolist() == [a] * 5
+        pop = generate_population(scenario.population, scenario.seed)
+        params = [TclParams(id=i, **{name: getattr(pop, name).item(i) for name in PARAM_FIELDS})
+                  for i in range(pop.size)]
+        states = [TclState(pop.theta.item(i), int(pop.m[i]), int(pop.v[i]))
+                  for i in range(pop.size)]
+        _step(pop, h)
+    if oracle:
+        assert pop.theta.tolist() == [
+            thermal_step(hysteresis_update(s, p), p, pop.theta_ambient, h).theta
+            for s, p in zip(states, params)
+        ]
 
 
 def test_step_physics_switch_rule_at_band_edges_and_nan():
@@ -583,12 +614,11 @@ def test_one_value_limb_table_totals_equal_the_full_table(n, value):
     rng = np.random.default_rng(n)
     masks = rng.random((4, n)) < rng.random((4, 1))
     masks[0], masks[1] = True, False
-    assert view.total().hex() == full.total().hex()
-    for mask in masks:
-        assert view.total(mask).hex() == full.total(mask).hex()
+    assert view.sum.hex() == full.sum.hex()
     counts = np.count_nonzero(masks, axis=1)
     totals = view.total(masks, counts)
     assert totals.tobytes() == full.total(masks, counts).tobytes()
+    assert totals[0] == view.sum   # the all-loads row
     if n:
         assert totals[0] == math.fsum([value] * n)
 
@@ -616,9 +646,8 @@ def test_one_value_totals_are_the_exact_total_rounded_once(value):
     masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c values
     expected = [float(c * Fraction(value)) for c in range(n + 1)]
     assert table.total(masks, np.arange(n + 1)).tolist() == expected
-    assert [table.total(mask) for mask in masks] == expected
     assert full.total(masks, np.arange(n + 1)).tolist() == expected
-    assert table.total() == expected[-1] == full.total()
+    assert table.sum == expected[-1] == full.sum
 
 
 def test_one_value_table_rejects_one_ulp_above_the_largest_value():
@@ -710,4 +739,4 @@ def test_derived_values_are_views_exactly_when_their_bits_agree(theta_set, deadb
     masks = np.arange(n) < np.arange(n + 1)[:, None]   # row c selects c loads
     counts = np.arange(n + 1)
     assert pop.power_limbs.total(masks, counts).tobytes() == limbs.total(masks, counts).tobytes()
-    assert [pop.power_limbs.total(mask) for mask in masks] == limbs.total(masks, counts).tolist()
+    assert pop.capacity_kw == limbs.sum == limbs.total(masks, counts)[-1]

@@ -98,6 +98,34 @@ VIOLATIONS = [
      ["population: largest possible capacity count*P/eta must be finite"]),
     ("largest-P*R", {"population": {"r_mean": 1e308}},
      ["population: largest possible P*R must be finite"]),
+    # a draw's ends: each is positive, finite and summable, or a run would fail
+    ("draw-C-rounds-to-0",
+     {"population": {"count": 1000, "c_mean": 5e-324, "c_rel_width": 0.6}, "horizon_min": 15},
+     ["population: every drawn C must be positive and finite, but the ends 5e-324*(1 -/+ 0.6) "
+      "of its range round to 0.0 and 1e-323"]),
+    ("draw-R-rounds-to-0",
+     {"population": {"count": 5, "r_mean": 5e-324, "r_rel_width": 0.9, "p_mean": 1e307,
+                     "theta_set_mean": 1e-300, "deadband": 1e-20}, "horizon_min": 15},
+     ["population: every drawn R must be positive and finite, but the ends 5e-324*(1 -/+ 0.9) "
+      "of its range round to 0.0 and 1e-323"]),
+    ("draw-C-overflows",
+     {"population": {"count": 40, "c_mean": 1.7e308, "c_rel_width": 0.5}, "horizon_min": 15},
+     ["population: every drawn C must be positive and finite, but the ends 1.7e+308*(1 -/+ 0.5) "
+      "of its range round to 8.5e+307 and inf"]),
+    # seven loads of P/eta = 2.568e307 each: (count*P)/eta is finite, count*(P/eta) is not
+    ("capacity-of-rounded-P/eta",
+     {"population": {"count": 7, "p_mean": 2.3113197448229774e+307, "eta_mean": 0.9,
+                     "r_mean": 1e-300}, "horizon_min": 15},
+     ["population: largest possible capacity count*P/eta must be finite"]),
+    ("smallest-P/eta",
+     {"population": {"count": 10, "p_mean": 1e-300, "r_mean": 1e300, "eta_mean": 1e300},
+      "horizon_min": 15},
+     ["population: smallest possible P/eta must be positive"]),
+    ("band-finite",
+     {"population": {"count": 5, "theta_set_mean": 1.7e308, "theta_ambient": 1.79e308,
+                     "deadband": 2e307, "p_mean": 1e307, "r_mean": 3}, "horizon_min": 15},
+     ["population: the thermostat band theta_set +/- deadband/2 must be finite at the "
+      "set-point farthest from 0 (1.7e+308 degC, deadband 2e+307)"]),
     # the time grid and the limits
     ("h_seconds", {"h_seconds": 0},
      ["h_seconds must be > 0"]),
