@@ -73,12 +73,17 @@ def bid_prices(population: Population, theta_bid: np.ndarray) -> np.ndarray:
     and ``p0 - (-x)`` is ``p0 + x``.
     """
     theta_set = population.theta_set
-    price = np.subtract(theta_bid, theta_set)
-    upper = np.greater_equal(theta_bid, theta_set)
-    np.multiply(price, population.gamma1, out=price, where=upper)
-    np.multiply(price, population.gamma2, out=price, where=np.logical_not(upper, out=upper))
-    del upper
-    price += population.p0
+    # An overflowed product or sum is +/-inf, which the band overrides or the
+    # clamp turn into the same p_cap or 0 that the exact value gives. An
+    # inf*0 needs an infinite theta - theta_set, so it can only arise
+    # outside the band, where the overrides replace it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        price = np.subtract(theta_bid, theta_set)
+        upper = np.greater_equal(theta_bid, theta_set)
+        np.multiply(price, population.gamma1, out=price, where=upper)
+        np.multiply(price, population.gamma2, out=price, where=np.logical_not(upper, out=upper))
+        del upper
+        price += population.p0
     np.copyto(price, population.p_cap, where=theta_bid > population.theta_max)
     np.copyto(price, 0.0, where=theta_bid < population.theta_min)
     np.maximum(price, 0.0, out=price)

@@ -119,7 +119,10 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
 
     g_init = np.random.default_rng(init_seed)
     theta0 = g_init.uniform(theta_set - spec.deadband / 2.0, theta_set + spec.deadband / 2.0)
-    duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
+    # P*R is finite, so a difference or a quotient past float64 means a true
+    # duty above 1, and the clip gives the exact 1.0
+    with np.errstate(over="ignore"):
+        duty = np.clip((spec.theta_ambient - theta_set) / (P * R), 0.0, 1.0)
     m0 = (g_init.uniform(0.0, 1.0, n) < duty).astype(np.int8)
     del duty   # not held through the constructor's checks, where the draw peaks
     return Population(

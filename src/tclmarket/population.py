@@ -38,7 +38,8 @@ PARAM_FIELDS = (
 )
 
 # The validity rules of a TCL's parameters, in the order they are checked:
-# the mask of offending TCLs, from the parameter arrays, and the message.
+# the mask of offending TCLs, from the parameter arrays and the band edges
+# theta_min and theta_max, and the message.
 # A rule that names an accepted range is written as its negation, so a NaN
 # offends it; the two written as bounds (deadband, bid slopes) let a NaN
 # pass. Scenarios never reach them with one: the validator rejects NaN.
@@ -62,6 +63,10 @@ _PARAM_RULES = (
      "({deadband} degC)"),
     (lambda p: ~((-math.inf < p.theta_set) & (p.theta_set < math.inf)),
      "TCL {id}: theta_set must be finite, got {theta_set}"),
+    # A deadband below the float spacing at theta_set leaves no band.
+    (lambda p: ~(p.theta_min < p.theta_max),
+     "TCL {id}: deadband {deadband} is below the float spacing at theta_set {theta_set}: "
+     "theta_set +/- deadband/2 round to one temperature"),
 )
 
 
@@ -69,10 +74,11 @@ def check_params(params, first_id: int = 0) -> None:
     """Raise ValueError for the first TCL whose parameters break a rule.
 
     ``params`` has one 1-D float64 array attribute per name in
-    ``PARAM_FIELDS``, and its TCL i is named ``first_id + i``. The rules are
-    folded into one mask in one pass; the message is that of the first rule
-    the first offender's own one-element slice breaks, with its values read
-    from the arrays.
+    ``PARAM_FIELDS``, and the band edges ``theta_min`` and ``theta_max``
+    (theta_set -/+ deadband/2); its TCL i is named ``first_id + i``. The
+    rules are folded into one mask in one pass; the message is that of the
+    first rule the first offender's own one-element slice breaks, with its
+    values read from the arrays.
     """
     with np.errstate(all="ignore"):
         bad = np.zeros(params.C.shape, dtype=bool)
@@ -81,28 +87,11 @@ def check_params(params, first_id: int = 0) -> None:
         if not bad.any():
             return
         i = int(np.argmax(bad))
-        one = SimpleNamespace(**{name: getattr(params, name)[i : i + 1] for name in PARAM_FIELDS})
+        one = SimpleNamespace(**{name: getattr(params, name)[i : i + 1]
+                                 for name in (*PARAM_FIELDS, "theta_min", "theta_max")})
         message = next(msg for offends, msg in _PARAM_RULES if offends(one)[0])
     found = {name: getattr(one, name).item() for name in PARAM_FIELDS}
     raise ValueError(message.format(id=first_id + i, theta_gain=found["P"] * found["R"], **found))
-
-
-def check_band(params, theta_min: np.ndarray, theta_max: np.ndarray, first_id: int = 0) -> None:
-    """Raise ValueError for the first TCL whose band edges do not hold ``theta_min < theta_max``.
-
-    A deadband below the float spacing at theta_set leaves no band: theta_set
-    +/- deadband/2 round to one temperature. ``params`` has the 1-D float64
-    arrays ``deadband`` and ``theta_set`` the message reads, and its TCL i is
-    named ``first_id + i``.
-    """
-    band = theta_min < theta_max
-    if not band.all():
-        i = int(np.argmin(band))
-        raise ValueError(
-            f"TCL {first_id + i}: deadband {params.deadband.item(i)} is below the float "
-            f"spacing at theta_set {params.theta_set.item(i)}: theta_set +/- deadband/2 "
-            "round to one temperature"
-        )
 
 
 def check_state(theta: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
@@ -141,22 +130,23 @@ class Population:
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
     construction; the thermal/switch state (float64 ``theta``, boolean
-    ``m`` and ``v``) evolves, ``v`` only by assignment (it is read-only).
+    ``m`` and ``v``) evolves, ``v`` only through :meth:`set_dispatch` (it
+    is read-only).
     The constructor passes every parameter, and the derived ``theta_min``,
     ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
     view, however it was passed or derived. The constructor checks the
-    validity rules of every TCL, its band edges (see :func:`check_band`) and
-    its initial state (see :func:`check_state`), and raises the message of
-    the first offending one.
+    validity rules of every TCL, its band edges among them (see
+    :func:`check_params`), and then its initial state (see
+    :func:`check_state`), and raises the message of the first offending one.
     The population never draws noise; callers pass samples in.
 
     Two tables are derived from the parameters and kept: ``power_limbs``,
     the :class:`LimbTable` of P/eta that :func:`aggregate_power` sums
     exactly, built by the constructor (which so rejects a P/eta it cannot
     sum exactly), and the per-step thermal terms for each step length h,
-    built on first use (see ``step_terms``), into which every assignment of
-    ``v`` is folded. :meth:`forcing` writes into one length-n int64 scratch
+    built on first use (see ``step_terms``), into which every dispatch is
+    folded. :meth:`forcing` writes into one length-n int64 scratch
     buffer, allocated with the population, whose first n bytes also hold
     the band tests of ``step_physics``.
     """
@@ -184,7 +174,6 @@ class Population:
         self.elec_power = one_value(self.P / self.eta)
 
         check_params(self)
-        check_band(self, self.theta_min, self.theta_max)
         check_state(self.theta, m, v)
         self.power_limbs = LimbTable(self.elec_power)
 
@@ -199,7 +188,7 @@ class Population:
         # a step's band tests are done before it writes the forcing term
         self._band = self._forcing_bits.view(bool)[: len(self.theta)]
         self.m = m.astype(bool)
-        self.v = v
+        self._dispatch(np.array(v, dtype=bool))
 
     @property
     def size(self) -> int:
@@ -214,15 +203,12 @@ class Population:
     def v(self) -> np.ndarray:
         """The boolean dispatch flags, a read-only array the population owns.
 
-        Assigning a mask (as :meth:`set_dispatch` does) stores a copy of it
-        and folds it into the ``flip`` of every cached step term; a write
-        into ``v`` in place raises, as it would leave ``flip`` stale.
+        The constructor stores a copy of the mask it is passed, and
+        :meth:`set_dispatch` a new mask; each is folded into the ``flip`` of
+        every cached step term. A write into ``v`` in place raises, as it
+        would leave ``flip`` stale.
         """
         return self._v
-
-    @v.setter
-    def v(self, v: np.ndarray) -> None:
-        self._dispatch(np.array(v, dtype=bool))
 
     def _dispatch(self, v: np.ndarray) -> None:
         """Make ``v``, a boolean array no one else holds, the dispatch flags."""
@@ -259,7 +245,7 @@ class Population:
         ``off_bits``, and ``on`` as ``flip``, the form :meth:`forcing` reads,
         with the dispatch flags folded in by :meth:`_fold_dispatch`:
         ``on ^ off`` as int64 where v holds and 0 elsewhere, so selecting on
-        ``m`` alone picks ``on`` exactly where ``m*v``. Every assignment of v
+        ``m`` alone picks ``on`` exactly where ``m*v``. Every dispatch
         rewrites it in place.
         """
         terms = self._step_terms.get(h)

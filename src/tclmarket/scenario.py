@@ -292,18 +292,12 @@ class PopulationSpec:
         """An upper bound of every p_cap a valid spec draws, so of every bid.
 
         One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
-        lo)`` after rounding; subgroup members draw ``anchor*(1 + w*u)`` with
-        |u| < 1, at most the largest drawn anchor times ``1 + w``. Every
-        operation of an anchor rounds monotonically and hi >= lo, so the
-        anchors never decrease with the group: the largest drawn is that of
-        the last TCL's subgroup, ``(count - 1)*K // count``.
+        lo)`` after rounding; subgroups draw at most :func:`_largest_draw`.
         """
         if self.subgroups == 1:
             lo, hi = map(float, self.p_cap_range)
             return lo + (hi - lo)
-        K = self.subgroups
-        last = (self.count - 1) * K // self.count
-        return _subgroup_anchors(self.p_cap_range, last, K) * (1.0 + self.subgroup_rel_width)
+        return _largest_draw(self.subgroups, self.count, self.subgroup_rel_width, self.p_cap_range)
 
 
 def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,6 +327,17 @@ def _subgroup_anchors(value_range, groups, K: int):
     return lo + (groups + 0.5) / K * (hi - lo)
 
 
+def _largest_draw(K: int, n: int, w: float, value_range) -> float:
+    """An upper bound of every value that the members of K >= 2 subgroups of n TCLs draw.
+
+    Members draw ``anchor*(1 + w*u)`` with |u| < 1, at most the largest drawn
+    anchor times ``1 + w``. Every operation of an anchor rounds monotonically
+    and ``0 <= low <= high``, so the anchors never decrease with the group:
+    the largest drawn is that of the last TCL's subgroup, ``(n - 1)*K // n``.
+    """
+    return _subgroup_anchors(value_range, (n - 1) * K // n, K) * (1.0 + w)
+
+
 def _farthest_set_point(mean: float, width: float) -> float:
     """The end of ``mean +/- width`` farther from 0: no drawn set-point is farther."""
     return max(mean - width, mean + width, key=abs)
@@ -350,7 +355,10 @@ def _subgroup_clash(K: int, n: int, w: float, p0_range, p_cap_range) -> Optional
     groups = _subgroup_ranges(n, K)[0]
     p0_anchor = _subgroup_anchors(p0_range, groups, K)
     cap_anchor = _subgroup_anchors(p_cap_range, groups, K)
-    clash = np.flatnonzero(p0_anchor * (1.0 + w) > cap_anchor * (1.0 - w))
+    # a p0 anchor whose product passes float64 exceeds every finite p_cap
+    # anchor times 1 - w, so the comparison of its inf is the right verdict
+    with np.errstate(over="ignore"):
+        clash = np.flatnonzero(p0_anchor * (1.0 + w) > cap_anchor * (1.0 - w))
     if not len(clash):
         return None
     g = clash[0]
@@ -415,6 +423,13 @@ _POPULATION_RULES = (
      "population.subgroup_rel_width must be in [0, 1)"),
     (("subgroups", "count", "subgroup_rel_width", "p0_range", "p_cap_range"),
      lambda *spec: _subgroup_clash(*spec) is None, _subgroup_clash),
+    *((("subgroups", "count", "subgroup_rel_width", name),
+       lambda K, n, w, r: not (K >= 2 and n >= 1 and 0 <= w < 1 and 0 <= r[0] <= r[1])
+       or _largest_draw(K, n, w, r) < math.inf,
+       lambda K, n, w, r, name=name, symbol=symbol: f"population: every drawn {symbol} must be "
+       f"finite, but the largest subgroup anchor of {name} [{r[0]}, {r[1]}] times "
+       f"1 + subgroup_rel_width ({w}) rounds to inf")
+      for name, symbol in (("p_cap_range", "p_cap"), ("gamma_range", "gamma"))),
     # Reject parameter draws that could stall a thermostat outright.
     ((*_GAIN, "deadband"), lambda p, pw, r, rw, d: p * (1 - pw) * r * (1 - rw) > d,
      lambda p, pw, r, rw, d: "population: smallest possible P*R must exceed the deadband "

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from tclmarket.population import (
-    PARAM_FIELDS, Population, check_band, check_params, check_state,
+    PARAM_FIELDS, Population, check_params, check_state,
 )
 
 __all__ = [
@@ -69,10 +69,10 @@ class TclParams:
 
     def __post_init__(self) -> None:
         one_tcl = SimpleNamespace(
-            **{name: np.array([getattr(self, name)], dtype=np.float64) for name in PARAM_FIELDS}
+            **{name: np.array([getattr(self, name)], dtype=np.float64)
+               for name in (*PARAM_FIELDS, "theta_min", "theta_max")}
         )
         check_params(one_tcl, self.id)
-        check_band(one_tcl, np.array([self.theta_min]), np.array([self.theta_max]), self.id)
 
     @property
     def theta_min(self) -> float:

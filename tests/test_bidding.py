@@ -193,6 +193,21 @@ def test_bid_prices_equal_the_two_branch_form_at_the_edges():
     assert np.isnan(got).sum() == 2 * len(curves)   # only a NaN theta bids NaN
 
 
+def test_bid_prices_equal_make_bid_where_the_linear_part_overflows():
+    # gamma*(theta - theta_set), and p0 plus it, pass float64 far from the
+    # set-point: the band overrides and the clamp give the exact bid, and no
+    # warning is raised
+    curves = [dict(gamma1=1e300, gamma2=1e300), dict(gamma1=1e300, gamma2=0.0),
+              dict(deadband=4.0, p0=1e308, p_cap=1e308, gamma1=1e308, gamma2=1e308)]
+    offsets = (0.0, 0.1, 1.0, 2.0, 1e150, 1e308)
+    cases = [(curve, 20.0 + sign * x) for curve in curves for x in offsets for sign in (1, -1)]
+    params = [TclParams(id=i, **curve) for i, (curve, _) in enumerate(cases)]
+    theta = np.array([theta for _, theta in cases])
+    pop = population_from_devices(params, [TclState(20.0)] * len(params), theta_ambient=32.0)
+    expected = [make_bid(theta, p).price for theta, p in zip(theta.tolist(), params)]
+    assert bid_prices(pop, theta).tolist() == expected
+
+
 def test_bid_prices_allocate_only_their_result(traced_peak):
     n = 100_000
     pop = generate_population(PopulationSpec(count=n, theta_set_width=1.0), 3)

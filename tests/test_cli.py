@@ -18,7 +18,7 @@ from tclmarket import cli
 from tclmarket.cli import (
     BUILTIN_SCENARIOS, TABLE_CHUNK_ROWS, _write_table, builtin_scenario, main, write_steps_csv,
 )
-from tclmarket.engine import run
+from tclmarket.engine import generate_population, run
 from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario, ScenarioError
 
 
@@ -319,6 +319,18 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     ({"population": {"count": 5, "theta_set_mean": 1.7e308, "theta_ambient": 1.79e308,
                      "deadband": 2e307, "p_mean": 1e307, "r_mean": 3}, "horizon_min": 15},
      "population: the thermostat band theta_set +/- deadband/2 must be finite"),
+    ({"population": {"count": 40, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308],
+                     "subgroup_rel_width": 0.1, "p0_range": [20.0, 21.0],
+                     "p_cap_range": [30.0, 40.0]}, "horizon_min": 15},
+     "population: every drawn gamma must be finite"),
+    ({"population": {"count": 5, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308],
+                     "subgroup_rel_width": 0.1, "p0_range": [0, 1],
+                     "p_cap_range": [1.7e308, 1.7e308]}, "horizon_min": 15},
+     "population: every drawn p_cap must be finite"),
+    ({"population": {"count": 5, "subgroups": 4, "p0_range": [0, 1.7e308],
+                     "p_cap_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.5},
+      "horizon_min": 15},
+     "population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 3 of 4 subgroups"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"
@@ -448,17 +460,38 @@ def test_refused_allocation_is_an_error_not_a_traceback(tmp_path, scenario, flag
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
-@pytest.mark.parametrize("field", ["theta_ambient", "noise_std"])
-def test_values_too_large_to_simulate_exit_1_without_output(tmp_path, capsys, field):
+# theta_ambient - theta_set passes float64: the duty is 1 without a warning
+HOT_DUTY = {"count": 5, "theta_ambient": 1.7e308, "theta_set_mean": -1e308, "deadband": 1e293,
+            "p_mean": 1e293}
+
+
+@pytest.mark.parametrize("population", [
+    {"count": 16, "theta_ambient": 1e308}, {"count": 16, "noise_std": 1e308}, HOT_DUTY,
+], ids=["theta_ambient", "noise_std", "duty"])
+def test_values_too_large_to_simulate_exit_1_without_output(tmp_path, capsys, population):
     # accepted by the validator, but theta or its spread overflows float64
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"population": {"count": 16, field: 1e308}, "horizon_min": 30}))
+    path.write_text(json.dumps({"population": population, "horizon_min": 30}))
     out = tmp_path / "o"
     assert main(["--scenario", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: physics step 0 ") and "left the finite range" in err
     assert "Traceback" not in err
     assert os.listdir(out) == []
+
+
+def test_bid_slopes_that_overflow_on_noisy_temperatures_run(tmp_path):
+    # gamma*(theta - theta_set) passes float64 once noise of 1e150 degC moves
+    # theta; the band overrides and the clamp give every bid without a warning
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"population": {"count": 5, "noise_std": 1e150,
+                                               "gamma_range": [10, 1e300]}, "horizon_min": 15}))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(read_lines(tmp_path / "o" / "trace.csv")) == 4
+
+
+def test_a_duty_past_float64_draws_every_load_on():
+    assert generate_population(PopulationSpec(**HOT_DUTY), 0).m.all()
 
 
 def test_interval_too_short_for_a_float_window_count_runs(tmp_path):

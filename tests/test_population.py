@@ -230,7 +230,7 @@ def test_aggregate_power_is_exact_at_the_width_bound():
     assert table.sum == math.fsum(P.tolist())
     pop = _population_of(P, np.ones(n), np.ones(n), np.ones(n))
     assert _power(pop, pop.m & pop.v) == math.fsum(P.tolist())
-    pop.v = np.arange(n) % 3 != 0
+    pop.set_dispatch(np.arange(n) % 3, 1)   # every load but each third
     consuming = pop.m & pop.v
     assert _power(pop, consuming) == math.fsum(P[consuming].tolist())
     assert _total(table, consuming) == _power(pop, consuming)
@@ -498,6 +498,13 @@ def test_population_rejects_a_band_that_rounds_to_one_temperature():
         arrays[field][[3, 5]] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}: theta_set "):
             Population(**arrays, theta_ambient=32.0)
+    # TCL 1 has no band and TCL 2 a negative C: the band is checked with the
+    # other rules, so the message is that of TCL 1, the first offender
+    arrays = _device_arrays()
+    arrays["deadband"][1], arrays["C"][2] = 1e-15, -1.0
+    message = "TCL 1: deadband 1e-15 is below the float spacing at theta_set 20.0: theta_set "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Population(**arrays, theta_ambient=32.0)
 
 
 def test_population_requires_ambient_above_setpoints():
@@ -537,11 +544,10 @@ def test_set_dispatch_folds_v_into_every_cached_flip(spread):
 
 def test_v_is_a_read_only_copy_the_population_owns():
     # a write into v in place would leave the flip of every cached step term stale
-    pop = _population_of(np.full(4, 14.0), np.full(4, 2.5), np.ones(4), np.ones(4))
-    flip = pop.step_terms(10.0)[1]
     mask = np.array([True, False, True, False])
-    pop.v = mask
+    pop = _population_of(np.full(4, 14.0), np.full(4, 2.5), np.ones(4), mask)
     mask[:] = True   # the caller's array is not the population's
+    flip = pop.step_terms(10.0)[1]
     assert pop.v.tolist() == [1, 0, 1, 0] and flip[1] == flip[3] == 0 != flip[0]
     with pytest.raises(ValueError, match="read-only"):
         pop.v[1] = True
@@ -549,6 +555,8 @@ def test_v_is_a_read_only_copy_the_population_owns():
     with pytest.raises(ValueError, match="read-only"):
         pop.v[::3] = False
     assert pop.v.tolist() == [0, 0, 1, 1] and flip[0] == flip[1] == 0 != flip[3]
+    with pytest.raises(AttributeError):   # set_dispatch is the one writer
+        pop.v = mask
 
 
 def test_population_with_spread_p_and_r_keeps_bytes_per_load(traced_peak):

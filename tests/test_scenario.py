@@ -92,6 +92,27 @@ VIOLATIONS = [
                                        "p0_range": [29, 30], "p_cap_range": [30, 31]}},
      ["population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 2 of 2 subgroups (first: "
       "subgroup 0, p0 anchor 29.25*(1+w) > p_cap anchor 30.25*(1-w))"]),
+    # anchors whose product with 1 + w passes float64: the clash of an infinite
+    # p0 bound is found without a warning, and each jittered draw has its row
+    ("subgroup-clash-past-float", {"population": {
+        "count": 5, "subgroups": 4, "p0_range": [0, 1.7e308], "p_cap_range": [1.7e308, 1.7e308],
+        "subgroup_rel_width": 0.5}, "horizon_min": 15},
+     ["population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 3 of 4 subgroups (first: "
+      "subgroup 1, p0 anchor 6.375e+307*(1+w) > p_cap anchor 1.7e+308*(1-w))",
+      "population: every drawn p_cap must be finite, but the largest subgroup anchor of "
+      "p_cap_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.5) rounds to inf"]),
+    ("subgroup-gamma-past-float", {"population": {
+        "count": 40, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.1,
+        "p0_range": [20.0, 21.0], "p_cap_range": [30.0, 40.0]}, "horizon_min": 15},
+     ["population: every drawn gamma must be finite, but the largest subgroup anchor of "
+      "gamma_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf"]),
+    ("subgroup-p_cap-and-gamma-past-float", {"population": {
+        "count": 5, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.1,
+        "p0_range": [0, 1], "p_cap_range": [1.7e308, 1.7e308]}, "horizon_min": 15},
+     ["population: every drawn p_cap must be finite, but the largest subgroup anchor of "
+      "p_cap_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf",
+      "population: every drawn gamma must be finite, but the largest subgroup anchor of "
+      "gamma_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf"]),
     ("smallest-P*R", {"population": {"p_mean": 0.1}},
      ["population: smallest possible P*R must exceed the deadband (got 0.200 <= 0.5)"]),
     ("capacity", {"population": {"eta_mean": 1e-306}},
