@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from types import SimpleNamespace
 from typing import Optional
 
@@ -130,8 +131,8 @@ class Population:
     Every per-TCL quantity is a numpy array indexed by TCL id: the
     parameters (float64, named in ``PARAM_FIELDS``) are immutable after
     construction; the thermal/switch state (float64 ``theta``, boolean
-    ``m`` and ``v``) evolves, ``v`` only through :meth:`set_dispatch` (it
-    is read-only).
+    ``m`` and ``v``) evolves: ``m`` by assignment, never in place (see
+    ``m``), and ``v`` only through :meth:`set_dispatch` (it is read-only).
     The constructor passes every parameter, and the derived ``theta_min``,
     ``theta_max`` and ``elec_power`` (P/eta), through :func:`one_value`, so
     one value shared by every TCL is kept once, as a read-only zero-stride
@@ -146,9 +147,12 @@ class Population:
     exactly, built by the constructor (which so rejects a P/eta it cannot
     sum exactly), and the per-step thermal terms for each step length h,
     built on first use (see ``step_terms``), into which every dispatch is
-    folded. :meth:`forcing` writes into one length-n int64 scratch
-    buffer, allocated with the population, whose first n bytes also hold
-    the band tests of ``step_physics``.
+    folded. The population also keeps the forcing term of one step length h
+    in a length-n int64 buffer allocated with it: :meth:`forcing` rebuilds
+    it in full when it is stale, and :meth:`step_physics` rewrites it only
+    where a switch changed. A step's band tests, and its copy of the
+    switches when it writes them in place, go through boolean scratch
+    arrays that the first step to need each allocates.
     """
 
     def __init__(self, *, C, R, P, eta, theta_set, deadband, p0, p_cap, gamma1, gamma2,
@@ -185,9 +189,10 @@ class Population:
         self._step_terms: dict[float, tuple[np.ndarray, ...]] = {}
         self._forcing_bits = np.empty(len(self.theta), dtype=np.int64)
         self._forcing = self._forcing_bits.view(np.float64)
-        # a step's band tests are done before it writes the forcing term
-        self._band = self._forcing_bits.view(bool)[: len(self.theta)]
-        self.m = m.astype(bool)
+        self._forcing.flags.writeable = False
+        # the band tests, and the old m of a step into it; each made by the first step needing it
+        self._band = self._m_old = None
+        self.m = m.astype(bool)   # and no kept term yet
         self._dispatch(np.array(v, dtype=bool))
 
     @property
@@ -198,6 +203,21 @@ class Population:
     def capacity_kw(self) -> float:
         """Total electrical draw if every TCL consumed at once: the power table's ``sum``."""
         return self.power_limbs.sum
+
+    @property
+    def m(self) -> np.ndarray:
+        """The boolean thermostat switches.
+
+        Assigning an array makes it the switches and marks the kept forcing
+        term stale, so the next step or :meth:`forcing` rebuilds it. A write
+        into ``m`` in place is not supported: the kept term would not see it.
+        """
+        return self._m
+
+    @m.setter
+    def m(self, m: np.ndarray) -> None:
+        self._m = m
+        self._forcing_h = None
 
     @property
     def v(self) -> np.ndarray:
@@ -221,13 +241,15 @@ class Population:
         """Rewrite ``flip`` in place: ``on ^ off`` as int64 where v holds, 0 elsewhere.
 
         ``on = (1-a)*(theta_ambient - P*R)`` is computed from ``a`` in
-        ``flip``'s own memory, with ``theta_ambient - P*R`` in the step
-        scratch; ``off`` is the float64 view of ``off_bits``. Six ufunc
-        calls and no temporary, so no population keeps a copy of ``on``.
+        ``flip``'s own memory, with ``theta_ambient - P*R`` in the forcing
+        scratch, which so no longer holds a kept term; ``off`` is the float64
+        view of ``off_bits``. Six ufunc calls and no temporary, so no
+        population keeps a copy of ``on``.
         """
+        self._forcing_h = None
         on = flip.view(np.float64)
         np.subtract(1.0, a, out=on)   # pull
-        gain = np.multiply(self.P, self.R, out=self._forcing)
+        gain = np.multiply(self.P, self.R, out=self._forcing_bits.view(np.float64))
         np.subtract(self.theta_ambient, gain, out=gain)
         np.multiply(on, gain, out=on)
         np.bitwise_xor(flip, off_bits, out=flip)
@@ -255,7 +277,10 @@ class Population:
             # is the exact limit of the decay, so neither warning applies
             with np.errstate(over="ignore", divide="ignore"):
                 exponents = -h / (self.C * self.R * 3600.0)
-            a = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
+            # math.exp of Python floats, faster than of numpy scalars; converted
+            # in chunks, so that no list of n float objects is ever held
+            parts = (exponents[i : i + 2048].tolist() for i in range(0, len(exponents), 2048))
+            a = np.fromiter(map(math.exp, chain.from_iterable(parts)), np.float64, len(exponents))
             off = (1.0 - a) * self.theta_ambient
             flip, off_bits = np.empty(len(a), np.int64), off.view(np.int64)
             self._fold_dispatch(a, flip, off_bits)
@@ -265,19 +290,28 @@ class Population:
     def forcing(self, h: float) -> np.ndarray:
         """The forcing term of a step of h seconds: ``on`` where m*v, ``off`` elsewhere.
 
-        ``off ^ (m*flip)`` on the bits of the step terms: ``m*flip`` is
-        ``on ^ off`` where m*v holds and 0 elsewhere, so the xor gives the
-        bits of ``on`` exactly there and of ``off`` elsewhere. It equals
-        ``np.where(m & v, on, off)`` bit for bit, -0.0 included, in two
-        ufunc calls with no per-element branch: ``np.where`` branches per
-        element, which makes it several times slower on a mask that varies
-        from load to load. Returns the float64 view of the population's
-        scratch, valid until the next step or dispatch.
+        The population keeps the term of one step length between calls and
+        between steps, and returns it as it is unless it is stale: before
+        the first step, after a dispatch or the first use of a step length
+        (both rewrite the forcing buffer, see :meth:`_fold_dispatch`), after
+        an assignment to ``m``, and when it is of another h. A stale term is
+        rebuilt in full as ``off ^ (m*flip)`` on the bits of the step terms:
+        ``m*flip`` is ``on ^ off`` where m*v holds and 0 elsewhere, so the
+        xor gives the bits of ``on`` exactly there and of ``off`` elsewhere.
+        It equals ``np.where(m & v, on, off)`` bit for bit, -0.0 included,
+        in two ufunc calls with no per-element branch: ``np.where`` branches
+        per element, which makes it several times slower on a mask that
+        varies from load to load. :meth:`step_physics` keeps the term so
+        between rebuilds. Returns a read-only float64 view of the kept term,
+        which the next step, dispatch, rebuild or first use of a step length
+        changes.
         """
-        _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
-        bits = self._forcing_bits
-        np.multiply(self.m, flip, bits)
-        np.bitwise_xor(off_bits, bits, bits)
+        if self._forcing_h != h:
+            _, flip, off_bits = self._step_terms.get(h) or self.step_terms(h)
+            bits = self._forcing_bits
+            np.multiply(self._m, flip, bits)
+            np.bitwise_xor(off_bits, bits, bits)
+            self._forcing_h = h
         return self._forcing
 
     def step_physics(
@@ -291,23 +325,43 @@ class Population:
         ``theta_out`` and the new switches into ``m_out``, a float64 and a
         boolean length-n array the caller owns. ``theta`` and ``m`` then
         refer to them, so the caller must not overwrite either before the
-        next step has read it; either may be the array the step reads, as
-        the step works element by element.
+        next step has read it; either may be the array the step reads.
 
         The switches are ``m = (m | (theta > theta_max)) > (theta < theta_min)``,
-        which a NaN theta leaves unchanged; the band tests go through the
-        first n bytes of the forcing scratch. The forcing term is then
-        :meth:`forcing` of the new ``m``. A step allocates nothing. At a
-        thousand loads a step costs mostly call overhead, so its ufuncs
-        (eight, nine with noise) take positional outputs.
+        which a NaN theta leaves unchanged. When the population keeps the
+        forcing term of this h, one byte-wise ``not_equal`` of the new and
+        the old switches marks the loads that switched, and the term is
+        xored with ``flip`` there alone: toggling ``m*flip`` where m changed
+        gives ``off ^ (m*flip)`` of the new m, the term :meth:`forcing`
+        would rebuild, bit for bit. Otherwise :meth:`forcing` rebuilds it
+        from the new m. The band tests and the switch mask share one boolean
+        scratch array, allocated by the first step; when ``m_out`` shares
+        memory with the switches the step reads, they are first copied into
+        a second one, allocated by the first such step. A step allocates
+        nothing else. At a thousand loads a step costs mostly call overhead,
+        so its ufuncs (eight, nine with noise) take positional outputs.
         """
-        a = (self._step_terms.get(h) or self.step_terms(h))[0]
-        theta, band = self.theta, self._band
+        a, flip, _ = self._step_terms.get(h) or self.step_terms(h)
+        theta, old, band = self.theta, self._m, self._band
+        if band is None:
+            band = self._band = np.empty(len(theta), dtype=bool)
+        if np.may_share_memory(old, m_out):
+            if self._m_old is None:
+                self._m_old = np.empty(len(theta), dtype=bool)
+            np.copyto(self._m_old, old)
+            old = self._m_old
         np.greater(theta, self.theta_max, band)
-        m = np.logical_or(self.m, band, m_out)
-        self.m = np.greater(m, np.less(theta, self.theta_min, band), m)
+        m = np.logical_or(old, band, m_out)
+        m = np.greater(m, np.less(theta, self.theta_min, band), m)
+        if self._forcing_h == h:
+            bits = self._forcing_bits
+            np.bitwise_xor(bits, flip, bits, where=np.not_equal(m, old, band))
+            self._m = m
+        else:
+            self.m = m
+            self.forcing(h)
         stepped = np.multiply(a, theta, theta_out)
-        np.add(stepped, self.forcing(h), stepped)
+        np.add(stepped, self._forcing, stepped)
         if noise is not None:
             np.add(stepped, noise, stepped)
         self.theta = stepped

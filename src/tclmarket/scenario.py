@@ -289,15 +289,21 @@ class PopulationSpec:
         return _violations(vars(self), _POPULATION_RULES, "population.")
 
     def _p_cap_bound(self) -> float:
-        """An upper bound of every p_cap a valid spec draws, so of every bid.
+        """An upper bound of every p_cap a valid spec draws, so of every bid."""
+        return _largest_p_cap(self.subgroups, self.count, self.subgroup_rel_width,
+                              self.p_cap_range)
 
-        One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
-        lo)`` after rounding; subgroups draw at most :func:`_largest_draw`.
-        """
-        if self.subgroups == 1:
-            lo, hi = map(float, self.p_cap_range)
-            return lo + (hi - lo)
-        return _largest_draw(self.subgroups, self.count, self.subgroup_rel_width, self.p_cap_range)
+
+def _largest_p_cap(K: int, n: int, w: float, p_cap_range) -> float:
+    """An upper bound of every p_cap that K subgroups of n TCLs draw from ``p_cap_range``.
+
+    One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
+    lo)`` after rounding; subgroups draw at most :func:`_largest_draw`.
+    """
+    if K == 1:
+        lo, hi = map(float, p_cap_range)
+        return lo + (hi - lo)
+    return _largest_draw(K, n, w, p_cap_range)
 
 
 def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,6 +447,15 @@ _POPULATION_RULES = (
      lambda n, p, pw, eta, ew: (eta_min := eta * (1 - ew)) > 0 and n * (p * (1 + pw) / eta_min)
      < math.inf,
      "population: largest possible capacity count*P/eta must be finite"),
+    # Every bid is at most the largest p_cap. Summed in any order, n values
+    # of at most `top` give partial sums of at most n*top*(1 + 2**-53)**(n - 1),
+    # and count < 2**52 keeps that factor below e**0.5 < 2: bids whose
+    # count*top is finite when doubled add up without overflow.
+    (("subgroups", "count", "subgroup_rel_width", "p_cap_range"),
+     lambda K, n, w, r: not (K >= 1 and 1 <= n < 2**52 and 0 <= w < 1 and 0 <= r[0] <= r[1])
+     or (top := _largest_p_cap(K, n, w, r)) == math.inf or 2.0 * n * top < math.inf,
+     lambda K, n, w, r: "population: the total of all bids must be finite, but count*p_cap "
+     f"({n}*{_largest_p_cap(K, n, w, r):.6g} $/MWh) exceeds half the float64 range"),
     (("p_mean", "p_rel_width", "eta_mean", "eta_rel_width"),
      lambda p, pw, eta, ew: not (p * (1 - pw) > 0 and 0 < eta * (1 + ew) < math.inf)
      or p * (1 - pw) / (eta * (1 + ew)) > 0,

@@ -331,6 +331,9 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
                      "p_cap_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.5},
       "horizon_min": 15},
      "population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 3 of 4 subgroups"),
+    ({"population": {"count": 5, "p_cap_range": [1.7e308, 1.7e308],
+                     "p0_range": [1.7e308, 1.7e308]}, "horizon_min": 15, "price_tick": 1e300},
+     "population: the total of all bids must be finite, but count*p_cap (5*1.7e+308 $/MWh)"),
 ])
 def test_unrunnable_population_or_limit_is_a_violation(tmp_path, capsys, fields, violation):
     path = tmp_path / "bad.json"

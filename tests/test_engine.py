@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -415,10 +416,36 @@ def test_price_tick_must_raise_the_largest_possible_bid():
     jittered = dataclasses.replace(spec, subgroups=2, subgroup_rel_width=0.02)
     (err,) = Scenario(population=jittered, price_tick=1e-14).validate()
     assert "largest possible bid price (64.1835 $/MWh)" in err
-    # the price above every bid must be finite too
-    huge = PopulationSpec(p_cap_range=(1e308, 1e308))
+    # the price above every bid must be finite too (one load, so that the
+    # bids sum within range: see the test below)
+    huge = PopulationSpec(count=1, p_cap_range=(8e307, 8e307))
     assert Scenario(population=huge, price_tick=1e300).validate() == []
-    assert Scenario(population=huge, price_tick=1e308).validate()
+    (err,) = Scenario(population=huge, price_tick=1e308).validate()
+    assert err.startswith("price_tick (1e+308) must be at least the float spacing")
+
+
+def test_the_bids_of_every_load_must_sum_within_range():
+    # run() takes the mean bid as prices.sum() / n: a sum of n bids of at
+    # most p_cap that passes float64 read inf in trace.csv
+    biggest = float(np.finfo(np.float64).max)
+    fits = biggest / 10.0   # the largest p_cap whose 2*count*p_cap is finite for 5 loads
+    above = float(np.nextafter(fits, math.inf))
+    assert 2.0 * 5 * fits < math.inf == 2.0 * 5 * above
+
+    def scenario(count, top):
+        spec = PopulationSpec(count=count, p0_range=(top, top), p_cap_range=(top, top))
+        return Scenario(population=spec, horizon_min=15.0, price_tick=1e300)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert scenario(5, fits).validate() == []
+        trace = run(scenario(5, fits))
+    assert np.isfinite(trace.bid_price_mean).all() and trace.bid_price_max.max() <= fits
+    for count, top in ((5, above), (5, 1.7e308), (1000, 1e308)):
+        assert scenario(count, top).validate() == [
+            f"population: the total of all bids must be finite, but count*p_cap "
+            f"({count}*{top:.6g} $/MWh) exceeds half the float64 range"
+        ]
 
 
 @pytest.mark.parametrize("spec", [
@@ -776,6 +803,31 @@ def test_run_calls_step_physics_once_per_physics_step(monkeypatch, population):
     plan = scenario.plan()
     assert len(callers) == plan.n_intervals * plan.steps_per_interval == 4 * 30
     assert all(pop is trace.population for pop in callers)
+
+
+def test_run_is_the_same_for_one_row_blocks_and_a_one_step_last_block(monkeypatch):
+    # one-row blocks write each step's switches into the row it reads; blocks
+    # of 59 steps end each 60-step interval with a block of one step, so the
+    # next interval's first step reads and writes row 0 too
+    scenario = tiny_scenario(
+        population=PopulationSpec(count=150, p_rel_width=0.3, theta_set_width=0.8,
+                                  noise_std=0.02, subgroups=3),
+        price_signal=PriceSignal.square(20.0, 30.0, 10.0),
+        horizon_min=30.0,
+        h_seconds=5.0,
+        seed=3,
+    )
+    default = run(scenario)
+    assert default.constrained.any() and not default.constrained.all()
+    for block in (1, 59):
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block * 150)
+        trace = run(scenario)
+        for name, value in vars(default).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(trace, name).tobytes() == value.tobytes(), (block, name)
+        for name in ("theta", "m", "v"):
+            got, want = getattr(trace.population, name), getattr(default.population, name)
+            assert got.tobytes() == want.tobytes(), (block, name)
 
 
 @pytest.mark.parametrize("block", [60, 7, 1])   # a whole interval, not a divisor of 60, one step

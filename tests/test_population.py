@@ -373,7 +373,7 @@ def test_step_physics_allocates_no_temporaries():
     pop = _population_of(np.full(n, 14.0), np.full(n, 2.5), np.arange(n) % 2, np.ones(n))
     rows = np.empty((2, n)), np.empty((2, n), dtype=bool)
     noise = np.full(n, 1e-3)
-    _step(pop)   # builds the step terms
+    _step(pop)   # builds the step terms, the forcing term and the band scratch
     tracemalloc.start()
     try:
         for j in range(4):
@@ -381,8 +381,8 @@ def test_step_physics_allocates_no_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # numpy's fixed casting buffer (8192 int64) for the boolean mask is all
-    # there is; a temporary of n bools or more would show
+    # each step keeps the forcing term, so none casts the boolean mask
+    # (measured 1840 B); a temporary of n bools or more would show
     assert peak < n
 
 
@@ -413,6 +413,50 @@ def test_forcing_equals_np_where_bit_for_bit(n, seed, h, ambient):
     assert pop.forcing(h).tobytes() == np.where(pop.m & pop.v, on, off).tobytes()
     pop.set_dispatch(rng.uniform(0.0, 40.0, n), 20.0)
     assert pop.forcing(h).tobytes() == np.where(pop.m & pop.v, on, off).tobytes()
+
+
+def _where_forcing(pop, h):
+    """``np.where(m & v, on, off)`` of a step of h seconds, computed apart from the population."""
+    a = np.array([math.exp(x) for x in (-h / (pop.C * pop.R * 3600.0)).tolist()])
+    on = (1.0 - a) * (pop.theta_ambient - pop.P * pop.R)
+    return np.where(pop.m & pop.v, on, (1.0 - a) * pop.theta_ambient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(st.tuples(st.sampled_from(["fresh row", "row it reads", "dispatch", "assign m"]),
+                           st.sampled_from([10.0, 20.0])), min_size=1, max_size=40),
+)
+def test_kept_forcing_term_equals_a_full_rebuild_after_every_step(n, seed, ops):
+    # time constants of 36-360 s, so that most steps switch some loads
+    rng = np.random.default_rng(seed)
+    params = [TclParams(id=i, C=float(rng.uniform(0.005, 0.05)), R=float(rng.uniform(1.8, 2.2)))
+              for i in range(n)]
+    states = [TclState(float(rng.uniform(19.0, 21.0)), int(rng.integers(2)), int(rng.integers(2)))
+              for _ in range(n)]
+    # the twin marks its term stale before every step, so each of its steps rebuilds it
+    pop, twin = (population_from_devices(params, states, theta_ambient=32.0) for _ in range(2))
+    for op, h in ops:
+        if op == "dispatch":
+            prices = rng.uniform(0.0, 40.0, n)
+            pop.set_dispatch(prices, 20.0)
+            twin.set_dispatch(prices, 20.0)
+        elif op == "assign m":
+            m = rng.integers(0, 2, n).astype(bool)
+            pop.m, twin.m = m, m.copy()
+        else:
+            noise = rng.normal(0.0, 0.2, n)
+            twin.m = twin.m
+            for p in (pop, twin):
+                if op == "fresh row":
+                    p.step_physics(h, noise, np.empty(n), np.empty(n, dtype=bool))
+                else:   # as run() steps when a block holds one row
+                    p.step_physics(h, noise, p.theta, p.m)
+            assert pop.forcing(h).tobytes() == _where_forcing(pop, h).tobytes()
+            assert pop.theta.tobytes() == twin.theta.tobytes()
+            assert pop.m.tobytes() == twin.m.tobytes()
 
 
 @pytest.mark.parametrize("base", ["tied with bids", "above every bid", "zero"])
