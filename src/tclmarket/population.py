@@ -9,10 +9,10 @@ market interval). A TCL draws electrical power only while ``m`` and
 
 :class:`Population` holds the parameters and state of every TCL as numpy
 arrays, indexed by TCL id, and advances all devices at once. This module
-also holds the validity rules of one TCL and their messages, which the
-test suite's per-device oracle (``tests/oracle.py``) applies as well. The
-vectorized steps are required to be bit-identical to that oracle
-evaluated in index order, which the test suite pins.
+also holds the validity rules of one TCL, which the scenario validator and
+the per-device oracle (``tests/oracle.py``) apply as well. The vectorized
+steps are required to be bit-identical to that oracle evaluated in index
+order, which the test suite pins.
 """
 
 from __future__ import annotations
@@ -40,59 +40,72 @@ PARAM_FIELDS = (
 
 # The validity rules of a TCL's parameters, in the order they are checked:
 # the mask of offending TCLs, from the parameter arrays and the band edges
-# theta_min and theta_max, and the message.
-# A rule that names an accepted range is written as its negation, so a NaN
-# offends it; the two written as bounds (deadband, bid slopes) let a NaN
-# pass. Scenarios never reach them with one: the validator rejects NaN.
+# theta_min and theta_max, and the message. A rule is the negation of its
+# accepted range, so that a NaN offends it; a NaN deadband, which the
+# deadband's bound lets pass, offends the P*R rule.
 _PARAM_RULES = (
-    (lambda p: ~((p.C > 0) & (p.R > 0) & (p.P > 0) & (p.eta > 0)),
-     "TCL {id}: C, R, P and eta must all be positive"),
+    # an infinite C or R leaves a = 1: the temperature would never move
+    (lambda p: ~((0 < p.C) & (p.C < math.inf) & (0 < p.R) & (p.R < math.inf) & (p.P > 0)
+                 & (p.eta > 0)),
+     "C, R, P and eta must all be positive, C and R finite, got C={C}, R={R}, P={P}, eta={eta}"),
     (lambda p: ~((0 < p.P / p.eta) & (p.P / p.eta < math.inf)),
-     "TCL {id}: P/eta must be positive and finite"),
+     "P/eta must be positive and finite"),
     (lambda p: p.deadband <= 0,
-     "TCL {id}: deadband must be positive"),
-    (lambda p: ~((0.0 <= p.p0) & (p.p0 <= p.p_cap)),
-     "TCL {id}: require 0 <= p0 <= p_cap, got p0={p0}, p_cap={p_cap}"),
-    (lambda p: (p.gamma1 < 0) | (p.gamma2 < 0),
-     "TCL {id}: bid slopes must be >= 0"),
+     "deadband must be positive"),
+    (lambda p: ~((0.0 <= p.p0) & (p.p0 <= p.p_cap) & (p.p_cap < math.inf)),
+     "require 0 <= p0 <= p_cap < inf, got p0={p0}, p_cap={p_cap}"),
+    (lambda p: ~((0 <= p.gamma1) & (p.gamma1 < math.inf) & (0 <= p.gamma2)
+                 & (p.gamma2 < math.inf)),
+     "bid slopes must be finite and >= 0, got gamma1={gamma1}, gamma2={gamma2}"),
     (lambda p: ~((0 <= p.noise_std) & (p.noise_std < math.inf)),
-     "TCL {id}: noise_std must be finite and >= 0"),
+     "noise_std must be finite and >= 0"),
     # A unit whose full-on temperature pull cannot span its own deadband
     # would stall mid-band and never cycle; an infinite one has no step.
     (lambda p: ~((p.deadband < p.P * p.R) & (p.P * p.R < math.inf)),
-     "TCL {id}: P*R={theta_gain:.3f} degC must be finite and exceed the deadband "
-     "({deadband} degC)"),
-    (lambda p: ~((-math.inf < p.theta_set) & (p.theta_set < math.inf)),
-     "TCL {id}: theta_set must be finite, got {theta_set}"),
+     "P*R={theta_gain:.3f} degC must be finite and exceed the deadband ({deadband} degC)"),
+    (lambda p: ~((-math.inf < p.theta_min) & (p.theta_max < math.inf)),
+     "theta_set +/- deadband/2 must be finite, got theta_set={theta_set}, deadband={deadband}"),
     # A deadband below the float spacing at theta_set leaves no band.
     (lambda p: ~(p.theta_min < p.theta_max),
-     "TCL {id}: deadband {deadband} is below the float spacing at theta_set {theta_set}: "
+     "deadband {deadband} is below the float spacing at theta_set {theta_set}: "
      "theta_set +/- deadband/2 round to one temperature"),
 )
 
 
-def check_params(params, first_id: int = 0) -> None:
-    """Raise ValueError for the first TCL whose parameters break a rule.
+def band_edges(theta_set: np.ndarray, deadband: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``theta_set -/+ deadband/2`` through :func:`one_value`, one by one; inf past float64."""
+    with np.errstate(over="ignore"):   # the rules report an infinite edge
+        return one_value(theta_set - deadband / 2.0), one_value(theta_set + deadband / 2.0)
+
+
+def broken_rule(params) -> Optional[tuple[int, str]]:
+    """The first TCL whose parameters break a rule, and that rule's message; None if none does.
 
     ``params`` has one 1-D float64 array attribute per name in
-    ``PARAM_FIELDS``, and the band edges ``theta_min`` and ``theta_max``
-    (theta_set -/+ deadband/2); its TCL i is named ``first_id + i``. The
-    rules are folded into one mask in one pass; the message is that of the
-    first rule the first offender's own one-element slice breaks, with its
-    values read from the arrays.
+    ``PARAM_FIELDS``, and the band edges ``theta_min`` and ``theta_max``.
+    The rules are folded into one mask in one pass; the message is that of
+    the first rule the first offender's own one-element slice breaks, with
+    its values read from the arrays.
     """
     with np.errstate(all="ignore"):
         bad = np.zeros(params.C.shape, dtype=bool)
         for offends, _ in _PARAM_RULES:
             bad |= offends(params)
         if not bad.any():
-            return
+            return None
         i = int(np.argmax(bad))
         one = SimpleNamespace(**{name: getattr(params, name)[i : i + 1]
                                  for name in (*PARAM_FIELDS, "theta_min", "theta_max")})
         message = next(msg for offends, msg in _PARAM_RULES if offends(one)[0])
     found = {name: getattr(one, name).item() for name in PARAM_FIELDS}
-    raise ValueError(message.format(id=first_id + i, theta_gain=found["P"] * found["R"], **found))
+    return i, message.format(theta_gain=found["P"] * found["R"], **found)
+
+
+def check_params(params, first_id: int = 0) -> None:
+    """Raise ValueError for the :func:`broken_rule` of ``params``, naming TCL i ``first_id + i``."""
+    found = broken_rule(params)
+    if found is not None:
+        raise ValueError(f"TCL {first_id + found[0]}: {found[1]}")
 
 
 def check_state(theta: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
@@ -173,9 +186,9 @@ class Population:
             raise ValueError("population must contain at least one TCL")
         self.theta_ambient = float(theta_ambient)
 
-        self.theta_min = one_value(self.theta_set - self.deadband / 2.0)
-        self.theta_max = one_value(self.theta_set + self.deadband / 2.0)
-        self.elec_power = one_value(self.P / self.eta)
+        self.theta_min, self.theta_max = band_edges(self.theta_set, self.deadband)
+        with np.errstate(all="ignore"):   # a P/eta the rules reject may not be finite
+            self.elec_power = one_value(self.P / self.eta)
 
         check_params(self)
         check_state(self.theta, m, v)

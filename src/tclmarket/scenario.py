@@ -17,12 +17,14 @@ import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .market import DEFAULT_PRICE_TICK
 from .metrics import window_intervals
+from .population import PARAM_FIELDS, band_edges, broken_rule
 
 __all__ = ["ScenarioError", "PriceSignal", "PopulationSpec", "Plan", "Scenario", "MAX_STEPS"]
 
@@ -290,20 +292,7 @@ class PopulationSpec:
 
     def _p_cap_bound(self) -> float:
         """An upper bound of every p_cap a valid spec draws, so of every bid."""
-        return _largest_p_cap(self.subgroups, self.count, self.subgroup_rel_width,
-                              self.p_cap_range)
-
-
-def _largest_p_cap(K: int, n: int, w: float, p_cap_range) -> float:
-    """An upper bound of every p_cap that K subgroups of n TCLs draw from ``p_cap_range``.
-
-    One group draws ``lo + (hi - lo)*u`` with u < 1, at most ``lo + (hi -
-    lo)`` after rounding; subgroups draw at most :func:`_largest_draw`.
-    """
-    if K == 1:
-        lo, hi = map(float, p_cap_range)
-        return lo + (hi - lo)
-    return _largest_draw(K, n, w, p_cap_range)
+        return _draw_ends(self.p_cap_range, self.subgroups, self.count, self.subgroup_rel_width)[1]
 
 
 def _subgroup_ranges(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,20 +322,19 @@ def _subgroup_anchors(value_range, groups, K: int):
     return lo + (groups + 0.5) / K * (hi - lo)
 
 
-def _largest_draw(K: int, n: int, w: float, value_range) -> float:
-    """An upper bound of every value that the members of K >= 2 subgroups of n TCLs draw.
+def _draw_ends(value_range, K: int, n: int, w: float) -> tuple[float, float]:
+    """The least value that K subgroups of n TCLs draw from ``value_range``, and a bound of all.
 
-    Members draw ``anchor*(1 + w*u)`` with |u| < 1, at most the largest drawn
-    anchor times ``1 + w``. Every operation of an anchor rounds monotonically
-    and ``0 <= low <= high``, so the anchors never decrease with the group:
-    the largest drawn is that of the last TCL's subgroup, ``(n - 1)*K // n``.
+    One group draws ``lo + (hi - lo)*u``, 0 <= u < 1; K >= 2 subgroups draw
+    ``anchor*(1 + w*u)``, -1 <= u < 1, with anchors that grow with the group
+    (rounding is monotone and ``0 <= low <= high``) up to the last TCL's,
+    ``(n - 1)*K // n``.
     """
-    return _subgroup_anchors(value_range, (n - 1) * K // n, K) * (1.0 + w)
-
-
-def _farthest_set_point(mean: float, width: float) -> float:
-    """The end of ``mean +/- width`` farther from 0: no drawn set-point is farther."""
-    return max(mean - width, mean + width, key=abs)
+    if K == 1:
+        lo, hi = map(float, value_range)
+        return lo, lo + (hi - lo)
+    return (_subgroup_anchors(value_range, 0, K) * (1.0 - w),
+            _subgroup_anchors(value_range, (n - 1) * K // n, K) * (1.0 + w))
 
 
 def _subgroup_clash(K: int, n: int, w: float, p0_range, p_cap_range) -> Optional[str]:
@@ -356,7 +344,7 @@ def _subgroup_clash(K: int, n: int, w: float, p0_range, p_cap_range) -> Optional
     so p0 <= p_cap needs p0_anchor*(1+w) <= p_cap_anchor*(1-w) in every
     group that is drawn (all K unless K > count).
     """
-    if not (K >= 2 and n >= 1 and 0 <= w < 1):
+    if K < 2:
         return None
     groups = _subgroup_ranges(n, K)[0]
     p0_anchor = _subgroup_anchors(p0_range, groups, K)
@@ -375,74 +363,79 @@ def _subgroup_clash(K: int, n: int, w: float, p0_range, p_cap_range) -> Optional
     )
 
 
-_RANGES = ("p0_range", "p_cap_range", "gamma_range")
-_GAIN = ("p_mean", "p_rel_width", "r_mean", "r_rel_width")
+def _corner_break(*draws) -> Optional[str]:
+    """Why a TCL drawn from the fields ``_DRAWS`` could break a rule of one TCL, or None.
+
+    The rules (``population._PARAM_RULES``) are evaluated on each corner of
+    a box that holds every draw: its ends, rounded as the draw rounds them
+    (``mean*(1 -/+ w)``, ``theta_set_mean -/+ theta_set_width``,
+    :func:`_draw_ends`). Rounding is monotone, so each rule on a parameter,
+    P/eta, P*R or a band edge takes its worst case at a corner. The band is
+    lost where deadband/2 is below half the spacing between theta_set and
+    its float neighbour toward 0, or equal to it at an even significand (a
+    tie rounds to even). That spacing never shrinks as |theta_set| grows, so
+    if a drawn set-point loses its band, the end farther from 0 or its even
+    neighbour toward 0 does; the box holds the even neighbour of each end
+    too. For K >= 2 its p0 is 0: the clash row checks p0 <= p_cap by group.
+    """
+    d = dict(zip(_DRAWS, draws))
+    K, n, w = d["subgroups"], d["count"], d["subgroup_rel_width"]
+    ends = np.array([d["theta_set_mean"] - d["theta_set_width"],
+                     d["theta_set_mean"] + d["theta_set_width"]])
+    sides = [  # in the order of PARAM_FIELDS
+        *((mean * (1.0 - width), mean * (1.0 + width)) for mean, width in
+          ((d[f"{x}_mean"], d[f"{x}_rel_width"]) for x in ("c", "r", "p", "eta"))),
+        (*ends, *np.where(ends.view(np.int64) & 1, np.nextafter(ends, 0.0), ends)),
+        (d["deadband"],),
+        _draw_ends(d["p0_range"], K, n, w) if K == 1 else (0.0,),
+        _draw_ends(d["p_cap_range"], K, n, w),
+        *[_draw_ends(d["gamma_range"], K, n, w)] * 2,
+        (d["noise_std"],),
+    ]
+    grids = np.meshgrid(*(list(dict.fromkeys(map(float, side))) for side in sides), indexing="ij")
+    corners = SimpleNamespace(**{name: grid.ravel() for name, grid in zip(PARAM_FIELDS, grids)})
+    corners.theta_min, corners.theta_max = band_edges(corners.theta_set, corners.deadband)
+    if (found := broken_rule(corners)) is None:
+        return None
+    i, message = found
+    at = ", ".join(f"{name}={getattr(corners, name)[i].item()!r}" for name in PARAM_FIELDS)
+    return ("population: every drawn TCL must be valid, but a drawn TCL could break a rule: "
+            f"{message} (at the corner {at})")
+
+
+#: The fields that :func:`_corner_break` reads.
+_DRAWS = tuple(f.name for f in fields(PopulationSpec) if f.name != "theta_ambient")
+
+#: Each population field's kind, REAL unless given: the tests its value must
+#: pass on its own, so that no rule relating it to others reads one that fails.
+_POPULATION_KINDS = {
+    "count": (*INTEGER, (lambda n: n >= 1, "must be >= 1"),
+              # the exact power sums give each digit 53 - count.bit_length() bits
+              (lambda n: n < 2**52, "must be below 2**52 = 4503599627370496, where the exact "
+               "power sums run out of bits")),
+    **dict.fromkeys(("c_mean", "r_mean", "p_mean", "eta_mean"),
+                    (*REAL, (lambda x: x > 0, "must be finite and > 0"))),
+    **dict.fromkeys(("c_rel_width", "r_rel_width", "p_rel_width", "eta_rel_width",
+                     "subgroup_rel_width"), (*REAL, (lambda w: 0 <= w < 1, "must be in [0, 1)"))),
+    "theta_set_width": (*REAL, (lambda x: x >= 0, "must be >= 0")),
+    "deadband": (*REAL, (lambda x: x > 0, "must be > 0")),
+    **dict.fromkeys(("p0_range", "p_cap_range", "gamma_range"),
+                    (*PAIR, (lambda r: 0 <= r[0] <= r[1], "must satisfy 0 <= low <= high"))),
+    "noise_std": (*REAL, (lambda x: x >= 0, "must be finite and >= 0")),
+    "subgroups": (*INTEGER, (lambda K: K >= 1, "must be >= 1")),
+}
 
 #: The field rules of a population.
 _POPULATION_RULES = (
-    *((f.name, REAL) for f in fields(PopulationSpec) if f.type == "float"),
-    ("count", INTEGER),
-    ("subgroups", INTEGER),
-    *((name, PAIR) for name in _RANGES),
-    (("count",), lambda n: n >= 1, "population.count must be >= 1"),
-    # the exact power sums give each digit 53 - count.bit_length() bits
-    (("count",), lambda n: n < 2**52,
-     "population.count must be below 2**52 = 4503599627370496, where the exact power sums "
-     "run out of bits"),
-    *(row for name, symbol in (("c", "C"), ("r", "R"), ("p", "P"), ("eta", "eta")) for row in (
-        ((f"{name}_mean",), lambda x: x > 0, f"population.{name}_mean must be finite and > 0"),
-        ((f"{name}_rel_width",), lambda x: 0 <= x < 1,
-         f"population.{name}_rel_width must be in [0, 1)"),
-        # A draw is mean*(1 + w*u) with |u| <= 1 and rounding is monotone, so
-        # every draw lies between the ends mean*(1 - w) and mean*(1 + w).
-        ((f"{name}_mean", f"{name}_rel_width"),
-         lambda x, w: not (x > 0 and 0 <= w < 1) or 0 < x * (1 - w) and x * (1 + w) < math.inf,
-         lambda x, w, symbol=symbol: f"population: every drawn {symbol} must be positive and "
-         f"finite, but the ends {x}*(1 -/+ {w}) of its range round to {x * (1 - w)} and "
-         f"{x * (1 + w)}"),
-    )),
-    (("theta_set_width",), lambda x: x >= 0, "population.theta_set_width must be >= 0"),
-    (("deadband",), lambda x: x > 0, "population.deadband must be > 0"),
-    # Every drawn set-point lies between the ends theta_set_mean +/- theta_set_width,
-    # and the float spacing does not shrink as |theta_set| grows: half a deadband
-    # of at least the spacing at the end farther from 0 puts theta_set -/+
-    # deadband/2 on either side of every drawn set-point.
-    (("theta_set_mean", "theta_set_width", "deadband"),
-     lambda m, w, d: not d > 0 or d / 2 >= math.ulp(_farthest_set_point(m, w)),
-     lambda m, w, d: f"population.deadband ({d}) must be at least twice the float spacing "
-     f"{math.ulp(_farthest_set_point(m, w)):.3g} at the set-point farthest from 0 "
-     f"({_farthest_set_point(m, w):.6g} degC), or the thermostat band theta_set +/- "
-     "deadband/2 rounds to one temperature"),
-    (("theta_set_mean", "theta_set_width", "deadband"),
-     lambda m, w, d: abs(_farthest_set_point(m, w)) + d / 2 < math.inf,
-     lambda m, w, d: "population: the thermostat band theta_set +/- deadband/2 must be finite "
-     f"at the set-point farthest from 0 ({_farthest_set_point(m, w):.6g} degC, deadband {d})"),
+    *((f.name, _POPULATION_KINDS.get(f.name, REAL)) for f in fields(PopulationSpec)),
     (("theta_ambient", "theta_set_mean", "theta_set_width"), lambda a, m, w: a > m + w,
      "population.theta_ambient must exceed every possible set-point (cooling-load regime)"),
-    *(((name,), lambda r: 0 <= r[0] <= r[1], f"population.{name} must satisfy 0 <= low <= high")
-      for name in _RANGES),
-    (("p0_range", "p_cap_range"), lambda p0, cap: p0[1] <= cap[0],
-     "population.p0_range must sit at or below p_cap_range (every draw needs p0 <= p_cap)"),
-    (("noise_std",), lambda x: x >= 0, "population.noise_std must be finite and >= 0"),
-    (("subgroups",), lambda K: K >= 1, "population.subgroups must be >= 1"),
-    (("subgroup_rel_width",), lambda w: 0 <= w < 1,
-     "population.subgroup_rel_width must be in [0, 1)"),
     (("subgroups", "count", "subgroup_rel_width", "p0_range", "p_cap_range"),
      lambda *spec: _subgroup_clash(*spec) is None, _subgroup_clash),
-    *((("subgroups", "count", "subgroup_rel_width", name),
-       lambda K, n, w, r: not (K >= 2 and n >= 1 and 0 <= w < 1 and 0 <= r[0] <= r[1])
-       or _largest_draw(K, n, w, r) < math.inf,
-       lambda K, n, w, r, name=name, symbol=symbol: f"population: every drawn {symbol} must be "
-       f"finite, but the largest subgroup anchor of {name} [{r[0]}, {r[1]}] times "
-       f"1 + subgroup_rel_width ({w}) rounds to inf")
-      for name, symbol in (("p_cap_range", "p_cap"), ("gamma_range", "gamma"))),
-    # Reject parameter draws that could stall a thermostat outright.
-    ((*_GAIN, "deadband"), lambda p, pw, r, rw, d: p * (1 - pw) * r * (1 - rw) > d,
-     lambda p, pw, r, rw, d: "population: smallest possible P*R must exceed the deadband "
-     f"(got {p * (1 - pw) * r * (1 - rw):.3f} <= {d})"),
-    # Reject parameter draws whose sums or thermal terms overflow. Each P/eta
-    # is at most P_max/eta_min, rounded, so their exact total is at most
-    # count times it: the power table's own test when every load shares it.
+    (_DRAWS, lambda *draws: _corner_break(*draws) is None, _corner_break),
+    # Reject draws whose sums overflow. Each P/eta is at most P_max/eta_min,
+    # rounded, so their exact total is at most count times it: the power
+    # table's own test when every load shares it.
     (("count", "p_mean", "p_rel_width", "eta_mean", "eta_rel_width"),
      lambda n, p, pw, eta, ew: (eta_min := eta * (1 - ew)) > 0 and n * (p * (1 + pw) / eta_min)
      < math.inf,
@@ -452,16 +445,9 @@ _POPULATION_RULES = (
     # and count < 2**52 keeps that factor below e**0.5 < 2: bids whose
     # count*top is finite when doubled add up without overflow.
     (("subgroups", "count", "subgroup_rel_width", "p_cap_range"),
-     lambda K, n, w, r: not (K >= 1 and 1 <= n < 2**52 and 0 <= w < 1 and 0 <= r[0] <= r[1])
-     or (top := _largest_p_cap(K, n, w, r)) == math.inf or 2.0 * n * top < math.inf,
+     lambda K, n, w, r: (top := _draw_ends(r, K, n, w)[1]) == math.inf or 2.0 * n * top < math.inf,
      lambda K, n, w, r: "population: the total of all bids must be finite, but count*p_cap "
-     f"({n}*{_largest_p_cap(K, n, w, r):.6g} $/MWh) exceeds half the float64 range"),
-    (("p_mean", "p_rel_width", "eta_mean", "eta_rel_width"),
-     lambda p, pw, eta, ew: not (p * (1 - pw) > 0 and 0 < eta * (1 + ew) < math.inf)
-     or p * (1 - pw) / (eta * (1 + ew)) > 0,
-     "population: smallest possible P/eta must be positive"),
-    (_GAIN, lambda p, pw, r, rw: p * (1 + pw) * r * (1 + rw) < math.inf,
-     "population: largest possible P*R must be finite"),
+     f"({n}*{_draw_ends(r, K, n, w)[1]:.6g} $/MWh) exceeds half the float64 range"),
 )
 
 

@@ -21,6 +21,9 @@ from tclmarket.cli import (
 from tclmarket.engine import generate_population, run
 from tclmarket.scenario import PopulationSpec, PriceSignal, Scenario, ScenarioError
 
+#: How a violation of a rule of one TCL at a corner of the draws begins.
+DRAWN = "population: every drawn TCL must be valid, but a drawn TCL could break a rule: "
+
 
 @pytest.fixture()
 def small_file(tmp_path):
@@ -271,7 +274,7 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
     ({"population": {"count": 16, "p_mean": 1e308, "p_rel_width": 0.5}},
      "population: largest possible capacity"),
     ({"population": {"count": 16, "p_mean": 1e200, "r_mean": 1e200}},
-     "population: largest possible P*R"),
+     DRAWN + "P*R=inf degC must be finite"),
     ({"population": {"count": 16}, "feeder_limit_kw": float("nan")}, "feeder_limit_kw"),
     ({"population": {"count": 16}, "feeder_fraction": float("nan")}, "feeder_fraction"),
     ({"population": {"count": 16}, "lookahead_s": float("nan")}, "lookahead_s"),
@@ -304,29 +307,32 @@ def test_nan_base_price_is_a_violation(tmp_path, capsys, signal, field):
      "possible bid price (40 $/MWh)"),
     ({"population": {"count": 2**52}}, "population.count must be below 2**52"),
     ({"population": {"count": 1000, "c_mean": 5e-324, "c_rel_width": 0.6}, "horizon_min": 15},
-     "population: every drawn C must be positive and finite"),
+     DRAWN + "C, R, P and eta must all be positive, C and R finite, got C=0.0,"),
     ({"population": {"count": 5, "r_mean": 5e-324, "r_rel_width": 0.9, "p_mean": 1e307,
                      "theta_set_mean": 1e-300, "deadband": 1e-20}, "horizon_min": 15},
-     "population: every drawn R must be positive and finite"),
+     DRAWN + "C, R, P and eta must all be positive, C and R finite, got C=9.0, R=0.0,"),
     ({"population": {"count": 40, "c_mean": 1.7e308, "c_rel_width": 0.5}, "horizon_min": 15},
-     "population: every drawn C must be positive and finite"),
+     DRAWN + "C, R, P and eta must all be positive, C and R finite, got C=inf,"),
     ({"population": {"count": 7, "p_mean": 2.3113197448229774e+307, "eta_mean": 0.9,
                      "r_mean": 1e-300}, "horizon_min": 15},
      "population: largest possible capacity count*P/eta must be finite"),
     ({"population": {"count": 10, "p_mean": 1e-300, "r_mean": 1e300, "eta_mean": 1e300},
       "horizon_min": 15},
-     "population: smallest possible P/eta must be positive"),
+     DRAWN + "P/eta must be positive and finite"),
     ({"population": {"count": 5, "theta_set_mean": 1.7e308, "theta_ambient": 1.79e308,
                      "deadband": 2e307, "p_mean": 1e307, "r_mean": 3}, "horizon_min": 15},
-     "population: the thermostat band theta_set +/- deadband/2 must be finite"),
+     DRAWN + "theta_set +/- deadband/2 must be finite, got theta_set=1.7e+308"),
     ({"population": {"count": 40, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308],
                      "subgroup_rel_width": 0.1, "p0_range": [20.0, 21.0],
                      "p_cap_range": [30.0, 40.0]}, "horizon_min": 15},
-     "population: every drawn gamma must be finite"),
+     DRAWN + "bid slopes must be finite and >= 0, got gamma1=1.53e+308, gamma2=inf (at the "
+     "corner C=9.0, R=2.0, P=14.0, eta=2.5, theta_set=20.0, deadband=0.5, p0=0.0, p_cap=28.125"),
     ({"population": {"count": 5, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308],
                      "subgroup_rel_width": 0.1, "p0_range": [0, 1],
                      "p_cap_range": [1.7e308, 1.7e308]}, "horizon_min": 15},
-     "population: every drawn p_cap must be finite"),
+     DRAWN + "bid slopes must be finite and >= 0, got gamma1=1.53e+308, gamma2=inf (at the "
+     "corner C=9.0, R=2.0, P=14.0, eta=2.5, theta_set=20.0, deadband=0.5, p0=0.0, "
+     "p_cap=1.53e+308"),
     ({"population": {"count": 5, "subgroups": 4, "p0_range": [0, 1.7e308],
                      "p_cap_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.5},
       "horizon_min": 15},
@@ -576,18 +582,44 @@ def test_every_accepted_time_grid_runs_and_every_other_is_listed(grid):
         code, out, err = _main(["--scenario", path, "--out", out_dir,
                                 "--emit", "trace,metrics,bids,steps"])
         assert code == 0, err
-        limit = grid["feeder_limit_kw"]
-        trace = _csv_rows(os.path.join(out_dir, "trace.csv"))
+        trace = _assert_honest_csvs(out_dir, grid["feeder_limit_kw"])
         assert [float(row["base_price_usd_per_mwh"]) for row in trace] == plan.base_price.tolist()
-        for row in trace:
-            cleared, realized = float(row["cleared_demand_kw"]), float(row["avg_demand_kw"])
-            assert cleared <= limit and realized <= limit and realized <= cleared, row
-        for name in ("trace.csv", "metrics.csv", "windows.csv", "bids_sample.csv", "steps.csv"):
-            for row in _csv_rows(os.path.join(out_dir, name)):
-                # a window of constant demand has no period, and says so with NaN
-                if name == "windows.csv" and float(row["demand_p2p_kw"]) == 0.0:
-                    del row["dominant_period_min"]
-                assert all(np.isfinite(float(x)) for x in row.values()), (name, row)
+
+
+def _assert_honest_csvs(out_dir, limit):
+    """Check the CSVs of a run with every table emitted; returns the rows of trace.csv.
+
+    Cleared and realized demand stay within the feeder limit, exactly, and
+    realized within cleared; every cell is finite.
+    """
+    trace = _csv_rows(os.path.join(out_dir, "trace.csv"))
+    for row in trace:
+        cleared, realized = float(row["cleared_demand_kw"]), float(row["avg_demand_kw"])
+        assert cleared <= limit and realized <= limit and realized <= cleared, row
+    for name in ("trace.csv", "metrics.csv", "windows.csv", "bids_sample.csv", "steps.csv"):
+        for row in _csv_rows(os.path.join(out_dir, name)):
+            # a window of constant demand has no period, and says so with NaN
+            if name == "windows.csv" and float(row["demand_p2p_kw"]) == 0.0:
+                del row["dominant_period_min"]
+            assert all(np.isfinite(float(x)) for x in row.values()), (name, row)
+    return trace
+
+
+def test_a_deadband_under_two_float_spacings_runs(tmp_path):
+    # 5e-15 degC at set-points of 20 +/- 1e-14 is below twice the float
+    # spacing 3.55e-15 there, which validation once required, yet every drawn
+    # load keeps a band: its half exceeds half the spacing
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({
+        "population": {"count": 50, "deadband": 5e-15, "theta_set_width": 1e-14},
+        "horizon_min": 240, "feeder_limit_kw": 150.0}))
+    assert _main(["--scenario", str(path), "--validate-only"])[0] == 0
+    out_dir = str(tmp_path / "o")
+    code, _, err = _main(["--scenario", str(path), "--out", out_dir,
+                          "--emit", "trace,metrics,bids,steps"])
+    assert code == 0, err
+    trace = _assert_honest_csvs(out_dir, 150.0)
+    assert any(row["constrained"] == "1" for row in trace)
 
 
 def _oracle_table(path, columns):

@@ -488,7 +488,10 @@ def test_band_rule_leaves_every_drawn_load_a_band(mean, width_ulps, deadband_ulp
                           theta_ambient=2.0 * abs(mean) + width + 10.0)
     errs = spec.violations()
     if errs:
-        assert all(e.startswith("population.deadband ") for e in errs), errs
+        (err,) = errs
+        assert err == "population.deadband must be > 0" or err.startswith(
+            "population: every drawn TCL must be valid, but a drawn TCL could break a rule: "
+            f"deadband {deadband!r} is below the float spacing"), err
         return
     pop = generate_population(spec, seed=0)
     assert np.all(pop.theta_min < pop.theta_max)

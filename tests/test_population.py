@@ -517,7 +517,7 @@ def test_invalid_per_load_array_raises_the_tclparams_message():
     with pytest.raises(ValueError) as vector:
         Population(**arrays, theta_ambient=32.0)
     assert str(vector.value) == str(scalar.value)
-    assert str(vector.value) == "TCL 2: require 0 <= p0 <= p_cap, got p0=50.0, p_cap=35.0"
+    assert str(vector.value) == "TCL 2: require 0 <= p0 <= p_cap < inf, got p0=50.0, p_cap=35.0"
     arrays = _device_arrays()
     arrays["v"][4] = 2
     with pytest.raises(ValueError, match="m and v must be 0 or 1, got m=1, v=2"):
@@ -549,6 +549,38 @@ def test_population_rejects_a_band_that_rounds_to_one_temperature():
     message = "TCL 1: deadband 1e-15 is below the float spacing at theta_set 20.0: theta_set "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         Population(**arrays, theta_ambient=32.0)
+
+
+@pytest.mark.parametrize("values, message", [
+    # a = exp(-h/(C*R*3600)) is exactly 1: the temperature would never move
+    ({"C": math.inf},
+     "C, R, P and eta must all be positive, C and R finite, got C=inf, R=2.0, P=14.0, eta=2.5"),
+    ({"R": math.inf},
+     "C, R, P and eta must all be positive, C and R finite, got C=10.0, R=inf, P=14.0, eta=2.5"),
+    # theta_set -/+ deadband/2 pass float64: the rule says so, and no warning does
+    ({"theta_set": 1.79769e308, "deadband": 1e304, "R": 1e303},
+     "theta_set +/- deadband/2 must be finite, got theta_set=1.79769e+308, "
+     "deadband=1e+304"),
+    ({"theta_set": -1.79769e308, "deadband": 1e304, "R": 1e303},
+     "theta_set +/- deadband/2 must be finite, got theta_set=-1.79769e+308, "
+     "deadband=1e+304"),
+    ({"p_cap": math.inf}, "require 0 <= p0 <= p_cap < inf, got p0=22.0, p_cap=inf"),
+    ({"gamma1": math.inf}, "bid slopes must be finite and >= 0, got gamma1=inf, gamma2=20.0"),
+    ({"gamma2": math.inf}, "bid slopes must be finite and >= 0, got gamma1=20.0, gamma2=inf"),
+    # P/eta past float64 is reported by its rule, not by an overflow warning
+    ({"P": 1e308, "eta": 0.1}, "P/eta must be positive and finite"),
+])
+def test_population_rejects_every_load_the_validator_rules_out(values, message):
+    arrays = _device_arrays(1)
+    for name, value in values.items():
+        arrays[name][0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as scalar:
+            TclParams(id=0, **{name: float(arrays[name][0]) for name in PARAM_FIELDS})
+        with pytest.raises(ValueError) as vector:
+            Population(**arrays, theta_ambient=32.0)
+    assert str(vector.value) == str(scalar.value) == f"TCL 0: {message}"
 
 
 def test_population_requires_ambient_above_setpoints():

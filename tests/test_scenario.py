@@ -4,11 +4,17 @@ field rules that find them."""
 import dataclasses
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tclmarket import Scenario
+from tclmarket.engine import generate_population
+from tclmarket.population import PARAM_FIELDS, Population
 from tclmarket.scenario import (
     INTEGER,
     PAIR,
@@ -18,6 +24,22 @@ from tclmarket.scenario import (
     _POPULATION_RULES,
     _SCENARIO_RULES,
 )
+
+#: The message of the population row that evaluates the rules of one TCL
+#: on the corners of the draws, up to the rule's own message.
+DRAWN = "population: every drawn TCL must be valid, but a drawn TCL could break a rule: "
+
+
+def _drawn(message, **corner):
+    """The corner row's message for a rule's ``message`` at ``corner``.
+
+    ``corner`` gives the values that differ from the default population's
+    first corner.
+    """
+    at = {"C": 9.0, "R": 2.0, "P": 14.0, "eta": 2.5, "theta_set": 20.0, "deadband": 0.5,
+          "p0": 20.5, "p_cap": 30.0, "gamma1": 10.0, "gamma2": 10.0, "noise_std": 0.0, **corner}
+    return f"{DRAWN}{message} (at the corner {', '.join(f'{k}={v!r}' for k, v in at.items())})"
+
 
 #: One scenario (as JSON, read by ``Scenario.from_dict``) per place a
 #: violation is found, and the whole list ``validate()`` returns for it.
@@ -42,37 +64,31 @@ VIOLATIONS = [
      ["population.count must be >= 1"]),
     ("c_mean", {"population": {"c_mean": 0}},
      ["population.c_mean must be finite and > 0"]),
+    # a field that fails its own rule is not read by the rules that relate it to others
     ("r_mean", {"population": {"r_mean": -1}},
-     ["population.r_mean must be finite and > 0",
-      "population: smallest possible P*R must exceed the deadband (got -14.000 <= 0.5)"]),
+     ["population.r_mean must be finite and > 0"]),
     ("p_mean", {"population": {"p_mean": -1}},
-     ["population.p_mean must be finite and > 0",
-      "population: smallest possible P*R must exceed the deadband (got -2.000 <= 0.5)"]),
+     ["population.p_mean must be finite and > 0"]),
     ("eta_mean", {"population": {"eta_mean": 0}},
-     ["population.eta_mean must be finite and > 0",
-      "population: largest possible capacity count*P/eta must be finite"]),
+     ["population.eta_mean must be finite and > 0"]),
     ("c_rel_width", {"population": {"c_rel_width": 1}},
      ["population.c_rel_width must be in [0, 1)"]),
     ("r_rel_width", {"population": {"r_rel_width": -0.5}},
      ["population.r_rel_width must be in [0, 1)"]),
     ("p_rel_width", {"population": {"p_rel_width": 1}},
-     ["population.p_rel_width must be in [0, 1)",
-      "population: smallest possible P*R must exceed the deadband (got 0.000 <= 0.5)"]),
+     ["population.p_rel_width must be in [0, 1)"]),
     ("eta_rel_width", {"population": {"eta_rel_width": 1.5}},
-     ["population.eta_rel_width must be in [0, 1)",
-      "population: largest possible capacity count*P/eta must be finite"]),
+     ["population.eta_rel_width must be in [0, 1)"]),
     ("theta_set_width", {"population": {"theta_set_width": -1}},
      ["population.theta_set_width must be >= 0"]),
     ("deadband", {"population": {"deadband": 0}},
      ["population.deadband must be > 0"]),
     ("deadband-spacing", {"population": {"deadband": 1e-15}},
-     ["population.deadband (1e-15) must be at least twice the float spacing 3.55e-15 at the "
-      "set-point farthest from 0 (20 degC), or the thermostat band theta_set +/- deadband/2 "
-      "rounds to one temperature"]),
+     [_drawn("deadband 1e-15 is below the float spacing at theta_set 20.0: theta_set +/- "
+             "deadband/2 round to one temperature", deadband=1e-15)]),
     ("deadband-spacing-far", {"population": {"theta_set_mean": -1e17, "theta_set_width": 5}},
-     ["population.deadband (0.5) must be at least twice the float spacing 16 at the "
-      "set-point farthest from 0 (-1e+17 degC), or the thermostat band theta_set +/- "
-      "deadband/2 rounds to one temperature"]),
+     [_drawn("deadband 0.5 is below the float spacing at theta_set -1e+17: theta_set +/- "
+             "deadband/2 round to one temperature", theta_set=-1e17)]),
     ("theta_ambient", {"population": {"theta_ambient": 19}},
      ["population.theta_ambient must exceed every possible set-point (cooling-load regime)"]),
     ("gamma_range-order", {"population": {"gamma_range": [30, 10]}},
@@ -87,52 +103,52 @@ VIOLATIONS = [
      ["population.subgroup_rel_width must be in [0, 1)"]),
     # population fields read together
     ("p0-above-p_cap", {"population": {"p0_range": [20.5, 35]}},
-     ["population.p0_range must sit at or below p_cap_range (every draw needs p0 <= p_cap)"]),
+     [_drawn("require 0 <= p0 <= p_cap < inf, got p0=35.0, p_cap=30.0", p0=35.0)]),
     ("subgroup-clash", {"population": {"count": 50, "subgroups": 2, "subgroup_rel_width": 0.5,
                                        "p0_range": [29, 30], "p_cap_range": [30, 31]}},
      ["population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 2 of 2 subgroups (first: "
       "subgroup 0, p0 anchor 29.25*(1+w) > p_cap anchor 30.25*(1-w))"]),
     # anchors whose product with 1 + w passes float64: the clash of an infinite
-    # p0 bound is found without a warning, and each jittered draw has its row
+    # p0 bound is found without a warning, and the corner row finds each
+    # jittered draw past float64 (the box's p0 is 0 when K >= 2)
     ("subgroup-clash-past-float", {"population": {
         "count": 5, "subgroups": 4, "p0_range": [0, 1.7e308], "p_cap_range": [1.7e308, 1.7e308],
         "subgroup_rel_width": 0.5}, "horizon_min": 15},
      ["population.subgroup_rel_width 0.5 lets p0 exceed p_cap in 3 of 4 subgroups (first: "
       "subgroup 1, p0 anchor 6.375e+307*(1+w) > p_cap anchor 1.7e+308*(1-w))",
-      "population: every drawn p_cap must be finite, but the largest subgroup anchor of "
-      "p_cap_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.5) rounds to inf"]),
+      _drawn("require 0 <= p0 <= p_cap < inf, got p0=0.0, p_cap=inf", p0=0.0, p_cap=math.inf,
+             gamma1=6.25, gamma2=6.25)]),
     ("subgroup-gamma-past-float", {"population": {
         "count": 40, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.1,
         "p0_range": [20.0, 21.0], "p_cap_range": [30.0, 40.0]}, "horizon_min": 15},
-     ["population: every drawn gamma must be finite, but the largest subgroup anchor of "
-      "gamma_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf"]),
+     [_drawn("bid slopes must be finite and >= 0, got gamma1=1.53e+308, gamma2=inf", p0=0.0,
+             p_cap=28.125, gamma1=1.53e308, gamma2=math.inf)]),
+    # the first corner that breaks a rule is reported, here an infinite gamma2's before p_cap's
     ("subgroup-p_cap-and-gamma-past-float", {"population": {
         "count": 5, "subgroups": 4, "gamma_range": [1.7e308, 1.7e308], "subgroup_rel_width": 0.1,
         "p0_range": [0, 1], "p_cap_range": [1.7e308, 1.7e308]}, "horizon_min": 15},
-     ["population: every drawn p_cap must be finite, but the largest subgroup anchor of "
-      "p_cap_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf",
-      "population: every drawn gamma must be finite, but the largest subgroup anchor of "
-      "gamma_range [1.7e+308, 1.7e+308] times 1 + subgroup_rel_width (0.1) rounds to inf"]),
+     [_drawn("bid slopes must be finite and >= 0, got gamma1=1.53e+308, gamma2=inf", p0=0.0,
+             p_cap=1.53e308, gamma1=1.53e308, gamma2=math.inf)]),
     ("smallest-P*R", {"population": {"p_mean": 0.1}},
-     ["population: smallest possible P*R must exceed the deadband (got 0.200 <= 0.5)"]),
+     [_drawn("P*R=0.200 degC must be finite and exceed the deadband (0.5 degC)", P=0.1)]),
     ("capacity", {"population": {"eta_mean": 1e-306}},
      ["population: largest possible capacity count*P/eta must be finite"]),
     ("largest-P*R", {"population": {"r_mean": 1e308}},
-     ["population: largest possible P*R must be finite"]),
+     [_drawn("P*R=inf degC must be finite and exceed the deadband (0.5 degC)", R=1e308)]),
     # a draw's ends: each is positive, finite and summable, or a run would fail
     ("draw-C-rounds-to-0",
      {"population": {"count": 1000, "c_mean": 5e-324, "c_rel_width": 0.6}, "horizon_min": 15},
-     ["population: every drawn C must be positive and finite, but the ends 5e-324*(1 -/+ 0.6) "
-      "of its range round to 0.0 and 1e-323"]),
+     [_drawn("C, R, P and eta must all be positive, C and R finite, got C=0.0, R=2.0, P=14.0, "
+             "eta=2.5", C=0.0)]),
     ("draw-R-rounds-to-0",
      {"population": {"count": 5, "r_mean": 5e-324, "r_rel_width": 0.9, "p_mean": 1e307,
                      "theta_set_mean": 1e-300, "deadband": 1e-20}, "horizon_min": 15},
-     ["population: every drawn R must be positive and finite, but the ends 5e-324*(1 -/+ 0.9) "
-      "of its range round to 0.0 and 1e-323"]),
+     [_drawn("C, R, P and eta must all be positive, C and R finite, got C=9.0, R=0.0, "
+             "P=1e+307, eta=2.5", R=0.0, P=1e307, theta_set=1e-300, deadband=1e-20)]),
     ("draw-C-overflows",
      {"population": {"count": 40, "c_mean": 1.7e308, "c_rel_width": 0.5}, "horizon_min": 15},
-     ["population: every drawn C must be positive and finite, but the ends 1.7e+308*(1 -/+ 0.5) "
-      "of its range round to 8.5e+307 and inf"]),
+     [_drawn("C, R, P and eta must all be positive, C and R finite, got C=inf, R=2.0, P=14.0, "
+             "eta=2.5", C=math.inf)]),
     # seven loads of P/eta = 2.568e307 each: (count*P)/eta is finite, count*(P/eta) is not
     ("capacity-of-rounded-P/eta",
      {"population": {"count": 7, "p_mean": 2.3113197448229774e+307, "eta_mean": 0.9,
@@ -141,12 +157,12 @@ VIOLATIONS = [
     ("smallest-P/eta",
      {"population": {"count": 10, "p_mean": 1e-300, "r_mean": 1e300, "eta_mean": 1e300},
       "horizon_min": 15},
-     ["population: smallest possible P/eta must be positive"]),
+     [_drawn("P/eta must be positive and finite", R=1e300, P=1e-300, eta=1e300)]),
     ("band-finite",
      {"population": {"count": 5, "theta_set_mean": 1.7e308, "theta_ambient": 1.79e308,
                      "deadband": 2e307, "p_mean": 1e307, "r_mean": 3}, "horizon_min": 15},
-     ["population: the thermostat band theta_set +/- deadband/2 must be finite at the "
-      "set-point farthest from 0 (1.7e+308 degC, deadband 2e+307)"]),
+     [_drawn("theta_set +/- deadband/2 must be finite, got theta_set=1.7e+308, "
+             "deadband=2e+307", R=3.0, P=1e307, theta_set=1.7e308, deadband=2e307)]),
     # the time grid and the limits
     ("h_seconds", {"h_seconds": 0},
      ["h_seconds must be > 0"]),
@@ -228,8 +244,8 @@ VIOLATIONS = [
               "population": {"count": 0, "deadband": -1, "gamma_range": [2]},
               "price_signal": {"kind": "constant", "level": -1}},
      ["feeder_fraction must be a number", "h_seconds must be > 0", "seed must be >= 0",
-      "population.gamma_range must be two numbers [low, high]",
       "population.count must be >= 1", "population.deadband must be > 0",
+      "population.gamma_range must be two numbers [low, high]",
       "price_signal.level must be a price >= 0"]),
 ]
 
@@ -251,8 +267,9 @@ def test_count_must_leave_the_exact_power_sums_a_bit():
 
 
 def _kinds(rules) -> dict:
-    """Each field's kind, from the rows ``(name, kind)`` of a rule table."""
-    return {row[0]: row[1] for row in rules if isinstance(row[0], str)}
+    """Each field's kind, from the rows ``(name, kind)`` of a rule table, up to the field's
+    own tests: its first two tests, which REAL, REAL_OR_NONE, INTEGER and PAIR each hold."""
+    return {row[0]: row[1][:2] for row in rules if isinstance(row[0], str)}
 
 
 def test_every_field_has_a_rule_giving_its_kind():
@@ -277,3 +294,56 @@ def test_readme_shows_the_defaults():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Scenario files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == json.loads(Scenario().to_json())
+
+
+@pytest.mark.parametrize("case", [case for case in VIOLATIONS
+                                  if any(err.startswith(DRAWN) for err in case[2])],
+                         ids=lambda case: case[0])
+def test_each_corner_reproduces_its_rule(case):
+    # the corner a violation names, built as one load, breaks the rule it names
+    for err in Scenario.from_dict(case[1]).validate():
+        if not err.startswith(DRAWN):
+            continue
+        message, at = re.fullmatch(r"(.*) \(at the corner (.*)\)", err[len(DRAWN):]).groups()
+        values = {name: [float(value)] for name, value in
+                  (pair.split("=") for pair in at.split(", "))}
+        assert list(values) == list(PARAM_FIELDS)
+        with pytest.raises(ValueError) as one_load:
+            Population(**values, theta=[0.0], m=[0], v=[0], theta_ambient=0.0)
+        assert str(one_load.value) == f"TCL 0: {message}"
+
+
+#: Values toward the float limits, for the fields a spec may push there.
+LIMITS = (5e-324, 1e-300, 1e300, 1.7e308)
+WIDTHS = (0.5, 0.9, 1.0 - 1e-10, 1.0 - 2**-53)
+EXTREMES = {
+    **dict.fromkeys(("theta_ambient", "c_mean", "r_mean", "p_mean", "eta_mean",
+                     "theta_set_width", "deadband", "noise_std"), st.sampled_from(LIMITS)),
+    "theta_set_mean": st.sampled_from([*LIMITS, *(-x for x in LIMITS)]),
+    **dict.fromkeys(("c_rel_width", "r_rel_width", "p_rel_width", "eta_rel_width",
+                     "subgroup_rel_width"), st.sampled_from(WIDTHS)),
+    **dict.fromkeys(("p0_range", "p_cap_range", "gamma_range"),
+                    st.lists(st.sampled_from((0.0, *LIMITS)), min_size=2, max_size=2)
+                    .map(sorted).map(tuple)),
+}
+
+
+@st.composite
+def _specs_near_the_limits(draw):
+    """A default spec of 1 to 6 loads in 1, 2 or 4 subgroups, with one to four fields pushed
+    toward the float limits."""
+    pushed = draw(st.lists(st.sampled_from(sorted(EXTREMES)), min_size=1, max_size=4,
+                           unique=True))
+    return PopulationSpec(count=draw(st.integers(1, 6)), subgroups=draw(st.sampled_from([1, 2, 4])),
+                          **{name: draw(EXTREMES[name]) for name in pushed})
+
+
+@settings(max_examples=600, deadline=None)
+@given(_specs_near_the_limits())
+def test_a_population_that_validates_draws_without_an_error_or_a_warning(spec):
+    if spec.violations():
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pop = generate_population(spec, seed=0)
+    assert np.all(pop.theta_min < pop.theta_max)
